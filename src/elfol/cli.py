@@ -15,8 +15,8 @@ import os
 import sys
 
 from . import lexicon
-from .core import Signature, free_vars, well_formed
-from .kb import KbError, load_files
+from .core import Signature, free_vars
+from .kb import KbError, check_entry, load_files
 from .models import (
     EnumerationError,
     SearchBounds,
@@ -26,7 +26,6 @@ from .models import (
     parse_model,
 )
 from .prover import ProverConfig, prove
-from .quantifiers import DEFAULT_REGISTRY
 from .reduction import ReductionContext, ReductionError, compare_effort
 from .schemas import EnumerationCeiling, InstanceBounds, enumerate_instances
 from .syntax import ParseError, parse_formula, render
@@ -148,21 +147,9 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {args.command}")
 
 
-def _load_goal(text: str, sig: Signature):
-    goal = parse_formula(text)
-    if free_vars(goal):
-        raise ValueError(
-            f"goal has free variables: {', '.join(sorted(free_vars(goal)))}"
-        )
-    diags = well_formed(goal, sig)
-    if diags:
-        raise ValueError(f"ill-formed goal: {diags[0]}")
-    return goal
-
-
 def _cmd_prove(args) -> int:
     kb, _queries = load_files(args.files)
-    goal = _load_goal(args.goal, kb.signature)
+    goal = check_entry("goal", parse_formula(args.goal), kb.signature)
     result = prove(kb, goal, _config(args))
     if result.proved:
         if args.structured:
@@ -241,7 +228,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     kb, _ = load_files(args.kb)
-    goal = _load_goal(args.goal, kb.signature)
+    goal = check_entry("goal", parse_formula(args.goal), kb.signature)
     acc = []
     if args.acc:
         for pair in args.acc.split(","):

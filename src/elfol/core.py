@@ -192,15 +192,6 @@ class Signature:
         names = set(self.functions) | set(self.predicates) | set(self.constants)
         return names | set(self.modifiers) | set(self.term_ops)
 
-    def copy(self) -> "Signature":
-        return Signature(
-            dict(self.functions),
-            dict(self.predicates),
-            set(self.constants),
-            set(self.modifiers),
-            dict(self.term_ops),
-        )
-
 
 def pred_arity(pe: PredExpr, sig: Signature) -> Optional[int]:
     """Arity of a predicate expression over sig, or None if undetermined."""
@@ -323,38 +314,103 @@ def _wf(expr: Expr, sig: Signature, bound: frozenset, path: str, out: list) -> N
 
 
 # ---------------------------------------------------------------------------
+# Generic traversal
+#
+# One entry per node type: (children, rebuild). `children` lists a node's
+# direct sub-expressions in field order; binder names, quantifier references
+# and symbol names are not children. `rebuild(node, fn)` builds the same node
+# type with fn applied to each child, in the same order.
+
+
+def _no_children(node) -> tuple:
+    return ()
+
+
+def _same(node, fn):
+    return node
+
+
+def _binary(node) -> tuple:
+    return (node.left, node.right)
+
+
+def _rebuild_binary(node, fn):
+    return type(node)(fn(node.left), fn(node.right))
+
+
+_TRAVERSAL = {
+    Var: (_no_children, _same),
+    Const: (_no_children, _same),
+    PredConst: (_no_children, _same),
+    TrueF: (_no_children, _same),
+    FunApp: (
+        lambda n: n.args,
+        lambda n, fn: FunApp(n.fn, tuple(map(fn, n.args))),
+    ),
+    Ka: (lambda n: (n.pred,), lambda n, fn: Ka(fn(n.pred))),
+    That: (lambda n: (n.body,), lambda n, fn: That(fn(n.body))),
+    Lambda: (lambda n: (n.body,), lambda n, fn: Lambda(n.params, fn(n.body))),
+    Modified: (
+        lambda n: (n.base,),
+        lambda n, fn: Modified(n.modifier, fn(n.base)),
+    ),
+    TermDerived: (lambda n: (n.arg,), lambda n, fn: TermDerived(n.op, fn(n.arg))),
+    Atom: (
+        lambda n: (n.pred, *n.args),
+        lambda n, fn: Atom(fn(n.pred), tuple(map(fn, n.args))),
+    ),
+    Equal: (_binary, _rebuild_binary),
+    Not: (lambda n: (n.body,), lambda n, fn: Not(fn(n.body))),
+    And: (_binary, _rebuild_binary),
+    Or: (_binary, _rebuild_binary),
+    Implies: (_binary, _rebuild_binary),
+    Equiv: (_binary, _rebuild_binary),
+    RestrictedQuant: (
+        lambda n: (n.restrictor, n.body),
+        lambda n, fn: RestrictedQuant(n.quant, n.var, fn(n.restrictor), fn(n.body)),
+    ),
+    Modal: (lambda n: (n.body,), lambda n, fn: Modal(n.flavor, fn(n.body))),
+}
+
+
+def _traversal(node) -> tuple:
+    try:
+        return _TRAVERSAL[type(node)]
+    except KeyError:
+        raise TypeError(f"not an expression: {node!r}") from None
+
+
+def children(node: Expr) -> tuple:
+    """Direct sub-expressions of node, in field order.
+
+    An Atom gives its predicate then its arguments; a RestrictedQuant its
+    restrictor then its body; leaves give (). Raises TypeError on a non-node.
+    """
+    return _traversal(node)[0](node)
+
+
+def map_children(node: Expr, fn) -> Expr:
+    """The same node type rebuilt with fn applied to each child; a leaf is
+    returned as is. Raises TypeError on a non-node."""
+    return _traversal(node)[1](node, fn)
+
+
+# ---------------------------------------------------------------------------
 # Free variables
 
 
 def free_vars(expr: Expr) -> set:
     """Names with a free occurrence. Reified subexpressions are transparent."""
-    match expr:
-        case Var(name):
-            return {name}
-        case Const(_) | PredConst(_) | TrueF():
-            return set()
-        case FunApp(_, args) | Atom(_, args):
-            out = free_vars(expr.pred) if isinstance(expr, Atom) else set()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case Ka(pred):
-            return free_vars(pred)
-        case That(body) | Not(body) | Modal(_, body):
-            return free_vars(body)
-        case Lambda(params, body):
-            return free_vars(body) - set(params)
-        case Modified(_, base):
-            return free_vars(base)
-        case TermDerived(_, arg):
-            return free_vars(arg)
-        case Equal(left, right):
-            return free_vars(left) | free_vars(right)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Equiv(l, r):
-            return free_vars(l) | free_vars(r)
-        case RestrictedQuant(_, var, restrictor, body):
-            return (free_vars(restrictor) | free_vars(body)) - {var}
-    raise TypeError(f"not an expression: {expr!r}")
+    if type(expr) is Var:
+        return {expr.name}
+    out = set()
+    for child in children(expr):
+        out |= free_vars(child)
+    if type(expr) is Lambda:
+        out -= set(expr.params)
+    elif type(expr) is RestrictedQuant:
+        out.discard(expr.var)
+    return out
 
 
 def free_vars_ordered(expr: Expr) -> list:
@@ -365,37 +421,16 @@ def free_vars_ordered(expr: Expr) -> list:
 
 
 def _fvo(expr: Expr, bound: frozenset, out: list) -> None:
-    match expr:
-        case Var(name):
-            if name not in bound and name not in out:
-                out.append(name)
-        case Const(_) | PredConst(_) | TrueF():
-            pass
-        case FunApp(_, args):
-            for a in args:
-                _fvo(a, bound, out)
-        case Ka(pred):
-            _fvo(pred, bound, out)
-        case That(body) | Not(body) | Modal(_, body):
-            _fvo(body, bound, out)
-        case Lambda(params, body):
-            _fvo(body, bound | set(params), out)
-        case Modified(_, base):
-            _fvo(base, bound, out)
-        case TermDerived(_, arg):
-            _fvo(arg, bound, out)
-        case Atom(pred, args):
-            _fvo(pred, bound, out)
-            for a in args:
-                _fvo(a, bound, out)
-        case Equal(l, r) | And(l, r) | Or(l, r) | Implies(l, r) | Equiv(l, r):
-            _fvo(l, bound, out)
-            _fvo(r, bound, out)
-        case RestrictedQuant(_, var, restrictor, body):
-            _fvo(restrictor, bound | {var}, out)
-            _fvo(body, bound | {var}, out)
-        case _:
-            raise TypeError(f"not an expression: {expr!r}")
+    if type(expr) is Var:
+        if expr.name not in bound and expr.name not in out:
+            out.append(expr.name)
+        return
+    if type(expr) is Lambda:
+        bound = bound | set(expr.params)
+    elif type(expr) is RestrictedQuant:
+        bound = bound | {expr.var}
+    for child in children(expr):
+        _fvo(child, bound, out)
 
 
 # ---------------------------------------------------------------------------
@@ -428,66 +463,27 @@ def subst_map(expr: Expr, mapping: Mapping) -> Expr:
 
 
 def _subst(expr: Expr, m: Mapping) -> Expr:
-    match expr:
-        case Var(name):
-            return m.get(name, expr)
-        case Const(_) | PredConst(_) | TrueF():
+    if type(expr) is Var:
+        return m.get(expr.name, expr)
+    if type(expr) is Lambda:
+        params, (body,), m2 = _subst_binder2(list(expr.params), [expr.body], m)
+        if m2 is None:
             return expr
-        case FunApp(fn, args):
-            return FunApp(fn, tuple(_subst(a, m) for a in args))
-        case Ka(pred):
-            return Ka(_subst(pred, m))
-        case That(body):
-            return That(_subst(body, m))
-        case Lambda(params, body):
-            params2, body2, m2 = _subst_binder(list(params), body, m)
-            if m2 is None:
-                return expr
-            return Lambda(tuple(params2), _subst(body2, m2))
-        case Modified(modifier, base):
-            return Modified(modifier, _subst(base, m))
-        case TermDerived(op, arg):
-            return TermDerived(op, _subst(arg, m))
-        case Atom(pred, args):
-            return Atom(_subst(pred, m), tuple(_subst(a, m) for a in args))
-        case Equal(left, right):
-            return Equal(_subst(left, m), _subst(right, m))
-        case Not(body):
-            return Not(_subst(body, m))
-        case And(l, r):
-            return And(_subst(l, m), _subst(r, m))
-        case Or(l, r):
-            return Or(_subst(l, m), _subst(r, m))
-        case Implies(l, r):
-            return Implies(_subst(l, m), _subst(r, m))
-        case Equiv(l, r):
-            return Equiv(_subst(l, m), _subst(r, m))
-        case RestrictedQuant(q, var, restrictor, body):
-            (var2,), (restrictor2, body2), m2 = _subst_binder2(
-                [var], [restrictor, body], m
-            )
-            if m2 is None:
-                return expr
-            return RestrictedQuant(q, var2, _subst(restrictor2, m2), _subst(body2, m2))
-        case Modal(flavor, body):
-            return Modal(flavor, _subst(body, m))
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def _subst_binder(params: list, body, m: Mapping):
-    names, bodies, m2 = _subst_binder2(params, [body], m)
-    if m2 is None:
-        return None, None, None
-    return names, bodies[0], m2
+        return Lambda(tuple(params), _subst(body, m2))
+    if type(expr) is RestrictedQuant:
+        (var,), (restrictor, body), m2 = _subst_binder2(
+            [expr.var], [expr.restrictor, expr.body], m
+        )
+        if m2 is None:
+            return expr
+        return RestrictedQuant(expr.quant, var, _subst(restrictor, m2), _subst(body, m2))
+    return map_children(expr, lambda child: _subst(child, m))
 
 
 def _subst_binder2(params: list, bodies: list, m: Mapping):
     """Shared binder handling: drop shadowed entries, rename on capture risk."""
-    live = {v: t for v, t in m.items() if v not in params}
-    relevant = set()
-    for b in bodies:
-        relevant |= free_vars(b)
-    live = {v: t for v, t in live.items() if v in relevant}
+    relevant = set().union(*map(free_vars, bodies))
+    live = {v: t for v, t in m.items() if v not in params and v in relevant}
     if not live:
         return params, bodies, None
     incoming = set()

@@ -48,40 +48,37 @@ class KnowledgeBase:
         )
 
 
-def _check_entry(kind: str, f: Formula, sig: Signature, file, span) -> None:
+def parse_file(path, sig: Signature) -> syntax.KbSource:
+    """Parse one kb file; its declarations are added to sig, which earlier
+    files' declarations may already fill."""
+    src = syntax.KbSource(signature=sig)
+    try:
+        syntax.parse_kb(Path(path).read_text(encoding="utf-8"), into=src)
+    except syntax.ParseError as e:
+        raise KbError(e.message, file=str(path), span=e.span) from e
+    return src
+
+
+def check_entry(kind: str, f: Formula, sig: Signature, file=None, span=None) -> Formula:
+    """f, if it is a closed formula well-formed over sig; else a located KbError."""
     if free_vars(f):
         loose = ", ".join(sorted(free_vars(f)))
         raise KbError(f"{kind} has free variables: {loose}", file, span)
     diags = well_formed(f, sig)
     if diags:
         raise KbError(f"ill-formed {kind}: {diags[0]}", file, span)
+    return f
 
 
-def from_source(
-    src: syntax.KbSource,
-    registry: Optional[QuantRegistry] = None,
-    file: Optional[str] = None,
-) -> KnowledgeBase:
-    """Validate a parsed KbSource into a KnowledgeBase."""
-    registry = registry if registry is not None else DEFAULT_REGISTRY
-    kb = KnowledgeBase(signature=src.signature, registry=registry)
-    for f, span in src.axioms:
-        _check_entry("axiom", f, src.signature, file, span)
-        kb.axioms.append(f)
-    for f, span in src.facts:
-        _check_entry("fact", f, src.signature, file, span)
-        kb.facts.append(f)
-    for form in src.schemas:
-        schema = Schema(
-            form.name, form.pred_vars, form.formula_vars, form.quant_vars, form.body
-        )
-        problems = validate_schema(schema, src.signature)
-        if problems:
-            raise KbError(
-                f"ill-formed schema {form.name}: {problems[0]}", file, form.span
-            )
-        kb.schemas.append(schema)
-    return kb
+def make_schema(form: syntax.SchemaForm, sig: Signature, file) -> Schema:
+    """The schema a parsed form declares, if valid over sig; else a located KbError."""
+    schema = Schema(
+        form.name, form.pred_vars, form.formula_vars, form.quant_vars, form.body
+    )
+    problems = validate_schema(schema, sig)
+    if problems:
+        raise KbError(f"ill-formed schema {form.name}: {problems[0]}", file, form.span)
+    return schema
 
 
 def load_files(paths, registry: Optional[QuantRegistry] = None):
@@ -92,48 +89,14 @@ def load_files(paths, registry: Optional[QuantRegistry] = None):
     scope for later ones; well-formedness is checked once all declarations
     are read.
     """
-    src = syntax.KbSource()
-    per_file_forms = []
-    for path in paths:
-        text = Path(path).read_text(encoding="utf-8")
-        before = (len(src.axioms), len(src.facts), len(src.schemas))
-        try:
-            syntax.parse_kb(text, into=src)
-        except syntax.ParseError as e:
-            raise KbError(e.message, file=str(path), span=e.span) from e
-        per_file_forms.append((str(path), before))
+    sig = Signature()
+    sources = [(str(path), parse_file(path, sig)) for path in paths]
     registry = registry if registry is not None else DEFAULT_REGISTRY
-    kb = KnowledgeBase(signature=src.signature, registry=registry)
-    # attribute each form to its file for error reporting
-    file_of_axiom = {}
-    file_of_fact = {}
-    file_of_schema = {}
-    for i, (path, (na, nf, ns)) in enumerate(per_file_forms):
-        end = per_file_forms[i + 1][1] if i + 1 < len(per_file_forms) else (
-            len(src.axioms), len(src.facts), len(src.schemas)
-        )
-        for j in range(na, end[0]):
-            file_of_axiom[j] = path
-        for j in range(nf, end[1]):
-            file_of_fact[j] = path
-        for j in range(ns, end[2]):
-            file_of_schema[j] = path
-    for j, (f, span) in enumerate(src.axioms):
-        _check_entry("axiom", f, src.signature, file_of_axiom.get(j), span)
-        kb.axioms.append(f)
-    for j, (f, span) in enumerate(src.facts):
-        _check_entry("fact", f, src.signature, file_of_fact.get(j), span)
-        kb.facts.append(f)
-    for j, form in enumerate(src.schemas):
-        schema = Schema(
-            form.name, form.pred_vars, form.formula_vars, form.quant_vars, form.body
-        )
-        problems = validate_schema(schema, src.signature)
-        if problems:
-            raise KbError(
-                f"ill-formed schema {form.name}: {problems[0]}",
-                file_of_schema.get(j),
-                form.span,
-            )
-        kb.schemas.append(schema)
-    return kb, list(src.queries)
+    kb = KnowledgeBase(signature=sig, registry=registry)
+    for file, src in sources:
+        kb.axioms += [check_entry("axiom", f, sig, file, span) for f, span in src.axioms]
+    for file, src in sources:
+        kb.facts += [check_entry("fact", f, sig, file, span) for f, span in src.facts]
+    for file, src in sources:
+        kb.schemas += [make_schema(form, sig, file) for form in src.schemas]
+    return kb, [q for _, src in sources for q in src.queries]

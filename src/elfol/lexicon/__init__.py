@@ -13,35 +13,28 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .. import syntax
 from ..core import (
     Atom,
     Const,
-    Formula,
     Ka,
     Lambda,
     PredConst,
     Signature,
     That,
     Var,
-    free_vars,
-    well_formed,
+    children,
 )
-from ..kb import KbError, KnowledgeBase
+from ..kb import KbError, KnowledgeBase, check_entry, make_schema, parse_file
 from ..models import IntensionalModel, eval_formula, reified_key
 from ..quantifiers import DEFAULT_REGISTRY, QuantRegistry
-from ..schemas import InstanceBounds, Schema, ground_atoms, validate_schema
+from ..schemas import InstanceBounds, ground_atoms
+from ..syntax import QueryForm
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
-@dataclass(frozen=True)
-class QueryCase:
-    name: str
-    goal: Formula
-    scenarios: tuple
-    expect: str  # "provable" | "unprovable"
-    max_lexical_steps: Optional[int]
+# the bundle's queries are the parsed query forms, spans kept
+QueryCase = QueryForm
 
 
 @dataclass
@@ -54,80 +47,43 @@ class Bundle:
     queries: list  # QueryCase
 
     def kb_for(self, case: QueryCase) -> KnowledgeBase:
-        facts = []
-        for name in case.scenarios:
-            facts.extend(self.scenarios[name])
-        return KnowledgeBase(
-            self.signature, facts, list(self.axioms), list(self.schemas),
-            self.registry,
-        )
+        return self._kb(case.scenarios)
 
     def full_kb(self) -> KnowledgeBase:
-        facts = []
-        for name in sorted(self.scenarios):
-            facts.extend(self.scenarios[name])
+        return self._kb(sorted(self.scenarios))
+
+    def _kb(self, scenario_names) -> KnowledgeBase:
+        facts = [f for name in scenario_names for f in self.scenarios[name]]
         return KnowledgeBase(
             self.signature, facts, list(self.axioms), list(self.schemas),
             self.registry,
         )
-
-
-def _parse_file(path: Path, sig: Signature) -> syntax.KbSource:
-    src = syntax.KbSource(signature=sig)
-    try:
-        syntax.parse_kb(path.read_text(encoding="utf-8"), into=src)
-    except syntax.ParseError as e:
-        raise KbError(e.message, file=str(path), span=e.span) from e
-    return src
-
-
-def _check(kind: str, f: Formula, sig: Signature, path: Path, span) -> None:
-    if free_vars(f):
-        raise KbError(f"{kind} has free variables", str(path), span)
-    diags = well_formed(f, sig)
-    if diags:
-        raise KbError(f"ill-formed {kind}: {diags[0]}", str(path), span)
 
 
 def load_bundle(registry: Optional[QuantRegistry] = None) -> Bundle:
     """Parse and validate the shipped knowledge base and query suite."""
     registry = registry if registry is not None else DEFAULT_REGISTRY
     sig = Signature()
-    core = _parse_file(DATA_DIR / "core.elf", sig)
+    core = parse_file(DATA_DIR / "core.elf", sig)
     if core.axioms or core.facts or core.schemas:
         raise KbError("core.elf must contain declarations only")
-    axioms_src = _parse_file(DATA_DIR / "axioms.elf", sig)
-    schemas_src = _parse_file(DATA_DIR / "schemas.elf", sig)
-    axioms = []
-    for f, span in axioms_src.axioms:
-        _check("axiom", f, sig, DATA_DIR / "axioms.elf", span)
-        axioms.append(f)
-    schemas = []
-    for form in schemas_src.schemas:
-        schema = Schema(
-            form.name, form.pred_vars, form.formula_vars, form.quant_vars, form.body
-        )
-        problems = validate_schema(schema, sig)
-        if problems:
-            raise KbError(
-                f"ill-formed schema {form.name}: {problems[0]}",
-                str(DATA_DIR / "schemas.elf"),
-                form.span,
-            )
-        schemas.append(schema)
+    apath, spath = DATA_DIR / "axioms.elf", DATA_DIR / "schemas.elf"
+    axioms_src = parse_file(apath, sig)
+    schemas_src = parse_file(spath, sig)
+    axioms = [
+        check_entry("axiom", f, sig, str(apath), span) for f, span in axioms_src.axioms
+    ]
+    schemas = [make_schema(form, sig, str(spath)) for form in schemas_src.schemas]
     scenarios = {}
     for path in sorted(DATA_DIR.glob("scenario-*.elf")):
-        src = _parse_file(path, sig)
-        facts = []
-        for f, span in src.facts:
-            _check("fact", f, sig, path, span)
-            facts.append(f)
-        scenarios[path.stem] = facts
-    queries = []
+        scenarios[path.stem] = [
+            check_entry("fact", f, sig, str(path), span)
+            for f, span in parse_file(path, sig).facts
+        ]
     qpath = DATA_DIR / "queries.elf"
-    qsrc = _parse_file(qpath, sig)
-    for form in qsrc.queries:
-        _check("query goal", form.goal, sig, qpath, form.span)
+    queries = parse_file(qpath, sig).queries
+    for form in queries:
+        check_entry("query goal", form.goal, sig, str(qpath), form.span)
         for name in form.scenarios:
             if name not in scenarios:
                 raise KbError(
@@ -135,12 +91,6 @@ def load_bundle(registry: Optional[QuantRegistry] = None) -> Bundle:
                     str(qpath),
                     form.span,
                 )
-        queries.append(
-            QueryCase(
-                form.name, form.goal, form.scenarios, form.expect,
-                form.max_lexical_steps,
-            )
-        )
     if len(queries) < 6:
         raise KbError("query suite must hold at least six entries")
     return Bundle(sig, registry, axioms, schemas, scenarios, queries)
@@ -314,26 +264,7 @@ def witness_model(
 
 
 def _that_terms(f) -> list:
-    out = []
-
-    def walk(node):
-        match node:
-            case That(_):
-                out.append(node)
-            case Atom(pred, args):
-                walk(pred)
-                for a in args:
-                    walk(a)
-            case _:
-                for attr in ("body", "left", "right", "restrictor", "base",
-                             "arg", "pred"):
-                    child = getattr(node, attr, None)
-                    if child is not None and not isinstance(child, (str, tuple)):
-                        walk(child)
-                args = getattr(node, "args", None)
-                if isinstance(args, tuple):
-                    for a in args:
-                        walk(a)
-
-    walk(f)
-    return out
+    """The outermost `that` terms in f, in traversal order."""
+    if isinstance(f, That):
+        return [f]
+    return [t for child in children(f) for t in _that_terms(child)]

@@ -45,6 +45,7 @@ from .core import (
     TrueF,
     Var,
     alpha_key,
+    children,
     free_vars,
     free_vars_ordered,
 )
@@ -317,6 +318,10 @@ def _all_subsets(items: tuple):
         yield tuple(items[i] for i in range(n) if mask & (1 << i))
 
 
+# nodes formula_vocabulary passes through to their children
+_ENUMERABLE = (Var, TrueF, Equal, Not, And, Or, Implies, Equiv, RestrictedQuant, Modal)
+
+
 def formula_vocabulary(f: Formula):
     """(predicates, constants) mentioned by a formula; raises if the formula
     uses constructs outside the enumerable fragment."""
@@ -324,40 +329,29 @@ def formula_vocabulary(f: Formula):
     consts: list = []
 
     def walk(node):
-        match node:
-            case Atom(PredConst(name), args):
-                arity = len(args)
-                if preds.get(name, arity) != arity:
-                    raise EnumerationError(f"predicate {name} used at mixed arities")
-                preds[name] = arity
-                for a in args:
-                    walk(a)
-            case Atom(_, _):
+        if isinstance(node, Atom):
+            if not isinstance(node.pred, PredConst):
                 raise EnumerationError(
                     "model enumeration covers predicate-constant atoms only"
                 )
-            case Var(_) | TrueF():
-                pass
-            case Const(name):
-                if name not in consts:
-                    consts.append(name)
-            case FunApp(_, _) | Ka(_) | That(_):
-                raise EnumerationError(
-                    "model enumeration covers function-free formulas only"
-                )
-            case Equal(l, r):
-                walk(l)
-                walk(r)
-            case Not(b) | Modal(_, b):
-                walk(b)
-            case And(l, r) | Or(l, r) | Implies(l, r) | Equiv(l, r):
-                walk(l)
-                walk(r)
-            case RestrictedQuant(_, _, r, b):
-                walk(r)
-                walk(b)
-            case _:
-                raise EnumerationError(f"unsupported node {node!r}")
+            name, arity = node.pred.name, len(node.args)
+            if preds.get(name, arity) != arity:
+                raise EnumerationError(f"predicate {name} used at mixed arities")
+            preds[name] = arity
+            for a in node.args:
+                walk(a)
+        elif isinstance(node, Const):
+            if node.name not in consts:
+                consts.append(node.name)
+        elif isinstance(node, (FunApp, Ka, That)):
+            raise EnumerationError(
+                "model enumeration covers function-free formulas only"
+            )
+        elif isinstance(node, _ENUMERABLE):
+            for child in children(node):
+                walk(child)
+        else:
+            raise EnumerationError(f"unsupported node {node!r}")
 
     walk(f)
     return tuple(sorted(preds.items())), tuple(consts)
@@ -465,7 +459,7 @@ def parse_model(text: str) -> IntensionalModel:
     """
     from . import syntax
 
-    p = syntax._Parser(text)
+    p = syntax.Parser(text)
     p.expect("(")
     head = p.expect_symbol("model")
     if head.text != "model":

@@ -42,6 +42,7 @@ from .core import (
     Var,
     alpha_equivalent,
     alpha_key,
+    conjoin,
     conjuncts,
     disjuncts,
     free_vars,
@@ -651,10 +652,7 @@ class _Search:
                     else:
                         cs2 = list(cs)
                         cs2[pos] = newsub
-                        out = cs2[0]
-                        for extra_c in cs2[1:]:
-                            out = And(out, extra_c)
-                        yield out, c.label
+                        yield conjoin(cs2), c.label
 
     # -- structural rules ----------------------------------------------------
 
@@ -1031,10 +1029,8 @@ def _replay_schema(node: TraceNode, kb: KnowledgeBase) -> bool:
 
 def _replay_equiv(source: Formula, target: Formula, kb: KnowledgeBase) -> bool:
     """target is source with one subformula rewritten by a kb equivalence."""
-    equivs = [
-        _compile_axiom(a, "") for a in kb.axioms
-        if _compile_axiom(a, "").kind == "equiv"
-    ]
+    clauses = [_compile_axiom(a, "") for a in kb.axioms]
+    equivs = [c for c in clauses if c.kind == "equiv"]
 
     def instance_ok(x, y) -> bool:
         for c in equivs:

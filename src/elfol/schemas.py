@@ -43,7 +43,9 @@ from .core import (
     Var,
     alpha_equivalent,
     alpha_key,
+    children,
     free_vars,
+    map_children,
     strip_universals,
     subst_map,
 )
@@ -92,56 +94,37 @@ def validate_schema(s: Schema, sig: Signature) -> list:
     preds = s.pred_arities
     fvs = set(s.formula_metavars)
 
-    def walk(node, path):
-        match node:
-            case Atom(PredConst(name), args) if name in preds:
-                if len(args) != preds[name]:
+    def walk(node):
+        kids = children(node)
+        if isinstance(node, Atom) and isinstance(node.pred, PredConst):
+            name = node.pred.name
+            if name in preds:
+                if len(node.args) != preds[name]:
                     problems.append(
-                        f"{path}: metavariable {name} used at arity {len(args)}, "
-                        f"declared {preds[name]}"
+                        f"body: metavariable {name} used at arity "
+                        f"{len(node.args)}, declared {preds[name]}"
                     )
-                for a in args:
-                    walk(a, path)
-            case Atom(PredConst(name), args) if name in fvs:
-                if args:
+                kids = node.args
+            elif name in fvs:
+                if node.args:
                     problems.append(
-                        f"{path}: formula metavariable {name} takes no arguments"
+                        f"body: formula metavariable {name} takes no arguments"
                     )
-            case Atom(pred, args):
-                walk(pred, path)
-                for a in args:
-                    walk(a, path)
-            case Modified(_, base) | Ka(base):
-                walk(base, path)
-            case PredConst(name):
-                if name in fvs:
-                    problems.append(
-                        f"{path}: formula metavariable {name} in predicate position"
-                    )
-            case TermDerived(_, arg):
-                walk(arg, path)
-            case FunApp(_, args):
-                for a in args:
-                    walk(a, path)
-            case That(body) | Not(body) | Modal(_, body) | Lambda(_, body):
-                walk(body, path)
-            case And(l, r) | Or(l, r) | Implies(l, r) | Equiv(l, r):
-                walk(l, path)
-                walk(r, path)
-            case Equal(l, r):
-                walk(l, path)
-                walk(r, path)
-            case RestrictedQuant(q, _, restrictor, body):
-                if q.name in preds or q.name in fvs:
-                    problems.append(
-                        f"{path}: {q.name} is not a quantifier metavariable"
-                    )
-                walk(restrictor, path)
-                walk(body, path)
-            case _:
-                pass
+                return
+        elif isinstance(node, PredConst) and node.name in fvs:
+            problems.append(
+                f"body: formula metavariable {node.name} in predicate position"
+            )
+        elif isinstance(node, RestrictedQuant) and (
+            node.quant.name in preds or node.quant.name in fvs
+        ):
+            problems.append(
+                f"body: {node.quant.name} is not a quantifier metavariable"
+            )
+        for child in kids:
+            walk(child)
 
-    walk(s.body, "body")
+    walk(s.body)
     return problems
 
 
@@ -199,49 +182,25 @@ def instantiate(s: Schema, binding: dict, registry: QuantRegistry) -> Formula:
     fvs = set(s.formula_metavars)
 
     def walk(node):
-        match node:
-            case Atom(PredConst(name), args) if name in preds:
+        if isinstance(node, Atom) and isinstance(node.pred, PredConst):
+            name = node.pred.name
+            if name in preds:
                 val = binding[name]
-                new_args = tuple(walk(a) for a in args)
+                new_args = tuple(walk(a) for a in node.args)
                 if isinstance(val, Lambda):
                     return beta_reduce(val, new_args)
                 return Atom(val, new_args)
-            case Atom(PredConst(name), ()) if name in fvs:
+            if name in fvs and not node.args:
                 return binding[name]
-            case Atom(pred, args):
-                return Atom(walk(pred), tuple(walk(a) for a in args))
-            case PredConst(name) if name in preds:
-                return binding[name]
-            case Modified(m, base):
-                return Modified(m, walk(base))
-            case Ka(pred):
-                return Ka(walk(pred))
-            case That(body):
-                return That(walk(body))
-            case TermDerived(op, arg):
-                return TermDerived(op, walk(arg))
-            case FunApp(fn, args):
-                return FunApp(fn, tuple(walk(a) for a in args))
-            case Var(_) | Const(_) | TrueF() | PredConst(_):
-                return node
-            case Equal(l, r):
-                return Equal(walk(l), walk(r))
-            case Not(body):
-                return Not(walk(body))
-            case And(l, r):
-                return And(walk(l), walk(r))
-            case Or(l, r):
-                return Or(walk(l), walk(r))
-            case Implies(l, r):
-                return Implies(walk(l), walk(r))
-            case Equiv(l, r):
-                return Equiv(walk(l), walk(r))
-            case RestrictedQuant(q, var, restrictor, body):
-                q2 = binding[q.name] if q.name in binding else q
-                return RestrictedQuant(q2, var, walk(restrictor), walk(body))
-            case Modal(fl, body):
-                return Modal(fl, walk(body))
-        raise SchemaError(f"cannot instantiate node {node!r}")
+        elif isinstance(node, PredConst) and node.name in preds:
+            return binding[node.name]
+        elif isinstance(node, RestrictedQuant) and node.quant.name in binding:
+            q = binding[node.quant.name]
+            return RestrictedQuant(q, node.var, walk(node.restrictor), walk(node.body))
+        try:
+            return map_children(node, walk)
+        except TypeError:
+            raise SchemaError(f"cannot instantiate node {node!r}") from None
 
     return walk(s.body)
 
@@ -265,44 +224,15 @@ class _MatchState:
 
 def _subterms_in_order(node, out: list, seen: set) -> None:
     """Closed terms appearing in the goal, in discovery order."""
-
-    def note(t):
-        if not free_vars(t):
-            k = alpha_key(t)
-            if k not in seen:
-                seen.add(k)
-                out.append(t)
-
-    match node:
-        case Var(_) | Const(_):
-            note(node)
-        case FunApp(_, args):
-            note(node)
-            for a in args:
-                _subterms_in_order(a, out, seen)
-        case Ka(_) | That(_):
-            note(node)
-        case Atom(pred, args):
-            _subterms_in_order(pred, out, seen)
-            for a in args:
-                _subterms_in_order(a, out, seen)
-        case Modified(_, base):
-            _subterms_in_order(base, out, seen)
-        case TermDerived(_, arg):
-            _subterms_in_order(arg, out, seen)
-        case PredConst(_) | TrueF():
-            pass
-        case Equal(l, r):
-            _subterms_in_order(l, out, seen)
-            _subterms_in_order(r, out, seen)
-        case Not(b) | Modal(_, b) | Lambda(_, b):
-            _subterms_in_order(b, out, seen)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Equiv(l, r):
-            _subterms_in_order(l, out, seen)
-            _subterms_in_order(r, out, seen)
-        case RestrictedQuant(_, _, r, b):
-            _subterms_in_order(r, out, seen)
-            _subterms_in_order(b, out, seen)
+    if isinstance(node, (Var, Const, FunApp, Ka, That)) and not free_vars(node):
+        k = alpha_key(node)
+        if k not in seen:
+            seen.add(k)
+            out.append(node)
+    if isinstance(node, (Ka, That)):
+        return
+    for child in children(node):
+        _subterms_in_order(child, out, seen)
 
 
 def _replace_term(node, target: Term, replacement: Term):
@@ -311,63 +241,7 @@ def _replace_term(node, target: Term, replacement: Term):
         node, target
     ):
         return replacement
-    match node:
-        case Var(_) | Const(_) | PredConst(_) | TrueF():
-            return node
-        case FunApp(fn, args):
-            return FunApp(fn, tuple(_replace_term(a, target, replacement) for a in args))
-        case Ka(p):
-            return Ka(_replace_term(p, target, replacement))
-        case That(b):
-            return That(_replace_term(b, target, replacement))
-        case Lambda(ps, b):
-            return Lambda(ps, _replace_term(b, target, replacement))
-        case Modified(m, base):
-            return Modified(m, _replace_term(base, target, replacement))
-        case TermDerived(op, arg):
-            return TermDerived(op, _replace_term(arg, target, replacement))
-        case Atom(p, args):
-            return Atom(
-                _replace_term(p, target, replacement),
-                tuple(_replace_term(a, target, replacement) for a in args),
-            )
-        case Equal(l, r):
-            return Equal(
-                _replace_term(l, target, replacement),
-                _replace_term(r, target, replacement),
-            )
-        case Not(b):
-            return Not(_replace_term(b, target, replacement))
-        case And(l, r):
-            return And(
-                _replace_term(l, target, replacement),
-                _replace_term(r, target, replacement),
-            )
-        case Or(l, r):
-            return Or(
-                _replace_term(l, target, replacement),
-                _replace_term(r, target, replacement),
-            )
-        case Implies(l, r):
-            return Implies(
-                _replace_term(l, target, replacement),
-                _replace_term(r, target, replacement),
-            )
-        case Equiv(l, r):
-            return Equiv(
-                _replace_term(l, target, replacement),
-                _replace_term(r, target, replacement),
-            )
-        case RestrictedQuant(q, v, rst, b):
-            return RestrictedQuant(
-                q,
-                v,
-                _replace_term(rst, target, replacement),
-                _replace_term(b, target, replacement),
-            )
-        case Modal(fl, b):
-            return Modal(fl, _replace_term(b, target, replacement))
-    raise TypeError(f"cannot walk {node!r}")
+    return map_children(node, lambda child: _replace_term(child, target, replacement))
 
 
 def _eta(value: PredExpr) -> PredExpr:

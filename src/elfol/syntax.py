@@ -142,7 +142,10 @@ def _is_int(word: str) -> bool:
     return body.isdigit() and body != ""
 
 
-class _Parser:
+class Parser:
+    """Token reader and recursive-descent parser over one source text; the
+    model file reader shares its tokens and located errors."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -360,7 +363,7 @@ class _Parser:
 
 
 def _parse_single(text: str, production: str):
-    p = _Parser(text)
+    p = Parser(text)
     node = getattr(p, production)()
     if not p.at_end():
         p.fail("trailing input after expression")
@@ -381,7 +384,7 @@ def parse_predexpr(text: str) -> PredExpr:
 
 def parse_schema(text: str) -> "SchemaForm":
     """Parse one standalone `(schema name decls... body)` form."""
-    p = _Parser(text)
+    p = Parser(text)
     open_tok = p.expect("(")
     head = p.expect_symbol("schema")
     if head.text != "schema":
@@ -433,7 +436,7 @@ SCHEMA_CONSTRAINTS = ("right-up", "right-down", "any")
 def parse_kb(text: str, into: Optional[KbSource] = None) -> KbSource:
     """Parse a sequence of top-level kb forms, accumulating into a KbSource."""
     src = into if into is not None else KbSource()
-    p = _Parser(text)
+    p = Parser(text)
     while not p.at_end():
         open_tok = p.expect("(")
         head = p.expect_symbol("top-level form")
@@ -460,7 +463,7 @@ def parse_kb(text: str, into: Optional[KbSource] = None) -> KbSource:
     return src
 
 
-def _parse_declare(p: _Parser, sig: Signature) -> None:
+def _parse_declare(p: Parser, sig: Signature) -> None:
     kind = p.expect_symbol("declaration kind")
     if kind.text == "fn":
         name = p.expect_symbol("function name")
@@ -491,7 +494,7 @@ def _parse_declare(p: _Parser, sig: Signature) -> None:
     p.expect(")")
 
 
-def _declare(p: _Parser, sig: Signature, name_tok: _Token, category: str, arity):
+def _declare(p: Parser, sig: Signature, name_tok: _Token, category: str, arity):
     name = name_tok.text
     if name in FORMULA_KEYWORDS:
         p.fail(f"{name!r} is a reserved keyword", span=name_tok.span)
@@ -511,7 +514,7 @@ def _declare(p: _Parser, sig: Signature, name_tok: _Token, category: str, arity)
         table[name] = arity
 
 
-def _parse_schema_form(p: _Parser, open_tok: _Token) -> SchemaForm:
+def _parse_schema_form(p: Parser, open_tok: _Token) -> SchemaForm:
     name = p.expect_symbol("schema name").text
     pred_vars: list = []
     formula_vars: list = []
@@ -566,7 +569,7 @@ def _parse_schema_form(p: _Parser, open_tok: _Token) -> SchemaForm:
     )
 
 
-def _parse_query_form(p: _Parser, open_tok: _Token) -> QueryForm:
+def _parse_query_form(p: Parser, open_tok: _Token) -> QueryForm:
     name = p.expect_symbol("query name").text
     scenarios: tuple = ()
     expect = "provable"

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 pass. Criterion 5's modal-scenario length inequality is marked as a strict
-expected failure; see the project notes for the analysis (the goal formula
+expected failure; the test's xfail reason holds the analysis (the goal formula
 of that scenario reduces to exactly the reduced axiom's consequent, so the
 two proofs are step-for-step isomorphic and their lengths tie).
 """
@@ -212,7 +212,7 @@ def test_criterion_5_reduction_faithfulness_and_effort():
         "reduced axiom's consequent: with no modal inference rules, both "
         "provers close the goal by one whole-consequent match over the same "
         "three antecedent facts, so the two proofs are isomorphic and their "
-        "lengths tie at 1. Explored counts do differ. See notes/decisions."
+        "lengths tie at 1. Explored counts do differ."
     ),
 )
 def test_criterion_5_modal_scenario_reduced_length_strictly_greater():

@@ -1,22 +1,26 @@
 """Structural operations on the extended-language AST."""
 
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elfol import core
 from elfol.core import (
     Const,
     Var,
     alpha_equivalent,
+    children,
     free_vars,
     fresh_name,
+    map_children,
     substitute,
     well_formed,
 )
 from elfol.models import enumerate_models, eval_formula
-from elfol.syntax import parse_formula, parse_term
+from elfol.syntax import parse_formula, parse_predexpr, parse_term
 
 from gen import TEST_SIG, AstGen
 
@@ -123,6 +127,59 @@ class TestAlphaEquivalence:
 
     def test_free_variables_stay_rigid(self):
         assert not alpha_equivalent(parse_formula("(P ?x)"), parse_formula("(P ?y)"))
+
+
+class TestTraversal:
+    SAMPLES = [
+        parse_term("?x"),
+        parse_term("c"),
+        parse_term("(f ?x c)"),
+        parse_term("(ka P)"),
+        parse_term("(that (P c))"),
+        parse_predexpr("P"),
+        parse_predexpr("(lambda (?x ?y) (R ?x ?y))"),
+        parse_predexpr("(mod sounds P)"),
+        parse_predexpr("(do c)"),
+        parse_formula("true"),
+        parse_formula("(R ?x (f c))"),
+        parse_formula("(= ?x c)"),
+        parse_formula("(not (P c))"),
+        parse_formula("(and (P c) (Q c))"),
+        parse_formula("(or (P c) (Q c))"),
+        parse_formula("(implies (P c) (Q c))"),
+        parse_formula("(equiv (P c) (Q c))"),
+        parse_formula("(quant most ?x (P ?x) (Q ?x))"),
+        parse_formula("(poss (P c))"),
+    ]
+
+    def test_samples_cover_every_node_type(self):
+        assert {type(n) for n in self.SAMPLES} == set(typing.get_args(core.Expr))
+
+    @pytest.mark.parametrize("node", SAMPLES, ids=lambda n: type(n).__name__)
+    def test_identity_rebuild_and_child_order(self, node):
+        def tag(child):
+            return Const(repr(child))
+
+        assert map_children(node, lambda c: c) == node
+        rebuilt = map_children(node, tag)
+        assert type(rebuilt) is type(node)
+        assert children(rebuilt) == tuple(tag(c) for c in children(node))
+
+    def test_fields_that_are_not_children(self):
+        atom = parse_formula("(R ?x (f c))")
+        assert children(atom) == (atom.pred, *atom.args)
+        q = parse_formula("(quant most ?x (P ?x) (Q ?x))")
+        assert children(q) == (q.restrictor, q.body)
+        lam = parse_predexpr("(lambda (?x) (P ?x))")
+        assert children(lam) == (lam.body,)
+        assert children(parse_term("c")) == ()
+
+    @pytest.mark.parametrize("bad", ["P", ("P",), None, core.QuantRef("all")])
+    def test_non_node_raises_type_error(self, bad):
+        with pytest.raises(TypeError):
+            children(bad)
+        with pytest.raises(TypeError):
+            map_children(bad, lambda c: c)
 
 
 # ---------------------------------------------------------------------------
