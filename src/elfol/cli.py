@@ -19,6 +19,7 @@ from .core import Signature, free_vars
 from .kb import KbError, check_entry, load_files
 from .models import (
     EnumerationError,
+    EvalError,
     SearchBounds,
     dump_model,
     eval_formula,
@@ -123,7 +124,7 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (ParseError, KbError, ReductionError, EnumerationError,
-            EnumerationCeiling) as e:
+            EnumerationCeiling, EvalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
@@ -175,7 +176,10 @@ def _cmd_eval(args) -> int:
     f = parse_formula(args.formula)
     if free_vars(f):
         raise ValueError("formula must be closed")
-    value = eval_formula(model, model.w0, {}, f)
+    try:
+        value = eval_formula(model, model.w0, {}, f)
+    except EvalError as e:
+        raise EvalError(f"{args.model}: formula {render(f)}: {e}") from None
     _emit(args, {"value": value}, "true" if value else "false")
     return 0
 

@@ -572,10 +572,19 @@ def _alpha(a: Expr, b: Expr, la: dict, lb: dict) -> bool:
 
 
 def alpha_key(expr: Expr) -> str:
-    """Canonical string key: equal for exactly the alpha-equivalent expressions."""
-    parts: list = []
-    _ak(expr, {}, parts)
-    return "".join(parts)
+    """Canonical string key: equal for exactly the alpha-equivalent expressions.
+
+    The key of a whole expression does not depend on any context, so it is
+    computed once per node object and kept in the instance ``__dict__``. It
+    is not a dataclass field: equality, hashing and ``repr`` ignore it.
+    """
+    key = vars(expr).get("_alpha_key")
+    if key is None:
+        parts: list = []
+        _ak(expr, {}, parts)
+        key = "".join(parts)
+        object.__setattr__(expr, "_alpha_key", key)
+    return key
 
 
 def _ak(expr: Expr, binders: dict, out: list) -> None:

@@ -143,12 +143,15 @@ def resolve_term(term, env: dict):
             return term
 
 
-def resolve_formula(f: Formula, env: dict) -> Formula:
+def resolve_formula(f, env: dict):
+    """f with every variable bound in env replaced by its resolved term.
+
+    Also applies to a reified term or a lambda: substitution drops the
+    entries for variables that are not free in f.
+    """
     if not env:
         return f
-    grounded = {v: resolve_term(Var(v), env) for v in env}
-    grounded = {v: t for v, t in grounded.items() if t != Var(v)}
-    return subst_map(f, grounded)
+    return subst_map(f, {v: resolve_term(Var(v), env) for v in env})
 
 
 def _occurs(name: str, term, env: dict) -> bool:
@@ -222,19 +225,10 @@ def _unify_terms(a, b, env, pa, pb, rigid):
                     return None
             return env
         case (Ka(_), Ka(_)) | (That(_), That(_)):
-            ra = _resolve_deep(a, env)
-            rb = _resolve_deep(b, env)
+            ra = resolve_formula(a, env)
+            rb = resolve_formula(b, env)
             return env if alpha_equivalent(ra, rb) else None
     return None
-
-
-def _resolve_deep(x, env):
-    if not env:
-        return x
-    names = free_vars(x)
-    grounded = {v: resolve_term(Var(v), env) for v in names if v in env}
-    grounded = {v: t for v, t in grounded.items() if t != Var(v)}
-    return subst_map(x, grounded) if grounded else x
 
 
 def _unify_pred(a, b, env, pa, pb, rigid):
@@ -248,8 +242,8 @@ def _unify_pred(a, b, env, pa, pb, rigid):
         case TermDerived(o1, t1), TermDerived(o2, t2):
             return _unify_terms(t1, t2, env, pa, pb, rigid) if o1 == o2 else None
         case Lambda(_, _), Lambda(_, _):
-            ra = _resolve_deep(a, env)
-            rb = _resolve_deep(b, env)
+            ra = resolve_formula(a, env)
+            rb = resolve_formula(b, env)
             return env if alpha_equivalent(ra, rb) else None
     return None
 
@@ -311,6 +305,15 @@ class _Budget(Exception):
     pass
 
 
+def _head(f: Formula):
+    """What unification needs to agree on first: (name, arity) of an atom
+    over a predicate constant, else the node type. Formulas whose heads
+    differ never unify."""
+    if type(f) is Atom and type(f.pred) is PredConst:
+        return f.pred.name, len(f.args)
+    return type(f)
+
+
 @dataclass
 class _Clause:
     kind: str  # "impl" | "equiv" | "bare"
@@ -320,6 +323,9 @@ class _Clause:
     left: Optional[Formula] = None  # equiv sides
     right: Optional[Formula] = None
     label: str = ""
+
+    def __post_init__(self):
+        self.head = None if self.consequent is None else _head(self.consequent)
 
 
 def _compile_axiom(axiom: Formula, label: str) -> _Clause:
@@ -436,10 +442,15 @@ class _Search:
             if self.clauses:
                 self.exhausted = True
             return
+        goal_head = _head(goal)
         for clause in self.clauses:
             if clause.kind == "equiv":
                 continue
             self.tick()
+            if clause.head != goal_head:
+                # unify would fail; skip the renaming but keep later v<N> names
+                self.fresh_counter += len(clause.vars)
+                continue
             c = self.fresh_clause(clause)
             e2 = unify(c.consequent, goal, env)
             if e2 is None:

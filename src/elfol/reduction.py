@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -195,6 +196,9 @@ class Reducer:
         q = f.quant
         domain = self.ctx.domain
 
+        # Each instance is built once, on first use, and then shared. First
+        # uses come in the same order as before, so obj-kN numbering holds.
+        @cache
         def member(c: str) -> Formula:
             inst_r = subst_map(f.restrictor, {f.var: Const(c)})
             inst_b = subst_map(f.body, {f.var: Const(c)})
@@ -202,6 +206,7 @@ class Reducer:
                 return self.formula(inst_b, w)
             return And(self.formula(inst_r, w), self.formula(inst_b, w))
 
+        @cache
         def counter(c: str) -> Formula:
             # member of the restrictor but not the body
             inst_r = subst_map(f.restrictor, {f.var: Const(c)})

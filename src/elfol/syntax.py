@@ -104,8 +104,11 @@ class _Token:
     span: SourceSpan
 
 
-def _tokenize(text: str) -> list:
+def _tokenize(text: str, max_nesting: int) -> list:
+    """Tokens of text; a ParseError at the first "(" nested deeper than
+    max_nesting."""
     tokens = []
+    depth = 0
     i, line, col = 0, 1, 1
     n = len(text)
     while i < n:
@@ -121,7 +124,14 @@ def _tokenize(text: str) -> list:
             while i < n and text[i] != "\n":
                 i += 1
         elif c in "()":
-            tokens.append(_Token(c, c, SourceSpan(i, i + 1, line, col)))
+            span = SourceSpan(i, i + 1, line, col)
+            if c == ")":
+                depth -= 1
+            elif depth == max_nesting:
+                raise ParseError(f"nested deeper than {max_nesting} levels", span)
+            else:
+                depth += 1
+            tokens.append(_Token(c, c, span))
             i += 1
             col += 1
         else:
@@ -146,8 +156,13 @@ class Parser:
     """Token reader and recursive-descent parser over one source text; the
     model file reader shares its tokens and located errors."""
 
+    # Deepest parenthesis nesting accepted. The parser spends about one
+    # Python frame per level and the tree walkers downstream up to four, so
+    # this keeps every stage well inside the default recursion limit of 1000.
+    MAX_NESTING = 200
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, self.MAX_NESTING)
         self.pos = 0
         self.text = text
 

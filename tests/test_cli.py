@@ -6,6 +6,7 @@ import pytest
 
 from elfol.cli import main
 from elfol.lexicon import DATA_DIR
+from elfol.syntax import Parser
 
 CORE = str(DATA_DIR / "core.elf")
 AXIOMS = str(DATA_DIR / "axioms.elf")
@@ -47,6 +48,19 @@ class TestProveCommand:
         code, out, err = run(capsys, "check", str(bad))
         assert code == 2
         assert "bad.elf" in err
+
+    def test_deeply_nested_goal_exits_two(self, capsys):
+        goal = "(not " * 3000 + "(contained-in b1 f1)" + ")" * 3000
+        code, out, err = run(capsys, "prove", CORE, AXIOMS, ENTER, "--goal", goal)
+        assert code == 2
+        assert "nested deeper" in err
+
+    def test_goal_at_the_nesting_limit_is_searched(self, capsys):
+        n = Parser.MAX_NESTING - 1
+        goal = "(not " * n + "(contained-in b1 f1)" + ")" * n
+        code, out, err = run(capsys, "prove", CORE, AXIOMS, ENTER, "--goal", goal)
+        assert code == 1
+        assert "not proved" in out
 
     def test_structured_trace_is_json(self, capsys):
         code, out, err = run(
@@ -103,6 +117,16 @@ class TestEvalCommand:
             capsys, "eval", "--model", str(model), "--formula", "(poss (P a))"
         )
         assert code == 0 and out.strip() == "false"
+
+    def test_uninterpreted_constant_exits_two(self, capsys, tmp_path):
+        model = tmp_path / "m.elf"
+        model.write_text("(model (worlds w0) (acc) (domain d0) (const a d0))\n")
+        code, out, err = run(
+            capsys, "eval", "--model", str(model), "--formula", "(= zz a)"
+        )
+        assert code == 2
+        assert "m.elf" in err and "(= zz a)" in err
+        assert "uninterpreted constant zz" in err
 
 
 class TestReduceCommand:

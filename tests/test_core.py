@@ -1,5 +1,6 @@
 """Structural operations on the extended-language AST."""
 
+import dataclasses
 import random
 import typing
 
@@ -12,6 +13,7 @@ from elfol.core import (
     Const,
     Var,
     alpha_equivalent,
+    alpha_key,
     children,
     free_vars,
     fresh_name,
@@ -20,6 +22,7 @@ from elfol.core import (
     well_formed,
 )
 from elfol.models import enumerate_models, eval_formula
+from elfol.schemas import enumerate_instances
 from elfol.syntax import parse_formula, parse_predexpr, parse_term
 
 from gen import TEST_SIG, AstGen
@@ -243,3 +246,66 @@ def test_generator_emits_well_formed_asts(rng):
         f = g.closed_formula(depth=3)
         assert well_formed(f, TEST_SIG) == []
         assert free_vars(f) == set()
+
+
+def _uncached_copy(expr):
+    """An equal tree of new node objects, none of which carries a key."""
+    if children(expr):
+        return map_children(expr, _uncached_copy)
+    return dataclasses.replace(expr)
+
+
+def _fresh_key(expr) -> str:
+    parts: list = []
+    core._ak(_uncached_copy(expr), {}, parts)
+    return "".join(parts)
+
+
+def _nodes(expr):
+    yield expr
+    for child in children(expr):
+        yield from _nodes(child)
+
+
+def _assert_cached_keys_fresh(expr):
+    for node in _nodes(expr):
+        assert alpha_key(node) == _fresh_key(node)
+    # a second call reads the cache and gives the same key
+    assert alpha_key(expr) == _fresh_key(expr)
+
+
+class TestCachedAlphaKey:
+    def test_bundle_axioms_facts_and_schema_instances(self, bundle):
+        kb = bundle.full_kb()
+        formulas = list(kb.axioms) + list(kb.facts)
+        for schema in kb.schemas:
+            formulas += enumerate_instances(schema, kb.signature, kb.registry)
+        assert len(formulas) > 29_000
+        for f in formulas:
+            _assert_cached_keys_fresh(f)
+
+    def test_cache_is_not_a_field(self):
+        f = parse_formula("(quant all ?x (P ?x) (Q (that (P ?x))))")
+        twin = parse_formula("(quant all ?x (P ?x) (Q (that (P ?x))))")
+        before = (hash(f), repr(f))
+        alpha_key(f)
+        assert "_alpha_key" in f.__dict__ and "_alpha_key" not in twin.__dict__
+        assert f == twin and (hash(f), repr(f)) == before == (hash(twin), repr(twin))
+
+    def test_non_node_raises(self):
+        with pytest.raises(TypeError):
+            alpha_key("P")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds)
+def test_cached_alpha_key_after_subst_map(seed):
+    rng = random.Random(seed)
+    g = AstGen(rng)
+    f = g.formula(frozenset({"x", "y"}), depth=3)
+    _assert_cached_keys_fresh(f)  # cache the parts subst_map may reuse
+    mapping = {
+        "x": g.term(frozenset({"y"}), depth=1),
+        "y": g.term(frozenset(), depth=1),
+    }
+    _assert_cached_keys_fresh(core.subst_map(f, mapping))

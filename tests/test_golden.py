@@ -7,13 +7,16 @@ of behaviour updates them and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from elfol.lexicon import load_bundle, witness_model
 from elfol.models import dump_model
-from elfol.prover import ProverConfig, prove
+from elfol.prover import ProverConfig, _Budget, _Search, prove
+from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
 from elfol.schemas import enumerate_instances
+from elfol.syntax import render
 
 BUNDLE = load_bundle()
 
@@ -32,6 +35,23 @@ QUERIES = {
     "not-derivable": ("exhausted", 944, None),
 }
 
+# name -> fresh_counter of the search when prove returns: how many v<N>
+# clause-variable names it handed out, so that a change which skips work
+# cannot shift the names of the variables it renames afterwards
+FRESH_NAMES = {
+    "enter": 2,
+    "conjunct-drop": 108,
+    "majority-most": 271,
+    "correct-intro": 6,
+    "correct-elim": 6,
+    "compatible-possible": 6,
+    "sounds-reasonable": 109,
+    "do-implies-done": 109,
+    "kind-facts": 0,
+    "attitude-facts": 0,
+    "not-derivable": 682,
+}
+
 WITNESS_MODEL_SHA256 = "d8eb0193c62a1a10c4872781293e0be23ca19fe0697ad21f0cdd1336013c1d59"
 
 INSTANCE_COUNTS = {
@@ -39,6 +59,42 @@ INSTANCE_COUNTS = {
     "correct-iff-content": 12,
     "sounds-as-considered": 17,
     "do-reified-action": 17,
+}
+
+SIX = tuple(f"c{i}" for i in range(1, 7))
+
+# The acceptance suite's two effort scenarios, both reduced here over a fixed
+# six-constant domain: sha256 of the rendered axioms, facts and goal, one per
+# line, and of the reified-constant table in insertion order.
+REDUCTIONS = {
+    "conjunct-drop": (
+        ReductionContext(domain=SIX, worlds=("w0",)),
+        {
+            "axioms": "1ea3200c56ee911bef460dbf70d12a1fb5cef1fb660c2393e51c8d1f86465368",
+            "facts": "e32bff95c484c0e1f30cbc91dd4262af4e76b2804d62251f006ce92d920916d3",
+            "goal": "b6a952c7af982ecb00507cb5c4b06cab3dde22270a1b34e7b3f02a18c52f6329",
+            "reified_consts": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        },
+    ),
+    "compatible-possible": (
+        ReductionContext(
+            domain=SIX, worlds=("w0", "w1"), accessibility=(("w0", "w1"),)
+        ),
+        {
+            "axioms": "f0904ce4d3d25b40a40137cb7fb33f2cdc81a0a78e2f922ea1a56c405fd8a25d",
+            "facts": "caa29a03dc6a89923152fe68fe52e821f75ac6b5b480e49b015790f744579f8f",
+            "goal": "275358fb1fb833e9e9c93463d1a8ee40e1f5ef23a82d6916df38baf3631e8e63",
+            "reified_consts": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        },
+    ),
+}
+
+# The whole bundle over the same domain and worlds as compatible-possible:
+# its facts reify terms, so this pins the obj-kN numbering (seven constants).
+FULL_REDUCTION = {
+    "axioms": "f0904ce4d3d25b40a40137cb7fb33f2cdc81a0a78e2f922ea1a56c405fd8a25d",
+    "facts": "2a1b50d6fd14caa67531c3e1a23eb68eec1ee8c299a827963efa65504dca88c9",
+    "reified_consts": "399acef35ef736d2cb54ec61ffc5941c5d7f894d1950b84d0c3869b7bdfffe70",
 }
 
 
@@ -57,6 +113,20 @@ def test_query_outcome_explored_and_trace(case):
     assert (result.outcome, result.explored, digest) == QUERIES[case.name]
 
 
+@pytest.mark.parametrize("case", BUNDLE.queries, ids=lambda c: c.name)
+def test_query_fresh_variable_numbering(case):
+    cfg = ProverConfig()
+    search = _Search(BUNDLE.kb_for(case), cfg)
+    proofs = search.solve(
+        case.goal, {}, 0, frozenset(), (), cfg.max_lexical_steps, frozenset()
+    )
+    try:
+        next(proofs, None)
+    except _Budget:
+        pass
+    assert search.fresh_counter == FRESH_NAMES[case.name]
+
+
 def test_witness_model_dump():
     assert _sha256(dump_model(witness_model(BUNDLE))) == WITNESS_MODEL_SHA256
 
@@ -68,3 +138,29 @@ def test_schema_instance_counts_over_full_kb():
         for s in kb.schemas
     }
     assert counts == INSTANCE_COUNTS
+
+
+def _reduction_digests(kb, ctx, goal=None) -> dict:
+    reduced, tables = reduce_kb(kb, ctx)
+    out = {
+        "axioms": _sha256("\n".join(render(a) for a in reduced.axioms)),
+        "facts": _sha256("\n".join(render(f) for f in reduced.facts)),
+    }
+    if goal is not None:
+        out["goal"] = _sha256(render(reduce_formula(goal, ctx, tables)))
+    out["reified_consts"] = _sha256(json.dumps(list(tables.reified_consts.items())))
+    return out
+
+
+@pytest.mark.parametrize("name", list(REDUCTIONS))
+def test_effort_scenario_reduction(name):
+    case = next(c for c in BUNDLE.queries if c.name == name)
+    ctx, expected = REDUCTIONS[name]
+    assert _reduction_digests(BUNDLE.kb_for(case), ctx, case.goal) == expected
+
+
+def test_full_bundle_reduction():
+    ctx = ReductionContext(
+        domain=SIX, worlds=("w0", "w1"), accessibility=(("w0", "w1"),)
+    )
+    assert _reduction_digests(BUNDLE.full_kb(), ctx) == FULL_REDUCTION

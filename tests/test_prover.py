@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elfol.core import (
     Const,
@@ -10,21 +12,29 @@ from elfol.core import (
     Signature,
     Var,
     alpha_equivalent,
+    conjuncts,
+    disjuncts,
+    subst_map,
 )
 from elfol.kb import KnowledgeBase
+from elfol.lexicon import load_bundle
 from elfol.prover import (
     EXHAUSTED,
     FAILED,
     ProverConfig,
+    _compile_axiom,
+    _head,
     forward_chain,
     prove,
     replay,
     unify,
 )
 from elfol.quantifiers import DEFAULT_REGISTRY
+from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
 from elfol.syntax import parse_formula, parse_term, render
 
 import fuzz
+from gen import AstGen
 
 
 class TestUnify:
@@ -406,3 +416,65 @@ def test_soundness_fuzz_small(rng):
         assert problems == []
     assert violations == []
     assert proved > 50  # the sampler must actually exercise the prover
+
+
+# ---------------------------------------------------------------------------
+# Clause-head prefilter: the search skips a clause whose head differs from
+# the goal's, which is sound only if such pairs never unify.
+
+
+def _reduced_pool():
+    bundle = load_bundle()
+    case = next(c for c in bundle.queries if c.name == "conjunct-drop")
+    ctx = ReductionContext(domain=("c1", "c2", "c3"), worlds=("w0",))
+    kb, tables = reduce_kb(bundle.kb_for(case), ctx)
+    clauses = [_compile_axiom(a, "") for a in kb.axioms]
+    clauses = [c for c in clauses if c.kind != "equiv"]
+    goals = list(kb.facts)
+    for c in clauses:
+        goals += [c.consequent, *c.antecedents]
+    goal = reduce_formula(case.goal, ctx, tables)
+    goals += [d for c in conjuncts(goal) for d in disjuncts(c)]
+    return clauses, goals
+
+
+REDUCED_CLAUSES, REDUCED_GOALS = _reduced_pool()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reduced=st.booleans(),
+    goal_kind=st.sampled_from(("instance", "generated", "reduced")),
+)
+def test_formulas_with_another_head_never_unify(seed, reduced, goal_kind):
+    rng = random.Random(seed)
+    g = AstGen(rng)
+    if reduced:
+        clause = rng.choice(REDUCED_CLAUSES).consequent
+    else:
+        clause = g.formula(frozenset({"x", "y"}), rng.randint(0, 2))
+    if goal_kind == "instance":  # unifies with clause unless the heads differ
+        goal = subst_map(clause, {"x": g.term(frozenset(), 1), "y": g.term(frozenset(), 1)})
+    elif goal_kind == "generated":
+        goal = g.formula(frozenset({"x", "y"}), rng.randint(0, 2))
+    else:
+        goal = rng.choice(REDUCED_GOALS)
+    if _head(clause) != _head(goal):
+        assert unify(clause, goal) is None
+
+
+def test_head_prefilter_keeps_every_unifier_in_the_reduced_kb():
+    skipped = kept = unified = 0
+    for clause in REDUCED_CLAUSES:
+        assert clause.head == _head(clause.consequent)
+        for goal in REDUCED_GOALS:
+            env = unify(clause.consequent, goal)
+            if clause.head != _head(goal):
+                assert env is None
+                skipped += 1
+            else:
+                kept += 1
+                unified += env is not None
+    # both branches are taken, and most pairs are skipped
+    assert unified > 0 and skipped > kept

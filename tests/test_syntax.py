@@ -14,6 +14,7 @@ from elfol.core import (
 )
 from elfol.syntax import (
     ParseError,
+    Parser,
     parse_formula,
     parse_kb,
     parse_term,
@@ -68,6 +69,19 @@ class TestParse:
     def test_number_not_a_term(self):
         with pytest.raises(ParseError):
             parse_formula("(P 3)")
+
+    def test_nesting_at_the_limit_parses(self):
+        n = Parser.MAX_NESTING - 1
+        f = parse_formula("(not " * n + "(P a)" + ")" * n)
+        assert render(f).count("(not ") == n
+
+    def test_nesting_past_the_limit_is_a_located_error(self):
+        n = Parser.MAX_NESTING
+        text = "(not " * n + "(P a)" + ")" * n
+        with pytest.raises(ParseError) as e:
+            parse_formula(text)
+        assert "nested deeper" in e.value.message
+        assert e.value.span.start == text.index("(P a)")
 
 
 class TestRender:
