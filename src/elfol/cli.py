@@ -130,6 +130,10 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:
+        where = "" if e.filename is None else f"{e.filename}: "
+        print(f"error: {where}{e.strerror}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

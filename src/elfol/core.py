@@ -14,7 +14,7 @@ substitution, alpha-equivalence) live here as pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union, get_args
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -51,6 +51,7 @@ class That:
 
 
 Term = Union[Var, Const, FunApp, Ka, That]
+TERM_TYPES = get_args(Term)
 
 # ---------------------------------------------------------------------------
 # Predicate expressions
@@ -316,10 +317,14 @@ def _wf(expr: Expr, sig: Signature, bound: frozenset, path: str, out: list) -> N
 # ---------------------------------------------------------------------------
 # Generic traversal
 #
-# One entry per node type: (children, rebuild). `children` lists a node's
-# direct sub-expressions in field order; binder names, quantifier references
-# and symbol names are not children. `rebuild(node, fn)` builds the same node
-# type with fn applied to each child, in the same order.
+# One entry per node type: (children, rebuild, tag). `children` lists a
+# node's direct sub-expressions in field order; binder names, quantifier
+# references and symbol names are not children. `rebuild(node, fn)` builds
+# the same node type with fn applied to each child, in the same order.
+# `tag(node)` names the node type and its non-child, non-binder fields; it
+# is also the text `alpha_key` opens the node with, so a tag that starts
+# with "(" is closed by ")" after the children. Two nodes have the same
+# shape when their tags and child counts are equal.
 
 
 def _no_children(node) -> tuple:
@@ -338,38 +343,58 @@ def _rebuild_binary(node, fn):
     return type(node)(fn(node.left), fn(node.right))
 
 
+def _fixed(tag: str):
+    return lambda node: tag
+
+
 _TRAVERSAL = {
-    Var: (_no_children, _same),
-    Const: (_no_children, _same),
-    PredConst: (_no_children, _same),
-    TrueF: (_no_children, _same),
+    Var: (_no_children, _same, lambda n: f"?!{n.name};"),
+    Const: (_no_children, _same, lambda n: f"c:{n.name};"),
+    PredConst: (_no_children, _same, lambda n: f"p:{n.name};"),
+    TrueF: (_no_children, _same, _fixed("true;")),
     FunApp: (
         lambda n: n.args,
         lambda n, fn: FunApp(n.fn, tuple(map(fn, n.args))),
+        lambda n: f"(f:{n.fn};",
     ),
-    Ka: (lambda n: (n.pred,), lambda n, fn: Ka(fn(n.pred))),
-    That: (lambda n: (n.body,), lambda n, fn: That(fn(n.body))),
-    Lambda: (lambda n: (n.body,), lambda n, fn: Lambda(n.params, fn(n.body))),
+    Ka: (lambda n: (n.pred,), lambda n, fn: Ka(fn(n.pred)), _fixed("(ka;")),
+    That: (lambda n: (n.body,), lambda n, fn: That(fn(n.body)), _fixed("(that;")),
+    Lambda: (
+        lambda n: (n.body,),
+        lambda n, fn: Lambda(n.params, fn(n.body)),
+        lambda n: f"(lam{len(n.params)};",
+    ),
     Modified: (
         lambda n: (n.base,),
         lambda n, fn: Modified(n.modifier, fn(n.base)),
+        lambda n: f"(mod:{n.modifier};",
     ),
-    TermDerived: (lambda n: (n.arg,), lambda n, fn: TermDerived(n.op, fn(n.arg))),
+    TermDerived: (
+        lambda n: (n.arg,),
+        lambda n, fn: TermDerived(n.op, fn(n.arg)),
+        lambda n: f"(op:{n.op};",
+    ),
     Atom: (
         lambda n: (n.pred, *n.args),
         lambda n, fn: Atom(fn(n.pred), tuple(map(fn, n.args))),
+        _fixed("(atom;"),
     ),
-    Equal: (_binary, _rebuild_binary),
-    Not: (lambda n: (n.body,), lambda n, fn: Not(fn(n.body))),
-    And: (_binary, _rebuild_binary),
-    Or: (_binary, _rebuild_binary),
-    Implies: (_binary, _rebuild_binary),
-    Equiv: (_binary, _rebuild_binary),
+    Equal: (_binary, _rebuild_binary, _fixed("(=;")),
+    Not: (lambda n: (n.body,), lambda n, fn: Not(fn(n.body)), _fixed("(not;")),
+    And: (_binary, _rebuild_binary, _fixed("(And;")),
+    Or: (_binary, _rebuild_binary, _fixed("(Or;")),
+    Implies: (_binary, _rebuild_binary, _fixed("(Implies;")),
+    Equiv: (_binary, _rebuild_binary, _fixed("(Equiv;")),
     RestrictedQuant: (
         lambda n: (n.restrictor, n.body),
         lambda n, fn: RestrictedQuant(n.quant, n.var, fn(n.restrictor), fn(n.body)),
+        lambda n: f"(q:{n.quant.name}:{n.quant.param};",
     ),
-    Modal: (lambda n: (n.body,), lambda n, fn: Modal(n.flavor, fn(n.body))),
+    Modal: (
+        lambda n: (n.body,),
+        lambda n, fn: Modal(n.flavor, fn(n.body)),
+        lambda n: f"({n.flavor};",
+    ),
 }
 
 
@@ -393,6 +418,17 @@ def map_children(node: Expr, fn) -> Expr:
     """The same node type rebuilt with fn applied to each child; a leaf is
     returned as is. Raises TypeError on a non-node."""
     return _traversal(node)[1](node, fn)
+
+
+def shape(node: Expr) -> tuple:
+    """(tag, number of children): what two nodes must share before their
+    children can be compared pairwise. Raises TypeError on a non-node."""
+    kids, _, tag = _traversal(node)
+    return tag(node), len(kids(node))
+
+
+def same_shape(a: Expr, b: Expr) -> bool:
+    return type(a) is type(b) and shape(a) == shape(b)
 
 
 # ---------------------------------------------------------------------------
@@ -511,64 +547,7 @@ def _subst_binder2(params: list, bodies: list, m: Mapping):
 
 def alpha_equivalent(a: Expr, b: Expr) -> bool:
     """True iff a and b are equal up to renaming of bound variables."""
-    return _alpha(a, b, {}, {})
-
-
-def _alpha(a: Expr, b: Expr, la: dict, lb: dict) -> bool:
-    if type(a) is not type(b):
-        return False
-    match a, b:
-        case Var(x), Var(y):
-            return la.get(x, x) == lb.get(y, y) and (x in la) == (y in lb)
-        case (Const(x), Const(y)) | (PredConst(x), PredConst(y)):
-            return x == y
-        case TrueF(), TrueF():
-            return True
-        case FunApp(f, xs), FunApp(g, ys):
-            return f == g and len(xs) == len(ys) and all(
-                _alpha(x, y, la, lb) for x, y in zip(xs, ys)
-            )
-        case Ka(p), Ka(q):
-            return _alpha(p, q, la, lb)
-        case That(p), That(q):
-            return _alpha(p, q, la, lb)
-        case Lambda(ps, body_a), Lambda(qs, body_b):
-            if len(ps) != len(qs):
-                return False
-            la2, lb2 = dict(la), dict(lb)
-            for i, (p, q) in enumerate(zip(ps, qs)):
-                mark = ("bind", len(la2), i)
-                la2[p] = mark
-                lb2[q] = mark
-            return _alpha(body_a, body_b, la2, lb2)
-        case Modified(m1, p), Modified(m2, q):
-            return m1 == m2 and _alpha(p, q, la, lb)
-        case TermDerived(o1, t1), TermDerived(o2, t2):
-            return o1 == o2 and _alpha(t1, t2, la, lb)
-        case Atom(p, xs), Atom(q, ys):
-            return len(xs) == len(ys) and _alpha(p, q, la, lb) and all(
-                _alpha(x, y, la, lb) for x, y in zip(xs, ys)
-            )
-        case Equal(x1, y1), Equal(x2, y2):
-            return _alpha(x1, x2, la, lb) and _alpha(y1, y2, la, lb)
-        case Not(p), Not(q):
-            return _alpha(p, q, la, lb)
-        case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | (
-            Implies(l1, r1),
-            Implies(l2, r2),
-        ) | (Equiv(l1, r1), Equiv(l2, r2)):
-            return _alpha(l1, l2, la, lb) and _alpha(r1, r2, la, lb)
-        case RestrictedQuant(q1, v1, r1, b1), RestrictedQuant(q2, v2, r2, b2):
-            if q1 != q2:
-                return False
-            la2, lb2 = dict(la), dict(lb)
-            mark = ("bind", len(la2))
-            la2[v1] = mark
-            lb2[v2] = mark
-            return _alpha(r1, r2, la2, lb2) and _alpha(b1, b2, la2, lb2)
-        case Modal(f1, p), Modal(f2, q):
-            return f1 == f2 and _alpha(p, q, la, lb)
-    return False
+    return alpha_key(a) == alpha_key(b)
 
 
 def alpha_key(expr: Expr) -> str:
@@ -587,77 +566,28 @@ def alpha_key(expr: Expr) -> str:
     return key
 
 
-def _ak(expr: Expr, binders: dict, out: list) -> None:
-    match expr:
-        case Var(x):
-            out.append(f"?{binders.get(x, '!' + x)};")
-        case Const(x):
-            out.append(f"c:{x};")
-        case PredConst(x):
-            out.append(f"p:{x};")
-        case TrueF():
-            out.append("true;")
-        case FunApp(f, args):
-            out.append(f"(f:{f};")
-            for a in args:
-                _ak(a, binders, out)
-            out.append(")")
-        case Ka(p):
-            out.append("(ka;")
-            _ak(p, binders, out)
-            out.append(")")
-        case That(p):
-            out.append("(that;")
-            _ak(p, binders, out)
-            out.append(")")
-        case Lambda(ps, body):
-            b2 = dict(binders)
-            for p in ps:
-                b2[p] = str(len(b2))
-            out.append(f"(lam{len(ps)};")
-            _ak(body, b2, out)
-            out.append(")")
-        case Modified(m, base):
-            out.append(f"(mod:{m};")
-            _ak(base, binders, out)
-            out.append(")")
-        case TermDerived(op, arg):
-            out.append(f"(op:{op};")
-            _ak(arg, binders, out)
-            out.append(")")
-        case Atom(p, args):
-            out.append("(atom;")
-            _ak(p, binders, out)
-            for a in args:
-                _ak(a, binders, out)
-            out.append(")")
-        case Equal(l, r):
-            out.append("(=;")
-            _ak(l, binders, out)
-            _ak(r, binders, out)
-            out.append(")")
-        case Not(b):
-            out.append("(not;")
-            _ak(b, binders, out)
-            out.append(")")
-        case And(l, r) | Or(l, r) | Implies(l, r) | Equiv(l, r):
-            out.append(f"({type(expr).__name__};")
-            _ak(l, binders, out)
-            _ak(r, binders, out)
-            out.append(")")
-        case RestrictedQuant(q, v, r, b):
-            b2 = dict(binders)
-            b2[v] = str(len(b2))
-            out.append(f"(q:{q.name}:{q.param};")
-            _ak(r, b2, out)
-            _ak(b, b2, out)
-            out.append(")")
-        case Modal(f, b):
-            out.append(f"({f};")
-            _ak(b, binders, out)
-            out.append(")")
-        case _:
-            raise TypeError(f"not an expression: {expr!r}")
+def _ak(expr: Expr, binders: dict, out: list, depth: int = 0) -> None:
+    """Append expr's key to out. A bound variable is numbered by the depth
+    of its binder (de Bruijn levels), so a shadowing binder gets a number
+    of its own; a free variable keeps its name."""
+    if type(expr) is Var:
+        out.append(f"?{binders.get(expr.name, '!' + expr.name)};")
+        return
+    kids, _, tag = _traversal(expr)
+    if type(expr) is Lambda:
+        binders = dict(binders)
+        for p in expr.params:
+            binders[p] = str(depth)
+            depth += 1
+    elif type(expr) is RestrictedQuant:
+        binders = {**binders, expr.var: str(depth)}
+        depth += 1
+    opening = tag(expr)
+    out.append(opening)
+    for child in kids(expr):
+        _ak(child, binders, out, depth)
+    if opening[0] == "(":
+        out.append(")")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from typing import Optional
 from .core import (
     And,
     Atom,
-    Const,
     Equal,
     Equiv,
     Formula,
@@ -31,21 +30,22 @@ from .core import (
     Ka,
     Lambda,
     Modal,
-    Modified,
     Not,
     Or,
     PredConst,
     RestrictedQuant,
-    TermDerived,
+    TERM_TYPES,
     That,
     TrueF,
     Var,
     alpha_equivalent,
     alpha_key,
+    children,
     conjoin,
     conjuncts,
     disjuncts,
     free_vars,
+    same_shape,
     strip_universals,
     subst_map,
 )
@@ -136,11 +136,9 @@ def walk(term, env: dict):
 
 def resolve_term(term, env: dict):
     term = walk(term, env)
-    match term:
-        case FunApp(fn, args):
-            return FunApp(fn, tuple(resolve_term(a, env) for a in args))
-        case _:
-            return term
+    if type(term) is FunApp:
+        return FunApp(term.fn, tuple(resolve_term(a, env) for a in term.args))
+    return term
 
 
 def resolve_formula(f, env: dict):
@@ -156,19 +154,13 @@ def resolve_formula(f, env: dict):
 
 def _occurs(name: str, term, env: dict) -> bool:
     term = walk(term, env)
-    match term:
-        case Var(n):
-            return n == name
-        case FunApp(_, args):
-            return any(_occurs(name, a, env) for a in args)
-        case Ka(_) | That(_):
-            return name in free_vars(term)
-        case _:
-            return False
+    if type(term) is FunApp:
+        return any(_occurs(name, a, env) for a in term.args)
+    return name in free_vars(term)
 
 
 def _bind(name: str, term, env: dict, rigid: frozenset):
-    if _occurs(name, term, env):
+    if type(term) not in TERM_TYPES or _occurs(name, term, env):
         return None
     if free_vars(resolve_term(term, env)) & rigid:
         return None  # a bound variable would escape its scope
@@ -185,116 +177,39 @@ def unify(a, b, env: Optional[dict] = None):
     sub-structures must correspond up to bound-variable renaming.
     """
     env = dict(env) if env else {}
-    return _unify(a, b, env, {}, {}, frozenset())
+    return _unify(a, b, env, {}, {})
 
 
-def _unify(a, b, env, pa: dict, pb: dict, rigid: frozenset):
-    a_is_term = isinstance(a, (Var, Const, FunApp, Ka, That))
-    b_is_term = isinstance(b, (Var, Const, FunApp, Ka, That))
-    if a_is_term != b_is_term:
-        return None
-    if a_is_term:
-        return _unify_terms(a, b, env, pa, pb, rigid)
-    return _unify_formulas(a, b, env, pa, pb, rigid)
-
-
-def _unify_terms(a, b, env, pa, pb, rigid):
+def _unify(a, b, env, pa: dict, pb: dict):
+    """pa and pb map the names bound by the quantifiers entered so far on
+    each side to a mark shared by the two binders of a pair."""
     a = walk(a, env)
     b = walk(b, env)
-    if isinstance(a, Var) and a.name in pa:
-        if isinstance(b, Var) and pb.get(b.name) == pa[a.name]:
-            return env
-        return None
-    if isinstance(b, Var) and b.name in pb:
+    if type(a) is Var and a.name in pa:
+        return env if type(b) is Var and pb.get(b.name) == pa[a.name] else None
+    if type(b) is Var and b.name in pb:
         return None  # bound on one side only
-    if isinstance(a, Var):
-        if isinstance(b, Var) and a.name == b.name:
+    if type(a) is Var:
+        if type(b) is Var and a.name == b.name:
             return env
         return _bind(a.name, b, env, frozenset(pb))
-    if isinstance(b, Var):
+    if type(b) is Var:
         return _bind(b.name, a, env, frozenset(pa))
-    match a, b:
-        case Const(x), Const(y):
-            return env if x == y else None
-        case FunApp(f, xs), FunApp(g, ys):
-            if f != g or len(xs) != len(ys):
-                return None
-            for x, y in zip(xs, ys):
-                env = _unify_terms(x, y, env, pa, pb, rigid)
-                if env is None:
-                    return None
-            return env
-        case (Ka(_), Ka(_)) | (That(_), That(_)):
-            ra = resolve_formula(a, env)
-            rb = resolve_formula(b, env)
-            return env if alpha_equivalent(ra, rb) else None
-    return None
-
-
-def _unify_pred(a, b, env, pa, pb, rigid):
-    if type(a) is not type(b):
+    if not same_shape(a, b):
         return None
-    match a, b:
-        case PredConst(x), PredConst(y):
-            return env if x == y else None
-        case Modified(m1, b1), Modified(m2, b2):
-            return _unify_pred(b1, b2, env, pa, pb, rigid) if m1 == m2 else None
-        case TermDerived(o1, t1), TermDerived(o2, t2):
-            return _unify_terms(t1, t2, env, pa, pb, rigid) if o1 == o2 else None
-        case Lambda(_, _), Lambda(_, _):
-            ra = resolve_formula(a, env)
-            rb = resolve_formula(b, env)
-            return env if alpha_equivalent(ra, rb) else None
-    return None
-
-
-def _unify_formulas(a, b, env, pa, pb, rigid):
-    if type(a) is not type(b):
-        return None
-    match a, b:
-        case TrueF(), TrueF():
-            return env
-        case Atom(p1, a1), Atom(p2, a2):
-            if len(a1) != len(a2):
-                return None
-            env = _unify_pred(p1, p2, env, pa, pb, rigid)
-            if env is None:
-                return None
-            for x, y in zip(a1, a2):
-                env = _unify_terms(x, y, env, pa, pb, rigid)
-                if env is None:
-                    return None
-            return env
-        case Equal(l1, r1), Equal(l2, r2):
-            env = _unify_terms(l1, l2, env, pa, pb, rigid)
-            if env is None:
-                return None
-            return _unify_terms(r1, r2, env, pa, pb, rigid)
-        case Not(x), Not(y):
-            return _unify(x, y, env, pa, pb, rigid)
-        case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | (
-            Implies(l1, r1),
-            Implies(l2, r2),
-        ) | (Equiv(l1, r1), Equiv(l2, r2)):
-            env = _unify(l1, l2, env, pa, pb, rigid)
-            if env is None:
-                return None
-            return _unify(r1, r2, env, pa, pb, rigid)
-        case Modal(f1, x), Modal(f2, y):
-            return _unify(x, y, env, pa, pb, rigid) if f1 == f2 else None
-        case RestrictedQuant(q1, v1, r1, b1), RestrictedQuant(q2, v2, r2, b2):
-            if q1 != q2:
-                return None
-            mark = ("q", len(pa), len(pb))
-            pa2 = dict(pa)
-            pb2 = dict(pb)
-            pa2[v1] = mark
-            pb2[v2] = mark
-            env = _unify(r1, r2, env, pa2, pb2, rigid)
-            if env is None:
-                return None
-            return _unify(b1, b2, env, pa2, pb2, rigid)
-    return None
+    if type(a) in (Ka, That, Lambda):
+        ra = resolve_formula(a, env)
+        rb = resolve_formula(b, env)
+        return env if alpha_equivalent(ra, rb) else None
+    if type(a) is RestrictedQuant:
+        mark = ("q", len(pa), len(pb))
+        pa = {**pa, a.var: mark}
+        pb = {**pb, b.var: mark}
+    for x, y in zip(children(a), children(b)):
+        env = _unify(x, y, env, pa, pb)
+        if env is None:
+            return None
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -1038,6 +953,10 @@ def _replay_schema(node: TraceNode, kb: KnowledgeBase) -> bool:
     return False
 
 
+# node types that replay descends into to find the one rewritten subformula
+_REWRITE_INSIDE = (And, Or, Implies, Equiv, Not, Modal, RestrictedQuant)
+
+
 def _replay_equiv(source: Formula, target: Formula, kb: KnowledgeBase) -> bool:
     """target is source with one subformula rewritten by a kb equivalence."""
     clauses = [_compile_axiom(a, "") for a in kb.axioms]
@@ -1058,33 +977,15 @@ def _replay_equiv(source: Formula, target: Formula, kb: KnowledgeBase) -> bool:
             return False
         if instance_ok(a, b):
             return True
-        if type(a) is not type(b):
+        if type(a) not in _REWRITE_INSIDE or not same_shape(a, b):
             return False
-        match a, b:
-            case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | (
-                Implies(l1, r1),
-                Implies(l2, r2),
-            ) | (Equiv(l1, r1), Equiv(l2, r2)):
-                if alpha_equivalent(l1, l2):
-                    return diff(r1, r2)
-                if alpha_equivalent(r1, r2):
-                    return diff(l1, l2)
-                return False
-            case Not(x), Not(y):
-                return diff(x, y)
-            case Modal(f1, x), Modal(f2, y):
-                return f1 == f2 and diff(x, y)
-            case RestrictedQuant(q1, v1, r1, b1), RestrictedQuant(q2, v2, r2, b2):
-                if q1 != q2:
-                    return False
-                r2s = subst_map(r2, {v2: Var(v1)})
-                b2s = subst_map(b2, {v2: Var(v1)})
-                if alpha_equivalent(r1, r2s):
-                    return diff(b1, b2s)
-                if alpha_equivalent(b1, b2s):
-                    return diff(r1, r2s)
-                return False
-        return False
+        xs, ys = children(a), children(b)
+        if type(a) is RestrictedQuant:
+            ys = [subst_map(y, {b.var: Var(a.var)}) for y in ys]
+        changed = [
+            (x, y) for x, y in zip(xs, ys) if not alpha_equivalent(x, y)
+        ]
+        return len(changed) == 1 and diff(*changed[0])
 
     return diff(source, target)
 

@@ -17,35 +17,28 @@ from itertools import product
 from typing import Optional
 
 from .core import (
-    And,
     Atom,
     Const,
-    Equal,
     Equiv,
     Formula,
-    FunApp,
     Implies,
     Ka,
     Lambda,
-    Modal,
-    Modified,
-    Not,
-    Or,
     PredConst,
     PredExpr,
     QuantRef,
     RestrictedQuant,
     Signature,
+    TERM_TYPES,
     Term,
-    TermDerived,
     That,
-    TrueF,
     Var,
     alpha_equivalent,
     alpha_key,
     children,
     free_vars,
     map_children,
+    same_shape,
     strip_universals,
     subst_map,
 )
@@ -224,7 +217,7 @@ class _MatchState:
 
 def _subterms_in_order(node, out: list, seen: set) -> None:
     """Closed terms appearing in the goal, in discovery order."""
-    if isinstance(node, (Var, Const, FunApp, Ka, That)) and not free_vars(node):
+    if isinstance(node, TERM_TYPES) and not free_vars(node):
         k = alpha_key(node)
         if k not in seen:
             seen.add(k)
@@ -237,9 +230,7 @@ def _subterms_in_order(node, out: list, seen: set) -> None:
 
 def _replace_term(node, target: Term, replacement: Term):
     """Replace alpha-equal occurrences of a closed term."""
-    if isinstance(node, (Var, Const, FunApp, Ka, That)) and alpha_equivalent(
-        node, target
-    ):
+    if isinstance(node, TERM_TYPES) and alpha_equivalent(node, target):
         return replacement
     return map_children(node, lambda child: _replace_term(child, target, replacement))
 
@@ -273,53 +264,47 @@ class _Matcher:
         self.formula_mvs = set(schema.formula_metavars)
         self.quant_constraints = schema.quant_constraints
 
-    # Each match_* returns a list of updated states.
-
-    def formula(self, template, goal, st: _MatchState) -> list:
-        # predicate-metavar application: abstraction solving
-        if isinstance(template, Atom) and isinstance(template.pred, PredConst):
+    def match(self, template, goal, st: _MatchState) -> list:
+        """Every extension of st under which template matches goal."""
+        kind = type(template)
+        if kind is Atom and type(template.pred) is PredConst:
             name = template.pred.name
             if name in self.pred_arities:
                 return self._solve_pred_application(name, template.args, goal, st)
             if name in self.formula_mvs:
-                if free_vars(goal):
-                    return []  # formula metavars range over closed formulas
-                if name in st.metas:
-                    return [st] if alpha_equivalent(st.metas[name], goal) else []
-                st2 = st.child()
-                st2.metas[name] = goal
-                return [st2]
-        if type(template) is not type(goal):
+                return self._bind_meta(name, goal, st)
+        if kind is PredConst and template.name in self.pred_arities:
+            return self._bind_meta(template.name, goal, st)
+        if kind is Var:
+            return self._var(template.name, goal, st)
+        if kind is RestrictedQuant:
+            if type(goal) is not RestrictedQuant:
+                return []
+            pair = ((template.var, goal.var),)
+            states = [
+                s.child(pairs=s.pairs + pair)
+                for s in self._quant(template.quant, goal.quant, st)
+            ]
+        elif not same_shape(template, goal):
             return []
-        match template, goal:
-            case TrueF(), TrueF():
-                return [st]
-            case Atom(p1, a1), Atom(p2, a2):
-                if len(a1) != len(a2):
-                    return []
-                states = self.predexpr(p1, p2, st)
-                for x, y in zip(a1, a2):
-                    states = [s2 for s in states for s2 in self.term(x, y, s)]
-                return states
-            case Equal(l1, r1), Equal(l2, r2):
-                states = self.term(l1, l2, st)
-                return [s2 for s in states for s2 in self.term(r1, r2, s)]
-            case Not(b1), Not(b2):
-                return self.formula(b1, b2, st)
-            case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | (
-                Implies(l1, r1),
-                Implies(l2, r2),
-            ) | (Equiv(l1, r1), Equiv(l2, r2)):
-                states = self.formula(l1, l2, st)
-                return [s2 for s in states for s2 in self.formula(r1, r2, s)]
-            case Modal(f1, b1), Modal(f2, b2):
-                return self.formula(b1, b2, st) if f1 == f2 else []
-            case RestrictedQuant(q1, v1, r1, b1), RestrictedQuant(q2, v2, r2, b2):
-                states = self._quant(q1, q2, st)
-                states = [s.child(pairs=s.pairs + ((v1, v2),)) for s in states]
-                states = [s2 for s in states for s2 in self.formula(r1, r2, s)]
-                return [s2 for s in states for s2 in self.formula(b1, b2, s)]
-        return []
+        elif kind is Lambda:
+            states = [st.child(pairs=st.pairs + tuple(zip(template.params, goal.params)))]
+        else:
+            states = [st]
+        for x, y in zip(children(template), children(goal)):
+            states = [s2 for s in states for s2 in self.match(x, y, s)]
+        return states
+
+    def _bind_meta(self, name: str, value, st: _MatchState) -> list:
+        """Bind a predicate or formula metavariable to a closed value, or
+        check the value against an earlier binding."""
+        if free_vars(value):
+            return []
+        if name in st.metas:
+            return [st] if alpha_equivalent(st.metas[name], value) else []
+        st2 = st.child()
+        st2.metas[name] = value
+        return [st2]
 
     def _quant(self, q1: QuantRef, q2: QuantRef, st: _MatchState) -> list:
         if q1.name in self.quant_constraints:
@@ -332,67 +317,22 @@ class _Matcher:
             return [st2]
         return [st] if q1 == q2 else []
 
-    def predexpr(self, template, goal, st: _MatchState) -> list:
-        if isinstance(template, PredConst) and template.name in self.pred_arities:
-            name = template.name
-            if free_vars(goal):
+    def _var(self, x: str, goal, st: _MatchState) -> list:
+        """A template variable: a quantified one matches the goal variable
+        it is paired with, a stripped universal is bound to a term, and any
+        other matches only itself."""
+        paired = dict(st.pairs)
+        if x in paired:
+            return [st] if type(goal) is Var and goal.name == paired[x] else []
+        if x in self.universals:
+            if x in st.fo:
+                return [st] if alpha_equivalent(st.fo[x], goal) else []
+            if free_vars(goal) - {g for _, g in st.pairs}:
                 return []
-            if name in st.metas:
-                return [st] if alpha_equivalent(st.metas[name], goal) else []
             st2 = st.child()
-            st2.metas[name] = goal
+            st2.fo[x] = goal
             return [st2]
-        if type(template) is not type(goal):
-            return []
-        match template, goal:
-            case PredConst(n1), PredConst(n2):
-                return [st] if n1 == n2 else []
-            case Modified(m1, b1), Modified(m2, b2):
-                return self.predexpr(b1, b2, st) if m1 == m2 else []
-            case TermDerived(o1, t1), TermDerived(o2, t2):
-                return self.term(t1, t2, st) if o1 == o2 else []
-            case Lambda(p1, b1), Lambda(p2, b2):
-                if len(p1) != len(p2):
-                    return []
-                st2 = st.child(pairs=st.pairs + tuple(zip(p1, p2)))
-                return self.formula(b1, b2, st2)
-        return []
-
-    def term(self, template, goal, st: _MatchState) -> list:
-        match template:
-            case Var(x):
-                paired = dict(st.pairs)
-                if x in paired:
-                    return (
-                        [st]
-                        if isinstance(goal, Var) and goal.name == paired[x]
-                        else []
-                    )
-                if x in self.universals:
-                    if x in st.fo:
-                        return [st] if alpha_equivalent(st.fo[x], goal) else []
-                    if free_vars(goal) - {g for _, g in st.pairs}:
-                        return []
-                    st2 = st.child()
-                    st2.fo[x] = goal
-                    return [st2]
-                return [st] if isinstance(goal, Var) and goal.name == x else []
-            case Const(n1):
-                return [st] if isinstance(goal, Const) and goal.name == n1 else []
-            case FunApp(f1, a1):
-                if not isinstance(goal, FunApp) or goal.fn != f1:
-                    return []
-                if len(a1) != len(goal.args):
-                    return []
-                states = [st]
-                for x, y in zip(a1, goal.args):
-                    states = [s2 for s in states for s2 in self.term(x, y, s)]
-                return states
-            case Ka(p1):
-                return self.predexpr(p1, goal.pred, st) if isinstance(goal, Ka) else []
-            case That(b1):
-                return self.formula(b1, goal.body, st) if isinstance(goal, That) else []
-        return []
+        return [st] if type(goal) is Var and goal.name == x else []
 
     def _solve_pred_application(self, name, args, goal, st: _MatchState) -> list:
         """Match M(x1..xk) against a goal formula by abstraction."""
@@ -413,12 +353,7 @@ class _Matcher:
             leaked = free_vars(abstracted) - set(params)
             if leaked:
                 return []
-            value = _eta(Lambda(params, abstracted))
-            if name in st2.metas:
-                return [st2] if alpha_equivalent(st2.metas[name], value) else []
-            st3 = st2.child()
-            st3.metas[name] = value
-            return [st3]
+            return self._bind_meta(name, _eta(Lambda(params, abstracted)), st2)
 
         def solve(i, current, st2) -> list:
             if i == arity:
@@ -468,7 +403,7 @@ def match_conclusion(
     out = []
     seen = set()
     for label, template in positions:
-        for st in matcher.formula(template, goal, _MatchState()):
+        for st in matcher.match(template, goal, _MatchState()):
             binding = dict(st.metas)
             binding["_universals"] = dict(st.fo)
             binding["_position"] = label

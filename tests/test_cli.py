@@ -164,3 +164,30 @@ class TestCheckCommand:
             capsys, "prove", CORE, AXIOMS, ENTER, "--goal", "(contained-in b1 f1)"
         )
         assert code == 0
+
+
+class TestUnreadableInput:
+    def test_prove_missing_file_exits_two(self, capsys, tmp_path):
+        missing = tmp_path / "missing.elf"
+        code, out, err = run(capsys, "prove", str(missing), "--goal", "(P a)")
+        assert code == 2
+        assert err.strip() == f"error: {missing}: No such file or directory"
+
+    def test_prove_directory_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "prove", str(tmp_path), "--goal", "(P a)")
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path}: ")
+
+    def test_eval_missing_model_exits_two(self, capsys, tmp_path):
+        missing = tmp_path / "missing.elf"
+        code, out, err = run(
+            capsys, "eval", "--model", str(missing), "--formula", "(P a)"
+        )
+        assert code == 2
+        assert err.strip() == f"error: {missing}: No such file or directory"
+
+    def test_check_missing_file_exits_two(self, capsys, tmp_path):
+        missing = tmp_path / "missing.elf"
+        code, out, err = run(capsys, "check", CORE, str(missing))
+        assert code == 2
+        assert err.strip() == f"error: {missing}: No such file or directory"

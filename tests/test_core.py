@@ -131,6 +131,13 @@ class TestAlphaEquivalence:
     def test_free_variables_stay_rigid(self):
         assert not alpha_equivalent(parse_formula("(P ?x)"), parse_formula("(P ?y)"))
 
+    def test_shadowed_binder_gets_its_own_number(self):
+        # the inner ?x shadows the outer one; ?z must not share its number
+        a = parse_formula("(forall ?x (implies (exists ?x (forall ?z (R ?x ?z))) (P ?x)))")
+        b = parse_formula("(forall ?x (implies (exists ?x (forall ?z (R ?z ?z))) (P ?x)))")
+        assert alpha_key(a) != alpha_key(b)
+        assert not alpha_equivalent(a, b)
+
 
 class TestTraversal:
     SAMPLES = [
@@ -183,6 +190,49 @@ class TestTraversal:
             children(bad)
         with pytest.raises(TypeError):
             map_children(bad, lambda c: c)
+
+    @pytest.mark.parametrize("node", SAMPLES, ids=lambda n: type(n).__name__)
+    def test_every_node_type_has_a_tag(self, node):
+        tag, n = core.shape(node)
+        assert isinstance(tag, str) and tag
+        assert n == len(children(node))
+        assert core.same_shape(node, node)
+
+    @pytest.mark.parametrize("bad", ["P", ("P",), None, core.QuantRef("all")])
+    def test_shape_of_non_node_raises_type_error(self, bad):
+        with pytest.raises(TypeError):
+            core.shape(bad)
+
+    # each pair differs in one field that is neither a child nor a binder name
+    ONE_FIELD_APART = [
+        (parse_term("?x"), parse_term("?y")),
+        (parse_term("c"), parse_term("d")),
+        (parse_predexpr("P"), parse_predexpr("Q")),
+        (parse_term("(f c)"), parse_term("(g c)")),
+        (parse_predexpr("(lambda (?x) (P ?x))"), parse_predexpr("(lambda (?x ?y) (P ?x))")),
+        (parse_predexpr("(mod sounds P)"), parse_predexpr("(mod loud P)")),
+        (parse_predexpr("(do c)"), parse_predexpr("(make c)")),
+        (parse_formula("(poss (P c))"), parse_formula("(nec (P c))")),
+        (parse_formula("(quant most ?x (P ?x) (Q ?x))"), parse_formula("(quant all ?x (P ?x) (Q ?x))")),
+        (
+            parse_formula("(quant (at-least 2) ?x (P ?x) (Q ?x))"),
+            parse_formula("(quant (at-least 3) ?x (P ?x) (Q ?x))"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("a, b", ONE_FIELD_APART, ids=lambda n: type(n).__name__)
+    def test_one_non_child_field_apart_is_another_shape(self, a, b):
+        assert type(a) is type(b) and children(a) == children(b)
+        assert core.shape(a) != core.shape(b)
+        assert not core.same_shape(a, b)
+
+    def test_binder_names_and_children_are_not_shape(self):
+        a = parse_formula("(quant most ?x (P ?x) (Q ?x))")
+        b = parse_formula("(quant most ?y (R ?y ?y) (not (Q ?y)))")
+        assert core.same_shape(a, b)
+        assert core.same_shape(parse_formula("(and (P c) (Q c))"), parse_formula("(and true true)"))
+        assert not core.same_shape(parse_formula("(and (P c) (Q c))"), parse_formula("(or (P c) (Q c))"))
+        assert not core.same_shape(parse_term("(f c)"), parse_term("(f c c)"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
 """Schema instantiation, goal-directed matching, and bounded enumeration."""
 
+from itertools import product
+
 import pytest
 
 from elfol.core import (
     Atom,
+    Const,
+    Equiv,
+    Implies,
     PredConst,
     QuantRef,
+    RestrictedQuant,
     Signature,
     alpha_equivalent,
+    children,
     strip_universals,
+    subst_map,
 )
 from elfol.models import SearchBounds, find_counterexample
 from elfol.prover import unify
@@ -18,8 +26,10 @@ from elfol.schemas import (
     InstanceBounds,
     Schema,
     SchemaError,
+    _quant_ok,
     binding_total,
     enumerate_instances,
+    ground_atoms,
     instantiate,
     match_conclusion,
     validate_schema,
@@ -196,6 +206,87 @@ class TestMatchConclusion:
                 _, matrix = strip_universals(inst)
                 concl = subst_map(matrix.right, b["_universals"])
                 assert alpha_equivalent(concl, goal), render(goal)
+
+
+def _conclusions(formula) -> list:
+    """(position, conclusion) pairs as match_conclusion reads them."""
+    _, matrix = strip_universals(formula)
+    if isinstance(matrix, Implies):
+        return [("consequent", matrix.right)]
+    if isinstance(matrix, Equiv):
+        return [("left", matrix.left), ("right", matrix.right)]
+    return [("body", matrix)]
+
+
+def _metavars_in(schema: Schema, template) -> set:
+    preds, formulas = schema.pred_arities, set(schema.formula_metavars)
+    found = set()
+
+    def walk(node):
+        if isinstance(node, PredConst) and (
+            node.name in preds or node.name in formulas
+        ):
+            found.add(node.name)
+        elif isinstance(node, RestrictedQuant) and node.quant.name in schema.quant_constraints:
+            found.add(node.quant.name)
+        for child in children(node):
+            walk(child)
+
+    walk(template)
+    return found
+
+
+def _enumerating_bindings(schema: Schema, sig: Signature, bounds) -> list:
+    """The bindings enumerate_instances instantiates, in its order."""
+    axes = [
+        (name, [PredConst(p) for p in sorted(sig.predicates) if sig.predicates[p] == arity])
+        for name, arity in schema.pred_metavars
+    ]
+    atoms = ground_atoms(sig, bounds.max_formula_instances)
+    axes += [(name, atoms) for name in schema.formula_metavars]
+    refs = [q.ref for q in REG.entries(bounds.max_quant_param)]
+    axes += [
+        (name, [r for r in refs if _quant_ok(constraint, r, REG)])
+        for name, constraint in schema.quant_metavars
+    ]
+    names = [name for name, _ in axes]
+    return [dict(zip(names, combo)) for combo in product(*(c for _, c in axes))]
+
+
+class TestMatchRoundTrip:
+    SIG = Signature(predicates={"A": 1, "B": 1, "C": 1}, constants={"a", "b"})
+    BOUNDS = InstanceBounds(max_quant_param=2, max_formula_instances=3)
+
+    def test_every_bundled_schema(self, bundle):
+        assert len(bundle.schemas) == 4
+        checked = set()
+        for schema in bundle.schemas:
+            instances = enumerate_instances(schema, self.SIG, REG, self.BOUNDS)
+            bindings = _enumerating_bindings(schema, self.SIG, self.BOUNDS)
+            assert len(instances) == len(bindings) > 0
+            universals, _ = strip_universals(schema.body)
+            ground = {v: Const("b") for v in universals}
+            templates = dict(_conclusions(schema.body))
+            for inst, binding in zip(instances, bindings):
+                assert instantiate(schema, binding, REG) == inst
+                for position, conclusion in _conclusions(inst):
+                    goal = subst_map(conclusion, ground)
+                    wanted = _metavars_in(schema, templates[position])
+                    found = [
+                        b for b in match_conclusion(schema, goal, REG)
+                        if b["_position"] == position
+                        and all(
+                            b.get(m) == binding[m]
+                            if isinstance(binding[m], QuantRef)
+                            else m in b and alpha_equivalent(b[m], binding[m])
+                            for m in wanted
+                        )
+                    ]
+                    assert found, (schema.name, position, render(goal))
+                    checked |= wanted
+        assert checked == {
+            "P", "PHI", "P1", "P2", "Q",
+        }
 
 
 class TestEnumerateInstances:
