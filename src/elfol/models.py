@@ -92,55 +92,7 @@ def reified_key(term, env: dict) -> tuple:
 
 
 def eval_term(m: IntensionalModel, env: dict, term):
-    match term:
-        case Var(name):
-            try:
-                return env[name]
-            except KeyError:
-                raise EvalError(f"unbound variable ?{name}") from None
-        case Const(name):
-            try:
-                return m.constants[name]
-            except KeyError:
-                raise EvalError(f"uninterpreted constant {name}") from None
-        case FunApp(fn, args):
-            vals = tuple(eval_term(m, env, a) for a in args)
-            entry = m.functions.get(fn)
-            if entry is None:
-                raise EvalError(f"uninterpreted function {fn}")
-            table, default = entry
-            return table.get(vals, default)
-        case Ka(_) | That(_):
-            key = reified_key(term, env)
-            try:
-                return m.reified[key]
-            except KeyError:
-                raise ModelRejection(
-                    f"no denotation for reified term class {key[0]}"
-                ) from None
-    raise EvalError(f"not a term: {term!r}")
-
-
-def _atom_holds(m, w, env, pred, vals, registry) -> bool:
-    match pred:
-        case PredConst(name):
-            return vals in m.extension(name, w)
-        case Lambda(params, body):
-            if len(params) != len(vals):
-                raise EvalError("lambda arity mismatch")
-            env2 = dict(env)
-            env2.update(zip(params, vals))
-            return eval_formula(m, w, env2, body, registry)
-        case Modified(modifier, base):
-            if not isinstance(base, PredConst):
-                raise EvalError(
-                    "modifiers apply to predicate constants in models"
-                )
-            return vals in m.modifiers.get((modifier, base.name, w), _EMPTY)
-        case TermDerived(op, arg):
-            ind = eval_term(m, env, arg)
-            return vals in m.term_ops.get((op, ind, w), _EMPTY)
-    raise EvalError(f"not a predicate expression: {pred!r}")
+    return compile_term(term)(m, env)
 
 
 def eval_formula(
@@ -150,68 +102,271 @@ def eval_formula(
     f: Formula,
     registry: Optional[QuantRegistry] = None,
 ) -> bool:
+    return compile_formula(f, registry)(m, w, env)
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator
+#
+# A term compiles to fn(m, env) and a formula to fn(m, w, env), once per
+# node, so evaluating the same formula at many worlds or in many models
+# dispatches on node types only once. Compiling never raises an evaluation
+# error: each error is raised by the closure of the node that meets it, in
+# the order a walk over the tree would meet it (arguments left to right and
+# before the predicate; `and`/`or`/`implies` short-circuit; the body of a
+# quantifier only where its restrictor holds). A quantifier is resolved in
+# the registry on its first evaluation and kept by its closure.
+
+
+def _raises(message: str):
+    def fail(*_):
+        raise EvalError(message)
+
+    return fail
+
+
+def compile_term(term):
+    """fn(m, env) -> the individual that term denotes in m under env."""
+    match term:
+        case Var(name):
+            def var(m, env):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise EvalError(f"unbound variable ?{name}") from None
+
+            return var
+        case Const(name):
+            def const(m, env):
+                try:
+                    return m.constants[name]
+                except KeyError:
+                    raise EvalError(f"uninterpreted constant {name}") from None
+
+            return const
+        case FunApp(fn, args):
+            args = _compile_args(args)
+
+            def funapp(m, env):
+                vals = args(m, env)
+                entry = m.functions.get(fn)
+                if entry is None:
+                    raise EvalError(f"uninterpreted function {fn}")
+                table, default = entry
+                return table.get(vals, default)
+
+            return funapp
+        case Ka(_) | That(_):
+            names = key = None  # reified_key's parts, found on first use
+
+            def reified(m, env):
+                nonlocal names, key
+                if key is None:
+                    names, key = free_vars_ordered(term), alpha_key(term)
+                vals = tuple([env[n] for n in names])
+                try:
+                    return m.reified[(key, vals)]
+                except KeyError:
+                    raise ModelRejection(
+                        f"no denotation for reified term class {key}"
+                    ) from None
+
+            return reified
+    return _raises(f"not a term: {term!r}")
+
+
+def _compile_args(args):
+    """fn(m, env) -> the tuple of the values of args, left to right."""
+    fns = [compile_term(a) for a in args]
+    return lambda m, env: tuple([fn(m, env) for fn in fns])
+
+
+def compile_formula(f: Formula, registry: Optional[QuantRegistry] = None):
+    """fn(m, w, env) -> the truth of f at world w of m under env."""
     registry = registry if registry is not None else DEFAULT_REGISTRY
     match f:
         case TrueF():
-            return True
+            return lambda m, w, env: True
         case Atom(pred, args):
-            vals = tuple(eval_term(m, env, a) for a in args)
-            return _atom_holds(m, w, env, pred, vals, registry)
+            return _compile_atom(pred, args, registry)
         case Equal(l, r):
-            return eval_term(m, env, l) == eval_term(m, env, r)
+            l, r = compile_term(l), compile_term(r)
+            return lambda m, w, env: l(m, env) == r(m, env)
         case Not(body):
-            return not eval_formula(m, w, env, body, registry)
+            body = compile_formula(body, registry)
+            return lambda m, w, env: not body(m, w, env)
         case And(l, r):
-            return eval_formula(m, w, env, l, registry) and eval_formula(
-                m, w, env, r, registry
-            )
+            l, r = compile_formula(l, registry), compile_formula(r, registry)
+            return lambda m, w, env: l(m, w, env) and r(m, w, env)
         case Or(l, r):
-            return eval_formula(m, w, env, l, registry) or eval_formula(
-                m, w, env, r, registry
-            )
+            l, r = compile_formula(l, registry), compile_formula(r, registry)
+            return lambda m, w, env: l(m, w, env) or r(m, w, env)
         case Implies(l, r):
-            return not eval_formula(m, w, env, l, registry) or eval_formula(
-                m, w, env, r, registry
-            )
+            l, r = compile_formula(l, registry), compile_formula(r, registry)
+            return lambda m, w, env: not l(m, w, env) or r(m, w, env)
         case Equiv(l, r):
-            return eval_formula(m, w, env, l, registry) == eval_formula(
-                m, w, env, r, registry
-            )
+            l, r = compile_formula(l, registry), compile_formula(r, registry)
+            return lambda m, w, env: l(m, w, env) == r(m, w, env)
         case RestrictedQuant(qref, var, restrictor, body):
-            try:
-                q = registry.resolve(qref)
-            except UnknownQuantifierError as e:
-                raise EvalError(str(e)) from None
-            n_ab = 0
-            n_anb = 0
-            env2 = dict(env)
-            for d in m.domain:
-                env2[var] = d
-                if eval_formula(m, w, env2, restrictor, registry):
-                    if eval_formula(m, w, env2, body, registry):
-                        n_ab += 1
-                    else:
-                        n_anb += 1
-            return q.truth(n_ab, n_anb)
+            return _compile_quant(qref, var, restrictor, body, registry)
         case Modal(flavor, body):
+            body = compile_formula(body, registry)
             if flavor == POSSIBLY:
-                return any(
-                    (w, w2) in m.accessibility
-                    and eval_formula(m, w2, env, body, registry)
+                return lambda m, w, env: any(
+                    (w, w2) in m.accessibility and body(m, w2, env)
                     for w2 in m.worlds
                 )
             if flavor == NECESSARILY:
-                return all(
-                    (w, w2) not in m.accessibility
-                    or eval_formula(m, w2, env, body, registry)
+                return lambda m, w, env: all(
+                    (w, w2) not in m.accessibility or body(m, w2, env)
                     for w2 in m.worlds
                 )
-            raise EvalError(f"unknown modal flavor {flavor}")
-    raise EvalError(f"not a formula: {f!r}")
+            return _raises(f"unknown modal flavor {flavor}")
+    return _raises(f"not a formula: {f!r}")
+
+
+def _compile_atom(pred, args, registry):
+    if isinstance(pred, PredConst) and len(args) == 1 and isinstance(args[0], Var):
+        name, x = pred.name, args[0].name
+
+        def monadic(m, w, env):
+            try:
+                val = env[x]
+            except KeyError:
+                raise EvalError(f"unbound variable ?{x}") from None
+            return (val,) in m.predicates.get((name, w), _EMPTY)
+
+        return monadic
+    args = _compile_args(args)
+    match pred:
+        case PredConst(name):
+            return lambda m, w, env: args(m, env) in m.predicates.get(
+                (name, w), _EMPTY
+            )
+        case Lambda(params, body):
+            body = compile_formula(body, registry)
+
+            def lam(m, w, env):
+                vals = args(m, env)
+                if len(params) != len(vals):
+                    raise EvalError("lambda arity mismatch")
+                env2 = dict(env)
+                env2.update(zip(params, vals))
+                return body(m, w, env2)
+
+            return lam
+        case Modified(modifier, base):
+            def modified(m, w, env):
+                vals = args(m, env)
+                if not isinstance(base, PredConst):
+                    raise EvalError(
+                        "modifiers apply to predicate constants in models"
+                    )
+                return vals in m.modifiers.get((modifier, base.name, w), _EMPTY)
+
+            return modified
+        case TermDerived(op, arg):
+            arg = compile_term(arg)
+
+            def derived(m, w, env):
+                vals = args(m, env)
+                return vals in m.term_ops.get((op, arg(m, env), w), _EMPTY)
+
+            return derived
+    message = f"not a predicate expression: {pred!r}"
+
+    def unknown(m, w, env):
+        args(m, env)
+        raise EvalError(message)
+
+    return unknown
+
+
+def _compile_quant(qref, var, restrictor, body, registry):
+    # members(m, w, env2) yields the individuals the restrictor admits, each
+    # bound to var in env2 before the body runs; a restrictor `true` or
+    # (P ?var) cannot fail, so those individuals are read off the domain or
+    # P's extension, while any other restrictor is evaluated lazily, one
+    # individual at a time, between evaluations of the body
+    if isinstance(restrictor, TrueF):
+        def members(m, w, env2):
+            return m.domain
+    elif (
+        type(restrictor) is Atom
+        and type(restrictor.pred) is PredConst
+        and restrictor.args == (Var(var),)
+    ):
+        sort = restrictor.pred.name
+
+        def members(m, w, env2):
+            ext = m.predicates.get((sort, w), _EMPTY)
+            return [d for d in m.domain if (d,) in ext]
+    else:
+        restrictor = compile_formula(restrictor, registry)
+
+        def members(m, w, env2):
+            for d in m.domain:
+                env2[var] = d
+                if restrictor(m, w, env2):
+                    yield d
+
+    body = compile_formula(body, registry)
+    truth = None  # the quantifier's truth condition, resolved on first use
+
+    def quant(m, w, env):
+        nonlocal truth
+        if truth is None:
+            try:
+                truth = registry.resolve(qref).truth
+            except UnknownQuantifierError as e:
+                raise EvalError(str(e)) from None
+        n_ab = 0
+        n_anb = 0
+        env2 = dict(env)
+        for d in members(m, w, env2):
+            env2[var] = d
+            if body(m, w, env2):
+                n_ab += 1
+            else:
+                n_anb += 1
+        return truth(n_ab, n_anb)
+
+    return quant
 
 
 # ---------------------------------------------------------------------------
 # Knowledge-base satisfaction
+
+
+def first_failure(
+    m: IntensionalModel,
+    kb,
+    registry: Optional[QuantRegistry] = None,
+    bounds: Optional[InstanceBounds] = None,
+) -> Optional[tuple]:
+    """The first of kb's formulas that m falsifies, as (kind, formula,
+    world) with kind "axiom", "schema-instance" or "fact"; None if m
+    satisfies kb. Axioms come first, then each schema's bounded instances,
+    then the facts; an axiom or instance is tried at every world in order,
+    a fact at the current world only."""
+    registry = registry if registry is not None else getattr(
+        kb, "registry", DEFAULT_REGISTRY
+    )
+    for axiom in kb.axioms:
+        holds = compile_formula(axiom, registry)
+        for w in m.worlds:
+            if not holds(m, w, {}):
+                return "axiom", axiom, w
+    for schema in kb.schemas:
+        for inst in enumerate_instances(schema, kb.signature, registry, bounds):
+            holds = compile_formula(inst, registry)
+            for w in m.worlds:
+                if not holds(m, w, {}):
+                    return "schema-instance", inst, w
+    for fact in kb.facts:
+        if not compile_formula(fact, registry)(m, m.w0, {}):
+            return "fact", fact, m.w0
+    return None
 
 
 def model_satisfies(
@@ -222,22 +377,7 @@ def model_satisfies(
 ) -> bool:
     """True iff every axiom and every bounded schema instance holds at every
     world, and every fact holds at the current world."""
-    registry = registry if registry is not None else getattr(
-        kb, "registry", DEFAULT_REGISTRY
-    )
-    for axiom in kb.axioms:
-        for w in m.worlds:
-            if not eval_formula(m, w, {}, axiom, registry):
-                return False
-    for schema in kb.schemas:
-        for inst in enumerate_instances(schema, kb.signature, registry, bounds):
-            for w in m.worlds:
-                if not eval_formula(m, w, {}, inst, registry):
-                    return False
-    for fact in kb.facts:
-        if not eval_formula(m, m.w0, {}, fact, registry):
-            return False
-    return True
+    return first_failure(m, kb, registry, bounds) is None
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +514,13 @@ def find_counterexample(
         preds = tuple(bounds.predicates)
     if bounds.constants is not None:
         consts = tuple(bounds.constants)
+    holds = compile_formula(f, registry)
     for world_count in range(1, bounds.max_worlds + 1):
         for domain_size in range(1, bounds.max_domain + 1):
             for m in enumerate_models(
                 domain_size, world_count, preds, consts, bounds.ceiling
             ):
-                if not eval_formula(m, m.w0, {}, f, registry):
+                if not holds(m, m.w0, {}):
                     return m
     return None
 

@@ -177,12 +177,13 @@ def unify(a, b, env: Optional[dict] = None):
     sub-structures must correspond up to bound-variable renaming.
     """
     env = dict(env) if env else {}
-    return _unify(a, b, env, {}, {})
+    return _unify(a, b, env, {}, {}, 0)
 
 
-def _unify(a, b, env, pa: dict, pb: dict):
+def _unify(a, b, env, pa: dict, pb: dict, depth: int):
     """pa and pb map the names bound by the quantifiers entered so far on
-    each side to a mark shared by the two binders of a pair."""
+    each side to the depth of the pair that binds them, so a shadowing pair
+    gets a mark of its own; depth counts the pairs entered."""
     a = walk(a, env)
     b = walk(b, env)
     if type(a) is Var and a.name in pa:
@@ -202,11 +203,11 @@ def _unify(a, b, env, pa: dict, pb: dict):
         rb = resolve_formula(b, env)
         return env if alpha_equivalent(ra, rb) else None
     if type(a) is RestrictedQuant:
-        mark = ("q", len(pa), len(pb))
-        pa = {**pa, a.var: mark}
-        pb = {**pb, b.var: mark}
+        pa = {**pa, a.var: depth}
+        pb = {**pb, b.var: depth}
+        depth += 1
     for x, y in zip(children(a), children(b)):
-        env = _unify(x, y, env, pa, pb)
+        env = _unify(x, y, env, pa, pb, depth)
         if env is None:
             return None
     return env

@@ -1,0 +1,297 @@
+"""The compiled evaluator against the tree-walking oracle in oracle_eval.py.
+
+Each check compiles a formula once and evaluates the closure at every world
+of one or more models; the oracle re-walks the tree for each. Both must give
+the same value, or raise the same exception type with the same message.
+"""
+
+import random
+import re
+from dataclasses import replace
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elfol.core import (
+    Atom,
+    Const,
+    Ka,
+    Lambda,
+    Modal,
+    Not,
+    PredConst,
+    QuantRef,
+    RestrictedQuant,
+    That,
+    TrueF,
+    Var,
+    alpha_key,
+    children,
+    free_vars_ordered,
+    map_children,
+)
+from elfol.lexicon import load_bundle, witness_model
+from elfol.models import (
+    EvalError,
+    IntensionalModel,
+    ModelRejection,
+    compile_formula,
+    compile_term,
+    eval_formula,
+)
+from elfol.quantifiers import DEFAULT_REGISTRY, QuantRegistry
+from elfol.schemas import enumerate_instances
+from elfol.syntax import parse_formula, parse_term
+
+import oracle_eval
+from gen import TEST_SIG, AstGen
+
+# quantifier references the registry refuses, each with its own message
+BAD_QUANTS = (
+    QuantRef("umpteen"),
+    QuantRef("all", 2),
+    QuantRef("at-least"),
+    QuantRef("at-most", -1),
+)
+
+
+def outcome(thunk):
+    try:
+        return ("value", thunk())
+    except Exception as e:  # the exception itself is the observation
+        return ("raised", type(e), str(e))
+
+
+def same_everywhere(f, models, env, registry=DEFAULT_REGISTRY):
+    """Compile f once; at every world of every model its closure must agree
+    with the oracle."""
+    holds = compile_formula(f, registry)
+    for m in models:
+        for w in m.worlds:
+            got = outcome(lambda: holds(m, w, dict(env)))
+            want = outcome(
+                lambda: oracle_eval.eval_formula(m, w, dict(env), f, registry)
+            )
+            assert got == want, (f, w, env)
+
+
+def perturb(f, rng: random.Random):
+    """f with some quantifiers made unknown and some restrictors made a
+    monadic atom over the bound variable, which the evaluator reads as a
+    set."""
+    f = map_children(f, lambda c: perturb(c, rng))
+    if isinstance(f, RestrictedQuant):
+        if rng.random() < 0.15:
+            f = replace(f, quant=rng.choice(BAD_QUANTS))
+        if rng.random() < 0.3:
+            sort = Atom(PredConst(rng.choice("PQ")), (Var(f.var),))
+            f = replace(f, restrictor=sort)
+    return f
+
+
+def reified_terms(node):
+    out = [node] if isinstance(node, (Ka, That)) else []
+    for child in children(node):
+        out.extend(reified_terms(child))
+    return out
+
+
+def random_model(rng: random.Random, f) -> IntensionalModel:
+    """A small model over the test signature that leaves some of it
+    uninterpreted: constants, functions and reified denotations go missing
+    at random."""
+    worlds = ("w0", "w1")[: rng.randint(1, 2)]
+    domain = tuple(f"d{i}" for i in range(rng.randint(1, 3)))
+
+    def subset(items):
+        return frozenset(x for x in items if rng.random() < 0.5)
+
+    def tuples(arity):
+        return list(product(domain, repeat=arity))
+
+    predicates = {
+        (p, w): subset(tuples(arity))
+        for p, arity in sorted(TEST_SIG.predicates.items())
+        for w in worlds
+        if rng.random() < 0.9
+    }
+    functions = {
+        fn: (
+            {args: rng.choice(domain) for args in tuples(arity) if rng.random() < 0.7},
+            rng.choice(domain),
+        )
+        for fn, arity in sorted(TEST_SIG.functions.items())
+        if rng.random() < 0.85
+    }
+    modifiers = {
+        ("m1", p, w): subset(tuples(arity))
+        for p, arity in sorted(TEST_SIG.predicates.items())
+        for w in worlds
+    }
+    term_ops = {
+        ("op1", d, w): subset(tuples(1)) for d in domain for w in worlds
+    }
+    reified = {}
+    for t in reified_terms(f):
+        names = free_vars_ordered(t)
+        for vals in product(domain, repeat=len(names)):
+            if rng.random() < 0.7:
+                reified[(alpha_key(t), vals)] = rng.choice(domain)
+    return IntensionalModel(
+        worlds=worlds,
+        accessibility=subset(product(worlds, repeat=2)),
+        domain=domain,
+        constants={
+            c: rng.choice(domain)
+            for c in sorted(TEST_SIG.constants)
+            if rng.random() < 0.85
+        },
+        predicates=predicates,
+        functions=functions,
+        modifiers=modifiers,
+        term_ops=term_ops,
+        reified=reified,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_agrees_with_the_oracle_on_generated_formulas(seed):
+    rng = random.Random(seed)
+    scope = frozenset({"u"}) if rng.random() < 0.3 else frozenset()
+    f = AstGen(rng).formula(scope, depth=rng.randint(1, 4))
+    f = perturb(f, rng)
+    models = [random_model(rng, f) for _ in range(2)]
+    env = {}
+    if scope and rng.random() < 0.7:  # else ?u is unbound
+        env["u"] = rng.choice(models[0].domain)
+    same_everywhere(f, models, env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_terms_agree_with_the_oracle(seed):
+    rng = random.Random(seed)
+    t = AstGen(rng).term(frozenset({"u"}), depth=2)
+    m = random_model(rng, t)
+    env = {"u": m.domain[0]} if rng.random() < 0.7 else {}
+    fn = compile_term(t)
+    assert outcome(lambda: fn(m, env)) == outcome(
+        lambda: oracle_eval.eval_term(m, env, t)
+    )
+
+
+def test_witness_model_agrees_on_every_bundle_formula():
+    bundle = load_bundle()
+    m = witness_model(bundle)
+    kb = bundle.full_kb()
+    formulas = list(kb.axioms) + list(kb.facts)
+    for schema in kb.schemas:
+        formulas.extend(enumerate_instances(schema, kb.signature, kb.registry))
+    assert len(formulas) > 29_000
+    for f in formulas:
+        same_everywhere(f, [m], {}, kb.registry)
+
+
+# ---------------------------------------------------------------------------
+# What compiling must not do
+
+
+class CountingRegistry(QuantRegistry):
+    def __init__(self):
+        super().__init__()
+        self.resolved = []
+
+    def resolve(self, ref):
+        self.resolved.append(ref)
+        return super().resolve(ref)
+
+
+def small_model():
+    return IntensionalModel(
+        worlds=("w0", "w1"),
+        accessibility=frozenset(),
+        domain=("d0", "d1"),
+        constants={"a": "d0"},
+        predicates={("P", "w0"): frozenset({("d0",)})},
+    )
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("(or (P a) (quant (exactly 20) ?x (P ?x) (P ?x)))", True),
+        ("(implies (not (P a)) (quant (exactly 20) ?x true (P ?x)))", True),
+        ("(quant all ?x (Q ?x) (quant (exactly 20) ?y true (P ?y)))", True),
+        ("(quant some ?x (and (P ?x) (not (P ?x))) (quant (exactly 20) ?y true (P ?y)))",
+         False),
+        ("(and (P zz) (quant (exactly 20) ?x (P ?x) (P ?x)))", None),
+    ],
+)
+def test_an_unreached_quantifier_is_never_resolved(text, value):
+    # verifying (exactly 20) would search 2^21 sets; compiling it, or
+    # short-circuiting past it, must not look it up
+    reg = CountingRegistry()
+    holds = compile_formula(parse_formula(text), reg)
+    assert reg.resolved == []
+    m = small_model()
+    if value is None:
+        with pytest.raises(EvalError, match="uninterpreted constant zz"):
+            holds(m, "w0", {})
+    else:
+        assert holds(m, "w0", {}) is value
+    assert QuantRef("exactly", 20) not in reg.resolved
+
+
+def test_a_quantifier_is_resolved_once_per_closure():
+    reg = CountingRegistry()
+    holds = compile_formula(parse_formula("(quant most ?x true (P ?x))"), reg)
+    m = small_model()
+    assert [holds(m, w, {}) for w in m.worlds * 3] == [False] * 6
+    assert reg.resolved == [QuantRef("most")]
+
+
+A = Const("a")
+BAD_NODES = [
+    (parse_formula("(quant umpteen ?x true (P ?x))"), EvalError,
+     "unknown quantifier 'umpteen'"),
+    (parse_formula("((mod m1 (lambda (?y) (P ?y))) a)"), EvalError,
+     "modifiers apply to predicate constants in models"),
+    (parse_formula("(P zz)"), EvalError, "uninterpreted constant zz"),
+    (parse_formula("(P (f a))"), EvalError, "uninterpreted function f"),
+    (parse_formula("(P (that (P a)))"), ModelRejection,
+     "no denotation for reified term class"),
+    (parse_formula("(P ?v)"), EvalError, "unbound variable ?v"),
+    # the body fails at d0 before the restrictor fails at d1
+    (parse_formula("(quant all ?x (or (P ?x) (Q zz)) (Q yy))"), EvalError,
+     "uninterpreted constant yy"),
+    (Atom(Lambda(("y", "z"), TrueF()), (A,)), EvalError, "lambda arity mismatch"),
+    (Modal("perhaps", TrueF()), EvalError, "unknown modal flavor perhaps"),
+    (Not(A), EvalError, "not a formula: Const(name='a')"),
+    (Atom(PredConst("P"), (TrueF(),)), EvalError, "not a term: TrueF()"),
+    (Atom(A, (A,)), EvalError, "not a predicate expression: Const(name='a')"),
+]
+
+
+@pytest.mark.parametrize("f, error, message", BAD_NODES)
+def test_errors_are_raised_by_the_closure_not_the_compiler(f, error, message):
+    holds = compile_formula(f)
+    with pytest.raises(error, match=re.escape(message)):
+        holds(small_model(), "w0", {})
+    same_everywhere(f, [small_model()], {})
+    with pytest.raises(error, match=re.escape(message)):
+        eval_formula(small_model(), "w0", {}, f)
+
+
+def test_reified_term_reads_free_variables_in_first_occurrence_order():
+    t = parse_term("(that (R ?y ?x))")
+    m = small_model()
+    m.reified = {(alpha_key(t), ("d1", "d0")): "d0"}
+    fn = compile_term(t)
+    assert fn(m, {"x": "d0", "y": "d1"}) == "d0"
+    with pytest.raises(ModelRejection):
+        fn(m, {"x": "d1", "y": "d0"})
+    with pytest.raises(KeyError):
+        fn(m, {"x": "d0"})

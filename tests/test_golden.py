@@ -8,15 +8,20 @@ of behaviour updates them and says why.
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from elfol.core import Implies, Signature
 from elfol.lexicon import load_bundle, witness_model
-from elfol.models import dump_model
+from elfol.models import EnumerationError, SearchBounds, dump_model, find_counterexample
 from elfol.prover import ProverConfig, _Budget, _Search, prove
 from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
-from elfol.schemas import enumerate_instances
-from elfol.syntax import render
+from elfol.quantifiers import DEFAULT_REGISTRY
+from elfol.schemas import InstanceBounds, enumerate_instances
+from elfol.syntax import parse_formula, render
+
+from gen import AstGen
 
 BUNDLE = load_bundle()
 
@@ -60,6 +65,25 @@ INSTANCE_COUNTS = {
     "sounds-as-considered": 17,
     "do-reified-action": 17,
 }
+
+# The conjunct-drop inference under the downward `fewer-than 2`, which the
+# schema's own constraint refuses: sha256 of dump_model of the first
+# countermodel find_counterexample returns at |D| <= 4, one world. The
+# benchmark's hand-built instance (bundle registry) and the acceptance
+# suite's parsed one (default registry) are the same formula.
+FEWER_THAN_2 = (
+    "(implies (quant (fewer-than 2) ?x (p1 ?x) (and (p2 ?x) (p3 ?x)))"
+    " (quant (fewer-than 2) ?x (p1 ?x) (p2 ?x)))"
+)
+COUNTERMODELS = {
+    "bundle-registry": "0eefbc3aacc1f8d09db97904ee87daace434bfbd3734150f3bd2469c4f552526",
+    "default-registry": "0eefbc3aacc1f8d09db97904ee87daace434bfbd3734150f3bd2469c4f552526",
+}
+
+# 200 seeded implications between generated function-free formulas: sha256
+# of the first countermodel of each (or "valid", or the enumeration error),
+# one per line, at |D| <= 3 and up to two worlds
+GENERATED_COUNTERMODELS = "712ef30da4c8fde441b84f7d95a593d2bf7f674558fe1c6e1459097edcc765bd"
 
 SIX = tuple(f"c{i}" for i in range(1, 7))
 
@@ -164,3 +188,44 @@ def test_full_bundle_reduction():
         domain=SIX, worlds=("w0", "w1"), accessibility=(("w0", "w1"),)
     )
     assert _reduction_digests(BUNDLE.full_kb(), ctx) == FULL_REDUCTION
+
+
+@pytest.mark.parametrize("name", list(COUNTERMODELS))
+def test_first_countermodel_of_the_downward_conjunct_drop(name):
+    registry = BUNDLE.registry if name == "bundle-registry" else DEFAULT_REGISTRY
+    cx = find_counterexample(
+        parse_formula(FEWER_THAN_2), SearchBounds(max_domain=4, max_worlds=1), registry
+    )
+    assert _sha256(dump_model(cx)) == COUNTERMODELS[name]
+
+
+def test_first_countermodels_of_generated_implications():
+    rng = random.Random(2024)
+    gen = AstGen(rng, reified=False, functions=False, modifiers=False)
+    bounds = SearchBounds(max_domain=3, max_worlds=2, ceiling=20_000)
+    lines = []
+    for _ in range(200):
+        f = Implies(gen.closed_formula(depth=2), gen.closed_formula(depth=2))
+        try:
+            cx = find_counterexample(f, bounds)
+            lines.append("valid" if cx is None else dump_model(cx))
+        except EnumerationError as e:
+            lines.append(f"error: {e}")
+    assert _sha256("\n".join(lines)) == GENERATED_COUNTERMODELS
+
+
+def test_every_validated_conjunct_drop_instance_has_no_countermodel():
+    # the instances `elfol validate --schema monotone-conj-drop` checks
+    schema = next(s for s in BUNDLE.schemas if s.name == "monotone-conj-drop")
+    sig = Signature()
+    for i, (_, arity) in enumerate(schema.pred_metavars):
+        sig.predicates[f"p{i + 1}"] = arity
+    instances = enumerate_instances(
+        schema, sig, BUNDLE.registry, InstanceBounds(max_formula_instances=2)
+    )
+    assert len(instances) == 162
+    bounds = SearchBounds(max_domain=4, max_worlds=1)
+    assert [
+        render(inst) for inst in instances
+        if find_counterexample(inst, bounds, BUNDLE.registry) is not None
+    ] == []

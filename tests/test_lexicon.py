@@ -16,8 +16,8 @@ from elfol.core import (
 )
 from elfol.kb import KbError
 from elfol.lexicon import DATA_DIR, witness_model
-from elfol.models import eval_formula, model_satisfies
-from elfol.syntax import parse_formula
+from elfol.models import eval_formula, first_failure, model_satisfies
+from elfol.syntax import parse_formula, render
 
 
 class TestLoadBundle:
@@ -117,6 +117,19 @@ class TestWitnessModel:
     def test_satisfies_the_full_bundle(self, bundle):
         m = witness_model(bundle)
         assert model_satisfies(m, bundle.full_kb()) is True
+
+    def test_first_failure_names_the_instance_and_world(self, bundle):
+        # take one true content out of `correct` at w1: the first formula
+        # to fail is the correct-iff-content instance for that content
+        m = witness_model(bundle)
+        ind = min(d for (d,) in m.predicates[("correct", "w1")] if d.startswith("prop-"))
+        m.predicates[("correct", "w1")] -= {(ind,)}
+        (that,) = (m.reified_sources[k] for k, v in m.reified.items() if v == ind)
+        kind, f, w = first_failure(m, bundle.full_kb())
+        content = render(that.body)
+        assert (kind, render(f), w) == (
+            "schema-instance", f"(equiv (correct (that {content})) {content})", "w1"
+        )
 
     def test_reified_individuals_partition(self, bundle):
         m = witness_model(bundle)

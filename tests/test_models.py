@@ -33,6 +33,7 @@ from elfol.models import (
     enumerate_models,
     eval_formula,
     find_counterexample,
+    first_failure,
     model_count,
     model_satisfies,
     parse_model,
@@ -205,6 +206,25 @@ class TestModelSatisfies:
         assert model_satisfies(m, kb) is True  # fact only needs w0
         kb2 = self.kb(axioms=[parse_formula("(P a)")])
         assert model_satisfies(m, kb2) is False  # axiom needs w1 too
+
+    def test_first_failure_in_checking_order(self):
+        m = IntensionalModel(
+            worlds=("w0", "w1"),
+            accessibility=frozenset(),
+            domain=("d0", "d1"),
+            constants={"a": "d0", "b": "d1"},
+            predicates={
+                ("P", "w0"): frozenset({("d0",)}),
+                ("P", "w1"): frozenset(),
+            },
+        )
+        pa, pb = parse_formula("(P a)"), parse_formula("(P b)")
+        assert first_failure(m, self.kb(facts=[pa])) is None
+        assert first_failure(m, self.kb(facts=[pa, pb])) == ("fact", pb, "w0")
+        # an axiom is tried at every world, and before any fact
+        assert first_failure(m, self.kb(axioms=[pa], facts=[pb])) == (
+            "axiom", pa, "w1"
+        )
 
 
 class TestEnumeration:

@@ -74,6 +74,17 @@ class TestUnify:
         b = parse_formula("(quant some ?z true (P ?z))")
         assert unify(a, b) is None
 
+    def test_shadowing_binder_pairs_get_their_own_marks(self):
+        # the inner ?x shadows the outer one, so the pair (?x, ?x) and the
+        # pair (?z, ?z) below it once shared a mark and (R ?x ?z) unified
+        # with (R ?z ?z)
+        shape = "(forall ?x (implies (exists ?x (forall ?z {})) (P ?x)))"
+        a = parse_formula(shape.format("(R ?x ?z)"))
+        b = parse_formula(shape.format("(R ?z ?z)"))
+        assert not alpha_equivalent(a, b)
+        assert unify(a, b) is None
+        assert unify(a, a) == {}
+
 
 def tiny_kb(facts=(), axioms=(), schemas=()):
     sig = Signature(
