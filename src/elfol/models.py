@@ -86,9 +86,12 @@ class IntensionalModel:
 _EMPTY: frozenset = frozenset()
 
 
-def reified_key(term, env: dict) -> tuple:
-    names = free_vars_ordered(term)
-    return (alpha_key(term), tuple(env[n] for n in names))
+def reified_key(term, env: dict, names: Optional[list] = None) -> tuple:
+    """(term's alpha key, the values in env of its free variables); names,
+    if given, is free_vars_ordered(term)."""
+    if names is None:
+        names = free_vars_ordered(term)
+    return (alpha_key(term), tuple([env[n] for n in names]))
 
 
 def eval_term(m: IntensionalModel, env: dict, term):
@@ -157,18 +160,18 @@ def compile_term(term):
 
             return funapp
         case Ka(_) | That(_):
-            names = key = None  # reified_key's parts, found on first use
+            names = None  # term's free-variable order, found on first use
 
             def reified(m, env):
-                nonlocal names, key
-                if key is None:
-                    names, key = free_vars_ordered(term), alpha_key(term)
-                vals = tuple([env[n] for n in names])
+                nonlocal names
+                if names is None:
+                    names = free_vars_ordered(term)
+                key = reified_key(term, env, names)
                 try:
-                    return m.reified[(key, vals)]
+                    return m.reified[key]
                 except KeyError:
                     raise ModelRejection(
-                        f"no denotation for reified term class {key}"
+                        f"no denotation for reified term class {key[0]}"
                     ) from None
 
             return reified
@@ -226,6 +229,9 @@ def compile_formula(f: Formula, registry: Optional[QuantRegistry] = None):
 
 
 def _compile_atom(pred, args, registry):
+    # a monadic atom (P ?x), the most common atom in model checking, reads
+    # ?x and P's extension without building its argument tuple through
+    # compiled terms
     if isinstance(pred, PredConst) and len(args) == 1 and isinstance(args[0], Var):
         name, x = pred.name, args[0].name
 
@@ -234,15 +240,13 @@ def _compile_atom(pred, args, registry):
                 val = env[x]
             except KeyError:
                 raise EvalError(f"unbound variable ?{x}") from None
-            return (val,) in m.predicates.get((name, w), _EMPTY)
+            return (val,) in m.extension(name, w)
 
         return monadic
     args = _compile_args(args)
     match pred:
         case PredConst(name):
-            return lambda m, w, env: args(m, env) in m.predicates.get(
-                (name, w), _EMPTY
-            )
+            return lambda m, w, env: args(m, env) in m.extension(name, w)
         case Lambda(params, body):
             body = compile_formula(body, registry)
 
@@ -299,7 +303,7 @@ def _compile_quant(qref, var, restrictor, body, registry):
         sort = restrictor.pred.name
 
         def members(m, w, env2):
-            ext = m.predicates.get((sort, w), _EMPTY)
+            ext = m.extension(sort, w)
             return [d for d in m.domain if (d,) in ext]
     else:
         restrictor = compile_formula(restrictor, registry)
