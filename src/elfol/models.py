@@ -12,13 +12,24 @@ missing entry rejects the model for that formula rather than defaulting to
 false.
 
 `enumerate_models` and `find_counterexample` drive bounded validity
-checking by exhaustive search over small signatures.
+checking by exhaustive search over small signatures. The search visits
+only canonical models: a model is canonical when it comes first in
+`enumerate_models` order among all the models that permuting its domain
+gives. Permuting the domain changes neither whether a function-free
+formula is true at w0 nor whether evaluating it raises, since quantifiers
+only count and atoms and equations are preserved under the permutation.
+So the models that falsify a formula or raise on it are closed under domain
+permutations, and the first of them in the full order comes first in its
+own orbit: it is canonical, and the canonical search meets it after the same
+non-falsifying models, less their non-canonical ones. It returns the same
+countermodel, or raises the same error, as a search of every model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 from typing import Optional
 
 from .core import (
@@ -415,9 +426,20 @@ def enumerate_models(
     predicates,
     constants=(),
     ceiling: int = 2_000_000,
+    *,
+    canonical: bool = False,
 ):
     """Every model with exactly these sizes over the given predicate list,
-    in a fixed deterministic order."""
+    in a fixed deterministic order; with canonical=True, only the models
+    that come first in that order among their images under permutations
+    of the domain, in the same order. The ceiling applies to the full count
+    in both modes.
+
+    The order is the lexicographic order of (accessibility, the extension
+    of each (predicate, world) in predicate-list then world order, the
+    value of each constant), each read as an index: a set as the bit mask
+    of its members in `product(domain, repeat=arity)` order, a constant as
+    its individual's position in the domain."""
     predicates = tuple(predicates)
     constants = tuple(constants)
     count = model_count(domain_size, world_count, predicates, constants)
@@ -432,34 +454,109 @@ def enumerate_models(
         )
     worlds = tuple(f"w{i}" for i in range(world_count))
     domain = tuple(f"d{i}" for i in range(domain_size))
-    world_pairs = tuple(product(worlds, repeat=2))
-    acc_options = list(_all_subsets(world_pairs))
-    ext_keys = []
-    ext_options = []
+    # every position after accessibility holds a bit mask over the tuples
+    # of one arity: an extension any subset, a constant a single individual
+    # (the mask 1 << i for domain[i], so masks keep the domain's order)
+    subsets = {}  # arity -> the frozenset of each mask's tuples, by mask
+    ext_keys, ext_subsets = [], []
+    values = []  # per position, its masks in increasing order
+    arities = []
     for name, arity in predicates:
-        tuples = tuple(product(domain, repeat=arity))
+        if arity not in subsets:
+            subsets[arity] = _all_subsets(tuple(product(domain, repeat=arity)))
         for w in worlds:
             ext_keys.append((name, w))
-            ext_options.append(list(_all_subsets(tuples)))
-    const_options = [domain] * len(constants)
-    for acc in acc_options:
-        for exts in product(*ext_options):
-            for cvals in product(*const_options):
-                yield IntensionalModel(
-                    worlds=worlds,
-                    accessibility=frozenset(acc),
-                    domain=domain,
-                    constants=dict(zip(constants, cvals)),
-                    predicates={
-                        k: frozenset(e) for k, e in zip(ext_keys, exts)
-                    },
-                )
+            ext_subsets.append(subsets[arity])
+            values.append(range(len(subsets[arity])))
+            arities.append(arity)
+    singletons = [1 << i for i in range(domain_size)]
+    individual = dict(zip(singletons, domain))
+    values += [singletons] * len(constants)
+    arities += [1] * len(constants)
+    group = []
+    # never build more permutations than there are models to save
+    if canonical and factorial(domain_size) <= count:
+        group = list(permutations(range(domain_size)))[1:]  # all but identity
+    tables = {a: _mask_images(group, domain_size, a) for a in set(arities)}
+    images = [tables[a] for a in arities]
+    n_ext = len(ext_keys)
+    for acc in _all_subsets(tuple(product(worlds, repeat=2))):
+        for masks in _orderly(values, images, range(len(group))):
+            yield IntensionalModel(
+                worlds=worlds,
+                accessibility=acc,
+                domain=domain,
+                constants=dict(
+                    zip(constants, [individual[m] for m in masks[n_ext:]])
+                ),
+                predicates={
+                    k: s[m] for k, s, m in zip(ext_keys, ext_subsets, masks)
+                },
+            )
 
 
-def _all_subsets(items: tuple):
-    n = len(items)
-    for mask in range(2 ** n):
-        yield tuple(items[i] for i in range(n) if mask & (1 << i))
+def _all_subsets(items: tuple) -> list:
+    """The frozenset of items[i] for each i whose bit is set in mask, for
+    each mask from 0 to 2**len(items) - 1."""
+    subsets = [()]
+    for item in items:
+        subsets += [s + (item,) for s in subsets]
+    return [frozenset(s) for s in subsets]
+
+
+def _mask_images(group, domain_size: int, arity: int) -> tuple:
+    """(lo, hi, half): the image of a mask over product(range(domain_size),
+    repeat=arity) under the permutation group[p] is
+    lo[p][m & low] | hi[p][m >> half], with low = 2**half - 1. Two
+    half-width tables per permutation stay small where one full table
+    (2**(n**arity) entries) would not."""
+    tuples = list(product(range(domain_size), repeat=arity))
+    index = {t: i for i, t in enumerate(tuples)}
+    half = (len(tuples) + 1) // 2
+    lo, hi = [], []
+    for perm in group:
+        targets = [index[tuple([perm[x] for x in t])] for t in tuples]
+        lo.append(_bit_images(targets[:half]))
+        hi.append(_bit_images(targets[half:]))
+    return lo, hi, half
+
+
+def _bit_images(targets: list) -> list:
+    """Per mask over len(targets) bits, the mask with bit i moved to bit
+    targets[i]."""
+    table = [0]
+    for t in targets:
+        bit = 1 << t
+        table += [m | bit for m in table]
+    return table
+
+
+def _orderly(values: list, images: list, group, i: int = 0, prefix: tuple = ()):
+    """The tuples of product(*values) that no permutation in group (indices
+    into each images[i]) maps to a smaller tuple, in order.
+
+    Depth first: a prefix carries the permutations that leave it unchanged
+    (its stabilizer in group). A next value v is dropped, with every
+    completion, as soon as one of them maps v to a smaller value, since
+    that permutation maps each completion to an earlier tuple. Once no
+    permutation is left, the rest is a plain product."""
+    if not group or i == len(values):
+        for rest in product(*values[i:]):
+            yield prefix + rest
+        return
+    lo, hi, half = images[i]
+    low = (1 << half) - 1
+    for v in values[i]:
+        a, b = v & low, v >> half
+        fixed = []
+        for p in group:
+            u = lo[p][a] | hi[p][b]
+            if u < v:
+                break
+            if u == v:
+                fixed.append(p)
+        else:
+            yield from _orderly(values, images, fixed, i + 1, prefix + (v,))
 
 
 # nodes formula_vocabulary passes through to their children
@@ -507,10 +604,17 @@ def find_counterexample(
     registry: Optional[QuantRegistry] = None,
 ) -> Optional[IntensionalModel]:
     """First enumerated model falsifying the closed formula f at the current
-    world, or None if f holds in every model within bounds."""
+    world, or None if f holds in every model within bounds. Only canonical
+    models are visited; the module docstring says why the answer is the
+    same as a search of every model's."""
     if free_vars(f):
         raise ValueError("find_counterexample requires a closed formula")
     bounds = bounds if bounds is not None else SearchBounds()
+    for name, value in (
+        ("max_domain", bounds.max_domain), ("max_worlds", bounds.max_worlds)
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     registry = registry if registry is not None else DEFAULT_REGISTRY
     if bounds.predicates is None or bounds.constants is None:
         preds, consts = formula_vocabulary(f)
@@ -522,7 +626,8 @@ def find_counterexample(
     for world_count in range(1, bounds.max_worlds + 1):
         for domain_size in range(1, bounds.max_domain + 1):
             for m in enumerate_models(
-                domain_size, world_count, preds, consts, bounds.ceiling
+                domain_size, world_count, preds, consts, bounds.ceiling,
+                canonical=True,
             ):
                 if not holds(m, m.w0, {}):
                     return m

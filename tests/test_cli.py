@@ -102,6 +102,24 @@ class TestValidateCommand:
         code, out, err = run(capsys, "validate", "--schema", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value,name",
+        [
+            ("--max-domain", "0", "max_domain"),
+            ("--max-domain", "-3", "max_domain"),
+            ("--max-worlds", "0", "max_worlds"),
+        ],
+    )
+    def test_empty_bounds_exit_two_without_claiming_validity(
+        self, capsys, flag, value, name
+    ):
+        code, out, err = run(
+            capsys, "validate", "--schema", "monotone-conj-drop", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and name in err
+
 
 class TestEvalCommand:
     def test_eval_model_file(self, capsys, tmp_path):

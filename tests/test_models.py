@@ -1,8 +1,12 @@
 """Finite intensional models: evaluation, satisfaction, enumeration, search."""
 
 import random
+import time
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elfol.core import (
     And,
@@ -29,11 +33,13 @@ from elfol.models import (
     IntensionalModel,
     ModelRejection,
     SearchBounds,
+    compile_formula,
     dump_model,
     enumerate_models,
     eval_formula,
     find_counterexample,
     first_failure,
+    formula_vocabulary,
     model_count,
     model_satisfies,
     parse_model,
@@ -43,7 +49,7 @@ from elfol.quantifiers import DEFAULT_REGISTRY, UP
 from elfol.schemas import Schema
 from elfol.syntax import parse_formula, parse_term
 
-from gen import AstGen
+from gen import QUANTS, AstGen
 
 
 def single_world(pa=True):
@@ -255,6 +261,87 @@ class TestEnumeration:
         assert a == b
 
 
+def order_key(m, predicates, constants):
+    """m's place in enumeration order: accessibility, then each (predicate,
+    world) extension, each as the bit mask of its members, then each
+    constant's position in the domain."""
+    def mask(items, members):
+        return sum(1 << i for i, t in enumerate(items) if t in members)
+
+    key = [mask(list(product(m.worlds, repeat=2)), m.accessibility)]
+    for name, arity in predicates:
+        tuples = list(product(m.domain, repeat=arity))
+        key += [mask(tuples, m.predicates[(name, w)]) for w in m.worlds]
+    return tuple(key + [m.domain.index(m.constants[c]) for c in constants])
+
+
+def permuted(m, perm):
+    to = dict(zip(m.domain, [m.domain[i] for i in perm]))
+    return IntensionalModel(
+        worlds=m.worlds,
+        accessibility=m.accessibility,
+        domain=m.domain,
+        constants={c: to[d] for c, d in m.constants.items()},
+        predicates={
+            k: frozenset(tuple(to[x] for x in t) for t in ext)
+            for k, ext in m.predicates.items()
+        },
+    )
+
+
+class TestCanonicalEnumeration:
+    SHAPES = [
+        (size, worlds, preds, consts)
+        for size in (1, 2, 3)
+        for worlds in (1, 2)
+        for preds in ((("P", 1),), (("R", 2),), (("P", 1), ("R", 2)))
+        for consts in ((), ("a",), ("a", "b"))
+        if model_count(size, worlds, preds, consts) <= 10_000
+    ]
+
+    @pytest.mark.parametrize(
+        "size,worlds,preds,consts",
+        SHAPES,
+        ids=[
+            f"D{size}-W{worlds}-{'+'.join(p for p, _ in preds)}-c{len(consts)}"
+            for size, worlds, preds, consts in SHAPES
+        ],
+    )
+    def test_yields_exactly_the_orbit_leaders_in_order(
+        self, size, worlds, preds, consts
+    ):
+        every = list(enumerate_models(size, worlds, preds, consts))
+        keys = [order_key(m, preds, consts) for m in every]
+        assert keys == sorted(set(keys))
+        leaders = [
+            dump_model(m) for m, key in zip(every, keys)
+            if all(
+                order_key(permuted(m, perm), preds, consts) >= key
+                for perm in permutations(range(size))
+            )
+        ]
+        canonical = enumerate_models(size, worlds, preds, consts, canonical=True)
+        assert [dump_model(m) for m in canonical] == leaders
+
+    def test_three_monadic_predicates_up_to_four_individuals(self):
+        preds = (("P", 1), ("Q", 1), ("R", 1))
+        assert sum(
+            1 for size in range(1, 5)
+            for _ in enumerate_models(size, 1, preds, canonical=True)
+        ) == 988
+
+    def test_no_permutation_group_larger_than_the_models(self):
+        # 10! permutations against 2 * 2^10 models: none are built
+        start = time.perf_counter()
+        models = list(enumerate_models(10, 1, (("P", 1),), canonical=True))
+        assert time.perf_counter() - start < 1.0
+        assert len(models) == model_count(10, 1, (("P", 1),), ())
+
+    def test_ceiling_is_on_the_full_count(self):
+        with pytest.raises(EnumerationError, match="= 1024 exceeds ceiling 1023"):
+            list(enumerate_models(3, 1, (("R", 2),), ceiling=1023, canonical=True))
+
+
 class TestFindCounterexample:
     def test_tautology_has_none(self):
         f = parse_formula("(implies (P a) (P a))")
@@ -272,6 +359,60 @@ class TestFindCounterexample:
     def test_requires_closed_formula(self):
         with pytest.raises(ValueError):
             find_counterexample(parse_formula("(P ?x)"))
+
+    @pytest.mark.parametrize(
+        "bounds,name",
+        [
+            (SearchBounds(max_domain=0), "max_domain"),
+            (SearchBounds(max_domain=-3), "max_domain"),
+            (SearchBounds(max_worlds=0), "max_worlds"),
+        ],
+    )
+    def test_empty_bounds_are_refused(self, bounds, name):
+        # no model is checked, so no answer may claim validity
+        with pytest.raises(ValueError, match=name):
+            find_counterexample(parse_formula("(implies (P a) (P a))"), bounds)
+
+
+def first_falsifier_of_every_model(f, bounds):
+    """find_counterexample's answer from a scan of every model, as
+    ("model", dump) or ("raises", type, message)."""
+    try:
+        preds, consts = formula_vocabulary(f)
+        holds = compile_formula(f)
+        for worlds in range(1, bounds.max_worlds + 1):
+            for size in range(1, bounds.max_domain + 1):
+                for m in enumerate_models(size, worlds, preds, consts, bounds.ceiling):
+                    if not holds(m, m.w0, {}):
+                        return "model", dump_model(m)
+    except Exception as e:
+        return "raises", type(e), str(e)
+    return "model", None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_canonical_search_finds_the_first_countermodel(seed):
+    rng = random.Random(seed)
+    gen = AstGen(rng, reified=False, functions=False, modifiers=False)
+    if rng.random() < 0.5:
+        f = Implies(gen.closed_formula(depth=2), gen.closed_formula(depth=2))
+        bounds = SearchBounds(max_domain=3, max_worlds=2, ceiling=5_000)
+    else:
+        # a conjunct drop under any quantifier: most such implications are
+        # valid or refuted only with two or more individuals
+        q = rng.choice(QUANTS)
+        r, b, c = (gen.formula(frozenset({"x"}), depth=0) for _ in range(3))
+        f = Implies(
+            RestrictedQuant(q, "x", r, And(b, c)), RestrictedQuant(q, "x", r, b)
+        )
+        bounds = SearchBounds(max_domain=3, max_worlds=1, ceiling=20_000)
+    try:
+        cx = find_counterexample(f, bounds)
+        found = ("model", None if cx is None else dump_model(cx))
+    except Exception as e:
+        found = "raises", type(e), str(e)
+    assert found == first_falsifier_of_every_model(f, bounds)
 
 
 class TestDumpParse:
