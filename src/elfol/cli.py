@@ -21,6 +21,7 @@ from .models import (
     EnumerationError,
     EvalError,
     SearchBounds,
+    check_search_size,
     dump_model,
     eval_formula,
     find_counterexample,
@@ -205,6 +206,10 @@ def _cmd_validate(args) -> int:
         schema, sig, bundle.registry, InstanceBounds(max_formula_instances=2)
     )
     bounds = SearchBounds(max_domain=args.max_domain, max_worlds=args.max_worlds)
+    # an instance whose largest models are over the ceiling would end the
+    # run only after every smaller size had been searched
+    for inst in instances:
+        check_search_size(inst, bounds)
     checked = 0
     for inst in instances:
         cx = find_counterexample(inst, bounds, bundle.registry)

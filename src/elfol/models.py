@@ -23,6 +23,18 @@ permutations, and the first of them in the full order comes first in its
 own orbit: it is canonical, and the canonical search meets it after the same
 non-falsifying models, less their non-canonical ones. It returns the same
 countermodel, or raises the same error, as a search of every model.
+
+`first_failure` checks each schema by compiling its body once, with the
+metavariables as slots (`Slots`), and running the closure for each binding
+in `enumerate_bindings` order. A slot holds the bound predicate constant or
+quantifier reference; a part of the body that mentions a metavariable in any
+other way (a formula metavariable, a reified or modified predicate) is
+substituted by `instantiate`'s own rules and compiled, once per value. So
+each binding runs the closures of the compiled instance, node for node: the
+same value, the same EvalError or ModelRejection with the same message, met
+at the same node, world and binding. The instance ceiling is still checked
+when the schema is reached, and the failing instance is built by
+`instantiate` only once it has failed.
 """
 
 from __future__ import annotations
@@ -61,7 +73,13 @@ from .core import (
     free_vars_ordered,
 )
 from .quantifiers import DEFAULT_REGISTRY, QuantRegistry, UnknownQuantifierError
-from .schemas import InstanceBounds, enumerate_instances
+from .schemas import (
+    InstanceBounds,
+    Schema,
+    enumerate_bindings,
+    instantiate,
+    substitute,
+)
 
 
 class EvalError(Exception):
@@ -130,6 +148,9 @@ def eval_formula(
 # before the predicate; `and`/`or`/`implies` short-circuit; the body of a
 # quantifier only where its restrictor holds). A quantifier is resolved in
 # the registry on its first evaluation and kept by its closure.
+#
+# A schema body compiles once, with its metavariables as slots that the
+# closures read from `Slots.values` as they run (see `Slots`).
 
 
 def _raises(message: str):
@@ -195,36 +216,106 @@ def _compile_args(args):
     return lambda m, env: tuple([fn(m, env) for fn in fns])
 
 
-def compile_formula(f: Formula, registry: Optional[QuantRegistry] = None):
-    """fn(m, w, env) -> the truth of f at world w of m under env."""
+@dataclass
+class Slots:
+    """The metavariables of a schema and their current values.
+
+    `compile_formula(schema.body, registry, slots)` compiles the body once;
+    put a binding from `enumerate_bindings` into `values` and the closure
+    gives what the compiled instance `instantiate(schema, binding)` gives,
+    value or error. A part of the body that mentions no metavariable
+    compiles as it would alone. An atom (P ...) over a predicate
+    metavariable reads P's constant from `values`, and so does the
+    restrictor (P ?x) of a quantifier over ?x; a quantifier metavariable
+    reads its reference, whose truth condition is resolved on first use and
+    kept per reference (an unknown one is not kept, so it raises each
+    time). Any other part that mentions a metavariable, such as (PHI),
+    (that (PHI)) or ((do (ka P)) ?x), is substituted by instantiate's own
+    rules and compiled, once per distinct value of the metavariables it
+    mentions."""
+
+    schema: Schema
+    values: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.names = frozenset(self.schema.metavar_names())
+        self.preds = frozenset(self.schema.pred_arities)
+
+    def mentioned(self, node) -> tuple:
+        """The metavariables instantiate may replace in node, sorted."""
+        found = set()
+
+        def walk(n):
+            if type(n) is PredConst and n.name in self.names:
+                found.add(n.name)
+            elif type(n) is RestrictedQuant and n.quant.name in self.names:
+                found.add(n.quant.name)
+            for child in children(n):
+                walk(child)
+
+        walk(node)
+        return tuple(sorted(found))
+
+    def is_slot_atom(self, f) -> bool:
+        """f is (P t...) over a predicate metavariable P, with no metavariable
+        in its arguments."""
+        return (
+            type(f) is Atom
+            and type(f.pred) is PredConst
+            and f.pred.name in self.preds
+            and not any(self.mentioned(a) for a in f.args)
+        )
+
+
+# the nodes a schema body is compiled through with its slots
+_SLOTTED = (Not, And, Or, Implies, Equiv, RestrictedQuant, Modal)
+
+
+def compile_formula(
+    f: Formula,
+    registry: Optional[QuantRegistry] = None,
+    slots: Optional[Slots] = None,
+):
+    """fn(m, w, env) -> the truth of f at world w of m under env; with
+    slots, f is a part of slots.schema's body (see `Slots`)."""
     registry = registry if registry is not None else DEFAULT_REGISTRY
+    if slots is not None:
+        names = slots.mentioned(f)
+        if not names:
+            slots = None
+        elif not (isinstance(f, _SLOTTED) or slots.is_slot_atom(f)):
+            return _compile_substituted(f, names, slots, registry)
+
+    def part(g):
+        return compile_formula(g, registry, slots)
+
     match f:
         case TrueF():
             return lambda m, w, env: True
         case Atom(pred, args):
-            return _compile_atom(pred, args, registry)
+            return _compile_atom(pred, args, registry, slots)
         case Equal(l, r):
             l, r = compile_term(l), compile_term(r)
             return lambda m, w, env: l(m, env) == r(m, env)
         case Not(body):
-            body = compile_formula(body, registry)
+            body = part(body)
             return lambda m, w, env: not body(m, w, env)
         case And(l, r):
-            l, r = compile_formula(l, registry), compile_formula(r, registry)
+            l, r = part(l), part(r)
             return lambda m, w, env: l(m, w, env) and r(m, w, env)
         case Or(l, r):
-            l, r = compile_formula(l, registry), compile_formula(r, registry)
+            l, r = part(l), part(r)
             return lambda m, w, env: l(m, w, env) or r(m, w, env)
         case Implies(l, r):
-            l, r = compile_formula(l, registry), compile_formula(r, registry)
+            l, r = part(l), part(r)
             return lambda m, w, env: not l(m, w, env) or r(m, w, env)
         case Equiv(l, r):
-            l, r = compile_formula(l, registry), compile_formula(r, registry)
+            l, r = part(l), part(r)
             return lambda m, w, env: l(m, w, env) == r(m, w, env)
         case RestrictedQuant(qref, var, restrictor, body):
-            return _compile_quant(qref, var, restrictor, body, registry)
+            return _compile_quant(qref, var, restrictor, body, registry, slots)
         case Modal(flavor, body):
-            body = compile_formula(body, registry)
+            body = part(body)
             if flavor == POSSIBLY:
                 return lambda m, w, env: any(
                     (w, w2) in m.accessibility and body(m, w2, env)
@@ -239,12 +330,24 @@ def compile_formula(f: Formula, registry: Optional[QuantRegistry] = None):
     return _raises(f"not a formula: {f!r}")
 
 
-def _compile_atom(pred, args, registry):
+def _compile_atom(pred, args, registry, slots=None):
     # a monadic atom (P ?x), the most common atom in model checking, reads
     # ?x and P's extension without building its argument tuple through
-    # compiled terms
+    # compiled terms; with slots, P is a predicate metavariable whose
+    # constant is read from them
     if isinstance(pred, PredConst) and len(args) == 1 and isinstance(args[0], Var):
         name, x = pred.name, args[0].name
+        if slots is not None:
+            values = slots.values
+
+            def monadic(m, w, env):
+                try:
+                    val = env[x]
+                except KeyError:
+                    raise EvalError(f"unbound variable ?{x}") from None
+                return (val,) in m.extension(values[name].name, w)
+
+            return monadic
 
         def monadic(m, w, env):
             try:
@@ -255,6 +358,9 @@ def _compile_atom(pred, args, registry):
 
         return monadic
     args = _compile_args(args)
+    if slots is not None:
+        values, name = slots.values, pred.name
+        return lambda m, w, env: args(m, env) in m.extension(values[name].name, w)
     match pred:
         case PredConst(name):
             return lambda m, w, env: args(m, env) in m.extension(name, w)
@@ -297,12 +403,13 @@ def _compile_atom(pred, args, registry):
     return unknown
 
 
-def _compile_quant(qref, var, restrictor, body, registry):
+def _compile_quant(qref, var, restrictor, body, registry, slots=None):
     # members(m, w, env2) yields the individuals the restrictor admits, each
     # bound to var in env2 before the body runs; a restrictor `true` or
     # (P ?var) cannot fail, so those individuals are read off the domain or
-    # P's extension, while any other restrictor is evaluated lazily, one
-    # individual at a time, between evaluations of the body
+    # P's extension (P's constant read from the slots when P is a
+    # predicate metavariable), while any other restrictor is evaluated
+    # lazily, one individual at a time, between evaluations of the body
     if isinstance(restrictor, TrueF):
         def members(m, w, env2):
             return m.domain
@@ -312,12 +419,18 @@ def _compile_quant(qref, var, restrictor, body, registry):
         and restrictor.args == (Var(var),)
     ):
         sort = restrictor.pred.name
+        if slots is not None and sort in slots.preds:
+            values = slots.values
 
-        def members(m, w, env2):
-            ext = m.extension(sort, w)
-            return [d for d in m.domain if (d,) in ext]
+            def members(m, w, env2):
+                ext = m.extension(values[sort].name, w)
+                return [d for d in m.domain if (d,) in ext]
+        else:
+            def members(m, w, env2):
+                ext = m.extension(sort, w)
+                return [d for d in m.domain if (d,) in ext]
     else:
-        restrictor = compile_formula(restrictor, registry)
+        restrictor = compile_formula(restrictor, registry, slots)
 
         def members(m, w, env2):
             for d in m.domain:
@@ -325,16 +438,9 @@ def _compile_quant(qref, var, restrictor, body, registry):
                 if restrictor(m, w, env2):
                     yield d
 
-    body = compile_formula(body, registry)
-    truth = None  # the quantifier's truth condition, resolved on first use
+    body = compile_formula(body, registry, slots)
 
-    def quant(m, w, env):
-        nonlocal truth
-        if truth is None:
-            try:
-                truth = registry.resolve(qref).truth
-            except UnknownQuantifierError as e:
-                raise EvalError(str(e)) from None
+    def count(m, w, env, truth):
         n_ab = 0
         n_anb = 0
         env2 = dict(env)
@@ -346,7 +452,51 @@ def _compile_quant(qref, var, restrictor, body, registry):
                 n_anb += 1
         return truth(n_ab, n_anb)
 
+    if slots is not None and qref.name in slots.names:
+        values, meta = slots.values, qref.name
+        truths = {}  # truth condition by quantifier reference
+
+        def slot_quant(m, w, env):
+            ref = values[meta]
+            truth = truths.get(ref)
+            if truth is None:
+                truth = truths[ref] = _truth(registry, ref)
+            return count(m, w, env, truth)
+
+        return slot_quant
+    truth = None  # the quantifier's truth condition, resolved on first use
+
+    def quant(m, w, env):
+        nonlocal truth
+        if truth is None:
+            truth = _truth(registry, qref)
+        return count(m, w, env, truth)
+
     return quant
+
+
+def _truth(registry, ref):
+    try:
+        return registry.resolve(ref).truth
+    except UnknownQuantifierError as e:
+        raise EvalError(str(e)) from None
+
+
+def _compile_substituted(f, names, slots, registry):
+    # any other part of a schema body that mentions metavariables is
+    # substituted and compiled once per distinct value of those names
+    values, compiled = slots.values, {}
+
+    def substituted(m, w, env):
+        key = tuple([values[n] for n in names])
+        holds = compiled.get(key)
+        if holds is None:
+            holds = compiled[key] = compile_formula(
+                substitute(slots.schema, f, values), registry
+            )
+        return holds(m, w, env)
+
+    return substituted
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +513,9 @@ def first_failure(
     world) with kind "axiom", "schema-instance" or "fact"; None if m
     satisfies kb. Axioms come first, then each schema's bounded instances,
     then the facts; an axiom or instance is tried at every world in order,
-    a fact at the current world only."""
+    a fact at the current world only. Each schema body is compiled once and
+    run for each binding in enumerate_bindings' order; only the failing
+    instance is built."""
     registry = registry if registry is not None else getattr(
         kb, "registry", DEFAULT_REGISTRY
     )
@@ -373,10 +525,14 @@ def first_failure(
             if not holds(m, w, {}):
                 return "axiom", axiom, w
     for schema in kb.schemas:
-        for inst in enumerate_instances(schema, kb.signature, registry, bounds):
-            holds = compile_formula(inst, registry)
+        bindings = enumerate_bindings(schema, kb.signature, registry, bounds)
+        slots = Slots(schema)
+        holds = compile_formula(schema.body, registry, slots)
+        for binding in bindings:
+            slots.values.update(binding)
             for w in m.worlds:
                 if not holds(m, w, {}):
+                    inst = instantiate(schema, binding, registry)
                     return "schema-instance", inst, w
     for fact in kb.facts:
         if not compile_formula(fact, registry)(m, m.w0, {}):
@@ -420,6 +576,21 @@ def model_count(domain_size, world_count, predicates, constants) -> int:
     return count
 
 
+def _checked_count(domain_size, world_count, predicates, constants, ceiling) -> int:
+    """model_count, or EnumerationError if it exceeds the ceiling."""
+    count = model_count(domain_size, world_count, predicates, constants)
+    if count > ceiling:
+        parts = [f"2^{world_count * world_count}"]
+        for name, arity in predicates:
+            parts.append(f"2^({domain_size}^{arity}*{world_count})")
+        if constants:
+            parts.append(f"{domain_size}^{len(constants)}")
+        raise EnumerationError(
+            f"model count {' * '.join(parts)} = {count} exceeds ceiling {ceiling}"
+        )
+    return count
+
+
 def enumerate_models(
     domain_size: int,
     world_count: int,
@@ -442,16 +613,7 @@ def enumerate_models(
     its individual's position in the domain."""
     predicates = tuple(predicates)
     constants = tuple(constants)
-    count = model_count(domain_size, world_count, predicates, constants)
-    if count > ceiling:
-        parts = [f"2^{world_count * world_count}"]
-        for name, arity in predicates:
-            parts.append(f"2^({domain_size}^{arity}*{world_count})")
-        if constants:
-            parts.append(f"{domain_size}^{len(constants)}")
-        raise EnumerationError(
-            f"model count {' * '.join(parts)} = {count} exceeds ceiling {ceiling}"
-        )
+    count = _checked_count(domain_size, world_count, predicates, constants, ceiling)
     worlds = tuple(f"w{i}" for i in range(world_count))
     domain = tuple(f"d{i}" for i in range(domain_size))
     # every position after accessibility holds a bit mask over the tuples
@@ -607,21 +769,9 @@ def find_counterexample(
     world, or None if f holds in every model within bounds. Only canonical
     models are visited; the module docstring says why the answer is the
     same as a search of every model's."""
-    if free_vars(f):
-        raise ValueError("find_counterexample requires a closed formula")
     bounds = bounds if bounds is not None else SearchBounds()
-    for name, value in (
-        ("max_domain", bounds.max_domain), ("max_worlds", bounds.max_worlds)
-    ):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    preds, consts = _search_vocabulary(f, bounds)
     registry = registry if registry is not None else DEFAULT_REGISTRY
-    if bounds.predicates is None or bounds.constants is None:
-        preds, consts = formula_vocabulary(f)
-    if bounds.predicates is not None:
-        preds = tuple(bounds.predicates)
-    if bounds.constants is not None:
-        consts = tuple(bounds.constants)
     holds = compile_formula(f, registry)
     for world_count in range(1, bounds.max_worlds + 1):
         for domain_size in range(1, bounds.max_domain + 1):
@@ -632,6 +782,37 @@ def find_counterexample(
                 if not holds(m, m.w0, {}):
                     return m
     return None
+
+
+def check_search_size(f: Formula, bounds: Optional[SearchBounds] = None) -> None:
+    """Raise now, before any model is built, the error that
+    find_counterexample(f, bounds) raises if no countermodel comes first:
+    a bad formula or bound, or the ceiling error of the first size, in its
+    order, whose model count is over the ceiling."""
+    bounds = bounds if bounds is not None else SearchBounds()
+    preds, consts = _search_vocabulary(f, bounds)
+    for world_count in range(1, bounds.max_worlds + 1):
+        for domain_size in range(1, bounds.max_domain + 1):
+            _checked_count(domain_size, world_count, preds, consts, bounds.ceiling)
+
+
+def _search_vocabulary(f: Formula, bounds: SearchBounds) -> tuple:
+    """(predicates, constants) a search for a countermodel to f ranges
+    over; raises on an open formula or an empty bound."""
+    if free_vars(f):
+        raise ValueError("find_counterexample requires a closed formula")
+    for name, value in (
+        ("max_domain", bounds.max_domain), ("max_worlds", bounds.max_worlds)
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if bounds.predicates is None or bounds.constants is None:
+        preds, consts = formula_vocabulary(f)
+    if bounds.predicates is not None:
+        preds = tuple(bounds.predicates)
+    if bounds.constants is not None:
+        consts = tuple(bounds.constants)
+    return preds, consts
 
 
 # ---------------------------------------------------------------------------

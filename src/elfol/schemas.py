@@ -154,7 +154,6 @@ def instantiate(s: Schema, binding: dict, registry: QuantRegistry) -> Formula:
     missing = s.metavar_names() - set(binding)
     if missing:
         raise SchemaError(f"binding is missing metavariables: {sorted(missing)}")
-    preds = s.pred_arities
     for name, arity in s.pred_metavars:
         val = binding[name]
         if isinstance(val, Lambda) and len(val.params) != arity:
@@ -171,7 +170,13 @@ def instantiate(s: Schema, binding: dict, registry: QuantRegistry) -> Formula:
         val = binding[name]
         if free_vars(val):
             raise SchemaError(f"{name} must be bound to a closed formula")
+    return substitute(s, s.body, binding)
 
+
+def substitute(s: Schema, node, binding: dict):
+    """node, a part of s's body, with instantiate's replacements under
+    binding; the binding is not checked."""
+    preds = s.pred_arities
     fvs = set(s.formula_metavars)
 
     def walk(node):
@@ -195,7 +200,7 @@ def instantiate(s: Schema, binding: dict, registry: QuantRegistry) -> Formula:
         except TypeError:
             raise SchemaError(f"cannot instantiate node {node!r}") from None
 
-    return walk(s.body)
+    return walk(node)
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +478,24 @@ def ground_atoms(sig: Signature, limit: int) -> list:
     return out
 
 
-def enumerate_instances(
+def enumerate_bindings(
     s: Schema,
     sig: Signature,
     registry: QuantRegistry,
     bounds: Optional[InstanceBounds] = None,
     quant_candidates: Optional[list] = None,
 ) -> list:
-    """All instantiations with predicate constants, registered quantifiers
-    satisfying constraints, and bounded ground atoms; deterministic order."""
+    """Every binding of s's metavariables to predicate constants,
+    registered quantifiers satisfying constraints, and bounded ground
+    atoms, as dicts in a deterministic order; raises EnumerationCeiling,
+    before building any, when there would be too many."""
+    return list(_bindings(s, sig, registry, bounds, quant_candidates))
+
+
+def _bindings(s, sig, registry, bounds, quant_candidates):
+    """enumerate_bindings' bindings one at a time, so that
+    enumerate_instances holds its instances but not every binding; the
+    ceiling is checked on the call, not on the first step."""
     bounds = bounds if bounds is not None else InstanceBounds()
     axes = []
     counts = []
@@ -510,10 +524,21 @@ def enumerate_instances(
     if total > bounds.ceiling:
         formula = " * ".join(str(c) for c in counts) or "1"
         raise EnumerationCeiling(formula, total, bounds.ceiling)
-    out = []
     names = [name for name, _ in axes]
     pools = [cands for _, cands in axes]
-    for combo in product(*pools):
-        binding = dict(zip(names, combo))
-        out.append(instantiate(s, binding, registry))
-    return out
+    return (dict(zip(names, combo)) for combo in product(*pools))
+
+
+def enumerate_instances(
+    s: Schema,
+    sig: Signature,
+    registry: QuantRegistry,
+    bounds: Optional[InstanceBounds] = None,
+    quant_candidates: Optional[list] = None,
+) -> list:
+    """The instance of s under each binding enumerate_bindings gives, in
+    its order."""
+    return [
+        instantiate(s, b, registry)
+        for b in _bindings(s, sig, registry, bounds, quant_candidates)
+    ]

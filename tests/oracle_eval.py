@@ -4,6 +4,10 @@ compiled one in `elfol.models`.
 Every call re-dispatches on the node type; `models.compile_formula` must
 give the same value, or raise the same exception type with the same
 message, on every formula, model, world and environment.
+
+`first_failure` is the instance-by-instance check that `models.first_failure`
+must agree with: it builds every bounded schema instance and compiles each
+one on its own.
 """
 
 from __future__ import annotations
@@ -34,8 +38,16 @@ from elfol.core import (
     TrueF,
     Var,
 )
-from elfol.models import _EMPTY, EvalError, IntensionalModel, ModelRejection, reified_key
+from elfol.models import (
+    _EMPTY,
+    EvalError,
+    IntensionalModel,
+    ModelRejection,
+    compile_formula,
+    reified_key,
+)
 from elfol.quantifiers import DEFAULT_REGISTRY, QuantRegistry, UnknownQuantifierError
+from elfol.schemas import InstanceBounds, enumerate_instances
 
 
 def eval_term(m: IntensionalModel, env: dict, term):
@@ -155,3 +167,29 @@ def eval_formula(
                 )
             raise EvalError(f"unknown modal flavor {flavor}")
     raise EvalError(f"not a formula: {f!r}")
+
+
+def first_failure(
+    m: IntensionalModel,
+    kb,
+    registry: Optional[QuantRegistry] = None,
+    bounds: Optional[InstanceBounds] = None,
+) -> Optional[tuple]:
+    registry = registry if registry is not None else getattr(
+        kb, "registry", DEFAULT_REGISTRY
+    )
+    for axiom in kb.axioms:
+        holds = compile_formula(axiom, registry)
+        for w in m.worlds:
+            if not holds(m, w, {}):
+                return "axiom", axiom, w
+    for schema in kb.schemas:
+        for inst in enumerate_instances(schema, kb.signature, registry, bounds):
+            holds = compile_formula(inst, registry)
+            for w in m.worlds:
+                if not holds(m, w, {}):
+                    return "schema-instance", inst, w
+    for fact in kb.facts:
+        if not compile_formula(fact, registry)(m, m.w0, {}):
+            return "fact", fact, m.w0
+    return None

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output stability, subcommands."""
 
 import json
+import time
 
 import pytest
 
@@ -101,6 +102,21 @@ class TestValidateCommand:
     def test_unknown_schema_exits_two(self, capsys):
         code, out, err = run(capsys, "validate", "--schema", "nope")
         assert code == 2
+
+    def test_bounds_over_the_ceiling_exit_two_before_any_search(self, capsys):
+        # the first instance's one-predicate vocabulary stays under the
+        # ceiling up to |D| = 19, so a search would enumerate all of those
+        # sizes before failing at 20
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "validate", "--schema", "monotone-conj-drop", "--max-domain", "99"
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: model count 2^1 * 2^(20^1*1) = 2097152 exceeds ceiling 2000000\n"
+        )
 
     @pytest.mark.parametrize(
         "flag,value,name",

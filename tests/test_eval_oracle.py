@@ -3,6 +3,10 @@
 Each check compiles a formula once and evaluates the closure at every world
 of one or more models; the oracle re-walks the tree for each. Both must give
 the same value, or raise the same exception type with the same message.
+
+A schema body compiled once with slots must agree with each instance
+compiled on its own, and `first_failure` with the oracle's
+instance-by-instance check.
 """
 
 import random
@@ -24,6 +28,7 @@ from elfol.core import (
     PredConst,
     QuantRef,
     RestrictedQuant,
+    Signature,
     That,
     TrueF,
     Var,
@@ -32,18 +37,29 @@ from elfol.core import (
     free_vars_ordered,
     map_children,
 )
+from elfol.kb import KnowledgeBase
 from elfol.lexicon import load_bundle, witness_model
 from elfol.models import (
     EvalError,
     IntensionalModel,
     ModelRejection,
+    Slots,
     compile_formula,
     compile_term,
     eval_formula,
+    first_failure,
 )
 from elfol.quantifiers import DEFAULT_REGISTRY, QuantRegistry
-from elfol.schemas import enumerate_instances
-from elfol.syntax import parse_formula, parse_term
+from elfol.schemas import (
+    EnumerationCeiling,
+    InstanceBounds,
+    Schema,
+    enumerate_bindings,
+    enumerate_instances,
+    instantiate,
+    substitute,
+)
+from elfol.syntax import parse_formula, parse_term, render
 
 import oracle_eval
 from gen import TEST_SIG, AstGen
@@ -295,3 +311,187 @@ def test_reified_term_reads_free_variables_in_first_occurrence_order():
         fn(m, {"x": "d1", "y": "d0"})
     with pytest.raises(KeyError):
         fn(m, {"x": "d0"})
+
+
+# ---------------------------------------------------------------------------
+# Schemas compiled once, with their metavariables as slots
+
+BUNDLE = load_bundle()
+SMALL = InstanceBounds(max_quant_param=2, max_formula_instances=4)
+# what the bundled schema bodies name besides their metavariables
+SCHEMA_PREDICATES = {"correct": 1, "person": 1, "consider": 3, "feel-that": 3}
+
+signatures = st.builds(
+    lambda preds, sorts, consts: Signature(
+        predicates={**preds, **{p: 1 for p in sorts}}, constants=consts
+    ),
+    st.dictionaries(st.sampled_from("pqr"), st.integers(0, 2), max_size=3),
+    st.sets(st.sampled_from(["correct", "person"])),
+    st.sets(st.sampled_from("ab"), max_size=2),
+)
+
+
+def schema_model(rng: random.Random, sig: Signature, formulas) -> IntensionalModel:
+    """A small model over sig and the bundled schemas' own vocabulary;
+    constants, `end-of` and reified denotations go missing at random."""
+    worlds = ("w0", "w1")[: rng.randint(1, 2)]
+    domain = tuple(f"d{i}" for i in range(rng.randint(1, 3)))
+
+    def subset(items):
+        return frozenset(x for x in items if rng.random() < 0.5)
+
+    def tuples(arity):
+        return list(product(domain, repeat=arity))
+
+    arities = {**SCHEMA_PREDICATES, **sig.predicates}
+    reified = {}
+    for t in {t for f in formulas for t in reified_terms(f)}:
+        for vals in product(domain, repeat=len(free_vars_ordered(t))):
+            if rng.random() < 0.7:
+                reified[(alpha_key(t), vals)] = rng.choice(domain)
+    return IntensionalModel(
+        worlds=worlds,
+        accessibility=subset(product(worlds, repeat=2)),
+        domain=domain,
+        constants={c: rng.choice(domain) for c in sorted(sig.constants) if rng.random() < 0.85},
+        predicates={
+            (p, w): subset(tuples(arity))
+            for p, arity in sorted(arities.items())
+            for w in worlds
+            if rng.random() < 0.9
+        },
+        functions=(
+            {"end-of": ({(d,): rng.choice(domain) for d in domain}, rng.choice(domain))}
+            if rng.random() < 0.85 else {}
+        ),
+        modifiers={
+            ("sounds", p, w): subset(tuples(1))
+            for p, arity in sorted(arities.items()) if arity == 1
+            for w in worlds
+        },
+        term_ops={("do", d, w): subset(tuples(1)) for d in domain for w in worlds},
+        reified=reified,
+    )
+
+
+# adding a conjunct is valid under no quantifier that can be true of some
+# sets and false of others, so its instances take both values
+CONJ_ADD = Schema(
+    "conj-add",
+    (("P1", 1), ("P2", 1), ("P3", 1)),
+    (),
+    (("Q", "any"),),
+    parse_formula(
+        "(implies (quant Q ?x (P1 ?x) (P2 ?x))"
+        " (quant Q ?x (P1 ?x) (and (P2 ?x) (P3 ?x))))"
+    ),
+)
+SCHEMAS = [*BUNDLE.schemas, CONJ_ADD]
+
+
+def schema_kb(sig: Signature, schemas=SCHEMAS) -> KnowledgeBase:
+    return KnowledgeBase(signature=sig, schemas=list(schemas), registry=BUNDLE.registry)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sig=signatures, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_compiled_schema_agrees_with_each_compiled_instance(sig, seed):
+    rng = random.Random(seed)
+    reg = BUNDLE.registry
+    instances = [
+        inst for s in SCHEMAS for inst in enumerate_instances(s, sig, reg, SMALL)
+    ]
+    models = [schema_model(rng, sig, instances) for _ in range(2)]
+    for schema in SCHEMAS:
+        slots = Slots(schema)
+        holds = compile_formula(schema.body, reg, slots)  # one closure throughout
+        for m in models:
+            for binding in enumerate_bindings(schema, sig, reg, SMALL):
+                slots.values.update(binding)
+                want = compile_formula(instantiate(schema, binding, reg), reg)
+                for w in m.worlds:
+                    assert outcome(lambda: holds(m, w, {})) == outcome(
+                        lambda: want(m, w, {})
+                    ), (schema.name, binding, w)
+        kb = schema_kb(sig)
+        for m in models:
+            assert outcome(lambda: first_failure(m, kb, bounds=SMALL)) == outcome(
+                lambda: oracle_eval.first_failure(m, kb, bounds=SMALL)
+            )
+
+
+def test_a_quantifier_slot_keeps_each_resolved_reference_but_no_failure():
+    reg = CountingRegistry()
+    schema = Schema(
+        "q", (), (), (("Q", "any"),), parse_formula("(quant Q ?x true (P ?x))")
+    )
+    slots = Slots(schema)
+    holds = compile_formula(schema.body, reg, slots)
+    assert reg.resolved == []
+    refs = [QuantRef("umpteen"), QuantRef("some"), QuantRef("umpteen"), QuantRef("some")]
+    m = small_model()
+    for ref in refs:
+        slots.values["Q"] = ref
+        want = compile_formula(substitute(schema, schema.body, slots.values))
+        assert outcome(lambda: holds(m, "w0", {})) == outcome(lambda: want(m, "w0", {}))
+    # `some` once; `umpteen` on each evaluation, since its failure is not kept
+    assert reg.resolved == [QuantRef("umpteen"), QuantRef("some"), QuantRef("umpteen")]
+
+
+def bundle_failure(m, bounds=None):
+    """first_failure on the full bundle, checked against the oracle."""
+    kb = BUNDLE.full_kb()
+    got = outcome(lambda: first_failure(m, kb, bounds=bounds))
+    assert got == outcome(lambda: oracle_eval.first_failure(m, kb, bounds=bounds))
+    return got
+
+
+def test_first_failure_matches_the_oracle_on_the_witness_model():
+    assert bundle_failure(witness_model(BUNDLE)) == ("value", None)
+
+
+def test_first_failure_matches_the_oracle_when_correct_fails_at_w1():
+    m = witness_model(BUNDLE)
+    ind = min(d for (d,) in m.predicates[("correct", "w1")] if d.startswith("prop-"))
+    m.predicates[("correct", "w1")] -= {(ind,)}
+    _, (kind, f, w) = bundle_failure(m)
+    assert (kind, w) == ("schema-instance", "w1")
+    assert render(f).startswith("(equiv (correct (that ")
+
+
+def test_first_failure_matches_the_oracle_when_do_reified_action_fails():
+    # doing the kind `beer` at w0 without being beer
+    m = witness_model(BUNDLE)
+    beer = next(
+        v for k, v in m.reified.items() if m.reified_sources[k] == parse_term("(ka beer)")
+    )
+    m.term_ops[("do", beer, "w0")] = frozenset({("i1",)})
+    _, (kind, f, w) = bundle_failure(m)
+    assert (kind, render(f), w) == (
+        "schema-instance",
+        "(quant all ?x true (implies ((do (ka beer)) ?x) (beer ?x)))",
+        "w0",
+    )
+
+
+def test_first_failure_matches_the_oracle_on_a_schema_that_is_not_valid():
+    kb = schema_kb(Signature(predicates={"A": 1, "B": 1, "C": 1}), [CONJ_ADD])
+    m = IntensionalModel(
+        worlds=("w0",),
+        accessibility=frozenset(),
+        domain=("d0", "d1"),
+        predicates={
+            ("A", "w0"): frozenset({("d0",), ("d1",)}),
+            ("B", "w0"): frozenset({("d0",)}),
+        },
+    )
+    got = first_failure(m, kb, bounds=SMALL)
+    assert got == oracle_eval.first_failure(m, kb, bounds=SMALL)
+    kind, f, w = got
+    assert kind == "schema-instance" and w == "w0"
+    assert compile_formula(f, kb.registry)(m, w, {}) is False
+
+
+def test_first_failure_matches_the_oracle_over_the_ceiling():
+    got = bundle_failure(witness_model(BUNDLE), InstanceBounds(ceiling=10))
+    assert got[:2] == ("raised", EnumerationCeiling)

@@ -28,6 +28,7 @@ from elfol.schemas import (
     SchemaError,
     _quant_ok,
     binding_total,
+    enumerate_bindings,
     enumerate_instances,
     ground_atoms,
     instantiate,
@@ -287,6 +288,23 @@ class TestMatchRoundTrip:
         assert checked == {
             "P", "PHI", "P1", "P2", "Q",
         }
+
+
+class TestEnumerateBindings:
+    def test_every_bundled_schema_against_the_independent_enumeration(self, bundle):
+        sig, bounds = TestMatchRoundTrip.SIG, TestMatchRoundTrip.BOUNDS
+        assert len(bundle.schemas) == 4
+        for schema in bundle.schemas:
+            bindings = enumerate_bindings(schema, sig, REG, bounds)
+            assert bindings == _enumerating_bindings(schema, sig, bounds)
+            assert enumerate_instances(schema, sig, REG, bounds) == [
+                instantiate(schema, b, REG) for b in bindings
+            ]
+
+    def test_ceiling_is_checked_before_any_binding_is_built(self):
+        sig = Signature(predicates={f"p{i}": 1 for i in range(30)})
+        with pytest.raises(EnumerationCeiling, match="30 \\* 30 \\* 30 \\* "):
+            enumerate_bindings(conj_drop(), sig, REG, InstanceBounds(ceiling=100))
 
 
 class TestEnumerateInstances:
