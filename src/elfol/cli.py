@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import lexicon
-from .core import Signature, free_vars
+from .core import RestrictedQuant, Signature, children, free_vars
 from .kb import KbError, check_entry, load_files
 from .models import (
     EnumerationError,
@@ -28,6 +28,7 @@ from .models import (
     parse_model,
 )
 from .prover import ProverConfig, prove
+from .quantifiers import UnknownQuantifierError
 from .reduction import ReductionContext, ReductionError, compare_effort
 from .schemas import EnumerationCeiling, InstanceBounds, enumerate_instances
 from .syntax import ParseError, parse_formula, render
@@ -131,6 +132,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except UnknownQuantifierError as e:
+        print(f"error: {e.args[0]}", file=sys.stderr)
+        return 2
     except OSError as e:
         where = "" if e.filename is None else f"{e.filename}: "
         print(f"error: {where}{e.strerror}", file=sys.stderr)
@@ -153,9 +157,27 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {args.command}")
 
 
+def _read_goal(text: str, kb):
+    """The goal text parsed, closed and well-formed over kb's signature,
+    naming only quantifiers that kb's registry resolves."""
+    goal = check_entry("goal", parse_formula(text), kb.signature)
+    try:
+        _resolve_quants(goal, kb.registry)
+    except UnknownQuantifierError as e:
+        raise ValueError(f"goal: {e.args[0]}") from None
+    return goal
+
+
+def _resolve_quants(node, registry) -> None:
+    if isinstance(node, RestrictedQuant):
+        registry.resolve(node.quant)
+    for child in children(node):
+        _resolve_quants(child, registry)
+
+
 def _cmd_prove(args) -> int:
     kb, _queries = load_files(args.files)
-    goal = check_entry("goal", parse_formula(args.goal), kb.signature)
+    goal = _read_goal(args.goal, kb)
     result = prove(kb, goal, _config(args))
     if result.proved:
         if args.structured:
@@ -241,7 +263,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     kb, _ = load_files(args.kb)
-    goal = check_entry("goal", parse_formula(args.goal), kb.signature)
+    goal = _read_goal(args.goal, kb)
     acc = []
     if args.acc:
         for pair in args.acc.split(","):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -51,7 +51,14 @@ from .core import (
 )
 from .kb import KnowledgeBase
 from .quantifiers import DOWN, UP, UnknownQuantifierError
-from .schemas import binding_total, instantiate, match_conclusion
+from .schemas import (
+    EnumerationCeiling,
+    SchemaError,
+    _quant_ok,
+    binding_total,
+    instantiate,
+    match_conclusion,
+)
 from .syntax import render
 
 PROVED = "proved"
@@ -721,6 +728,9 @@ class ForwardResult:
     derived: list  # new formulas in derivation order
     steps: list  # (formula, rule, detail)
     exhausted: bool = False
+    # schemas whose instances could not be enumerated at the bounds; any
+    # makes the result exhausted
+    skipped_schemas: list = field(default_factory=list)
 
 
 def _match_conjuncts(ants, env, facts):
@@ -738,11 +748,39 @@ def _match_conjuncts(ants, env, facts):
             yield from _match_conjuncts(rest, e2, facts)
 
 
+def _forward_subsumed(schema, registry) -> bool:
+    """Whether forward_chain's monotone rule derives every conclusion of
+    schema's instances in the round the instance would, so that they need
+    not be built: schema is a closed `(implies (quant Q ?x R B) (quant Q ?x
+    R A))` with Q right-up, two or more conjuncts in B and the atom A one of
+    them, its metavariables read as symbols. A (closed) fact that an
+    instance's premise unifies with is then one the rule splits."""
+    body = schema.body
+    if not isinstance(body, Implies) or free_vars(body):
+        return False
+    p, c = body.left, body.right
+    if not (isinstance(p, RestrictedQuant) and isinstance(c, RestrictedQuant)):
+        return False
+    if (p.quant, p.var, p.restrictor) != (c.quant, c.var, c.restrictor):
+        return False
+    constraints = schema.quant_constraints
+    if p.quant.name in constraints:
+        right_up = constraints[p.quant.name] == "right-up"
+    else:
+        right_up = _quant_ok("right-up", p.quant, registry)
+    parts = conjuncts(p.body)
+    return right_up and len(parts) >= 2 and isinstance(c.body, Atom) and c.body in parts
+
+
 def forward_chain(
     kb: KnowledgeBase, cfg: Optional[ProverConfig] = None, instance_bounds=None
 ) -> ForwardResult:
     """Saturate the fact set under single applications of axioms, bounded
-    schema instances, and the monotone conjunct-dropping rule."""
+    schema instances, and the monotone conjunct-dropping rule.
+
+    A schema the monotone rule subsumes (`_forward_subsumed`) is not
+    enumerated. A schema whose enumeration fails at the bounds is named in
+    `skipped_schemas`, and the result is exhausted."""
     from .schemas import InstanceBounds, enumerate_instances
 
     cfg = cfg if cfg is not None else ProverConfig()
@@ -752,18 +790,22 @@ def forward_chain(
     clauses = [
         _compile_axiom(ax, f"axiom-{i + 1}") for i, ax in enumerate(kb.axioms)
     ]
-    for si, schema in enumerate(kb.schemas):
-        try:
-            for k, inst in enumerate(
-                enumerate_instances(schema, kb.signature, kb.registry, bounds)
-            ):
-                clauses.append(_compile_axiom(inst, f"{schema.name}[{k}]"))
-        except Exception:
+    skipped = []
+    for schema in kb.schemas:
+        if _forward_subsumed(schema, kb.registry):
             continue
+        try:
+            instances = enumerate_instances(schema, kb.signature, kb.registry, bounds)
+        except (EnumerationCeiling, SchemaError):
+            skipped.append(schema.name)
+            continue
+        clauses += [
+            _compile_axiom(inst, f"{schema.name}[{k}]") for k, inst in enumerate(instances)
+        ]
     facts = list(kb.facts)
     keys = {alpha_key(f) for f in facts}
     steps = []
-    exhausted = False
+    exhausted = bool(skipped)
 
     def add(f, rule, detail) -> bool:
         k = alpha_key(f)
@@ -821,7 +863,7 @@ def forward_chain(
     else:
         exhausted = True
     derived = facts[len(kb.facts):]
-    return ForwardResult(derived, steps, exhausted)
+    return ForwardResult(derived, steps, exhausted, skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,38 @@ class TestReduceCommand:
         assert set(first) == {"encoding", "explored", "proof_len", "outcome"}
 
 
+class TestUnknownQuantifier:
+    @pytest.mark.parametrize("quant, message", [
+        ("bogus", "unknown quantifier 'bogus'"),
+        ("(at-least -2)", "at-least requires an integer parameter >= 0"),
+        ("(all 3)", "all takes no parameter"),
+    ])
+    def test_prove_goal_exits_two(self, capsys, quant, message):
+        goal = f"(not (quant {quant} ?x (big ?x) (big ?x)))"
+        code, out, err = run(capsys, "prove", CORE, "--goal", goal)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: goal: {message}"
+
+    def test_reduce_goal_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "reduce", "--kb", CORE,
+            "--goal", "(quant bogus ?x (big ?x) (big ?x))",
+            "--domain", "a1", "--worlds", "w0",
+        )
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: goal: unknown quantifier 'bogus'"
+
+    def test_reduce_kb_fact_exits_two(self, capsys, tmp_path):
+        facts = tmp_path / "facts.elf"
+        facts.write_text("(fact (quant bogus ?x (big ?x) (big ?x)))")
+        code, out, err = run(
+            capsys, "reduce", "--kb", CORE, str(facts),
+            "--goal", "(big a1)", "--domain", "a1", "--worlds", "w0",
+        )
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: quantifier bogus is not reducible"
+
+
 class TestCheckCommand:
     def test_clean_files(self, capsys):
         code, out, err = run(capsys, "check", CORE, AXIOMS, SCHEMAS, ENTER)

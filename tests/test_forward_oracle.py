@@ -1,0 +1,133 @@
+"""forward_chain against the reference in oracle_forward.py, which builds
+and tries every schema instance, those of the schemas the monotone rule
+subsumes included.
+
+Both must derive the same facts up to alpha-equivalence and agree on
+`exhausted`. Where no step of the reference cites an instance of a
+subsumed schema, the rendered derived lists and the (rule, detail) steps
+must be identical too. Where one does, forward_chain derives that fact in
+the same round by the monotone rule instead: it comes later in the round,
+is labelled `monotone-quant`, and keeps the fact's bound variable.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import elfol.schemas
+from elfol.core import And, Atom, Const, PredConst, QuantRef, RestrictedQuant, Var, alpha_key
+from elfol.kb import KnowledgeBase
+from elfol.lexicon import load_bundle
+from elfol.prover import _forward_subsumed, forward_chain
+from elfol.syntax import parse_formula, render
+
+import fuzz
+import oracle_forward
+
+BUNDLE = load_bundle()
+
+
+def compare(kb) -> bool:
+    """Check forward_chain against the reference on kb; whether a step of
+    the reference cites a subsumed schema."""
+    ref = oracle_forward.forward_chain(kb)
+    new = forward_chain(kb)
+    assert {alpha_key(f) for f in new.derived} == {alpha_key(f) for f in ref.derived}
+    assert new.exhausted == ref.exhausted
+    subsumed = {s.name for s in kb.schemas if _forward_subsumed(s, kb.registry)}
+    cited = any(detail.rpartition("[")[0] in subsumed for _f, _r, detail in ref.steps)
+    if not cited:
+        assert [render(f) for f in new.derived] == [render(f) for f in ref.derived]
+        assert [s[1:] for s in new.steps] == [s[1:] for s in ref.steps]
+    return cited
+
+
+@pytest.fixture()
+def shared_instances(monkeypatch):
+    """The reference builds the same 24,565 conjunct-drop instances on every
+    call; build each schema's once per test. enumerate_instances is
+    deterministic and the reference only reads the list."""
+    built = {}
+    enumerate_instances = elfol.schemas.enumerate_instances
+
+    def shared(s, sig, registry, bounds=None, quant_candidates=None):
+        key = (s, id(sig), id(registry), bounds)
+        if key not in built:
+            built[key] = enumerate_instances(s, sig, registry, bounds, quant_candidates)
+        return built[key]
+
+    monkeypatch.setattr(elfol.schemas, "enumerate_instances", shared)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_bundle_splits(seed, shared_instances):
+    # the saturate benchmark's splits: four per seed, 8 facts and 7
+    b = BUNDLE
+    facts = [f for name in sorted(b.scenarios) for f in b.scenarios[name]]
+    rng = random.Random(seed)
+    for _ in range(4):
+        order = rng.sample(facts, len(facts))
+        for part in (order[:8], order[8:]):
+            kb = KnowledgeBase(b.signature, part, list(b.axioms), list(b.schemas), b.registry)
+            # no bundle fact lets a conjunct-drop instance fire within
+            # forward_chain's quantifier bound, so nothing is relabelled
+            assert not compare(kb)
+
+
+def test_firing_instance_is_relabelled():
+    facts = [
+        parse_formula("(quant some ?y (P ?y) (and (Q ?y) (P ?y)))"),
+        parse_formula("(Q a)"),
+    ]
+    kb = KnowledgeBase(fuzz.FUZZ_SIG, facts, [], [fuzz.CONJ_DROP])
+    assert compare(kb)
+    ref = oracle_forward.forward_chain(kb)
+    new = forward_chain(kb)
+    assert [(render(f), rule) for f, rule, _d in ref.steps] == [
+        ("(quant some ?x (P ?x) (Q ?x))", "axiom-match"),
+        ("(quant some ?y (P ?y) (P ?y))", "monotone-quant"),
+    ]
+    assert [(render(f), rule, d) for f, rule, d in new.steps] == [
+        ("(quant some ?y (P ?y) (Q ?y))", "monotone-quant", "some"),
+        ("(quant some ?y (P ?y) (P ?y))", "monotone-quant", "some"),
+    ]
+
+
+# right-up, right-down and neither; (at-least 3) is over forward_chain's
+# quantifier bound, so no instance has it
+QUANTS = [
+    QuantRef("some"), QuantRef("all"), QuantRef("most"), QuantRef("at-least", 1),
+    QuantRef("at-least", 2), QuantRef("at-least", 3), QuantRef("no"),
+    QuantRef("at-most", 1), QuantRef("fewer-than", 2), QuantRef("exactly", 1),
+]
+
+
+def conjunctive_fact(rng: random.Random) -> RestrictedQuant:
+    """A quantified fact over the fuzz signature whose body is a conjunction
+    of two or three atoms, mostly monadic in the bound variable."""
+    var = rng.choice("xy")
+    x = Var(var)
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.8:
+            return Atom(PredConst(rng.choice("PQ")), (x,))
+        c = Const(rng.choice(fuzz.CONSTS))
+        return Atom(PredConst("R"), (x, c) if roll < 0.9 else (c, x))
+
+    body = And(atom(), atom())
+    if rng.random() < 0.25:
+        body = And(body, atom()) if rng.random() < 0.5 else And(atom(), body)
+    return RestrictedQuant(rng.choice(QUANTS), var, atom(), body)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_fuzz_kbs_with_conjunctive_quantified_facts(seed):
+    rng = random.Random(seed)
+    kb = fuzz.read_off_kb(rng, fuzz.random_model(rng))
+    facts = kb.facts + [conjunctive_fact(rng) for _ in range(rng.randint(1, 4))]
+    rng.shuffle(facts)
+    compare(KnowledgeBase(kb.signature, facts, kb.axioms, list(BUNDLE.schemas)))

@@ -15,7 +15,7 @@ import pytest
 from elfol.core import Implies, Signature
 from elfol.lexicon import load_bundle, witness_model
 from elfol.models import EnumerationError, SearchBounds, dump_model, find_counterexample
-from elfol.prover import ProverConfig, _Budget, _Search, prove
+from elfol.prover import ProverConfig, _Budget, _Search, forward_chain, prove
 from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
 from elfol.quantifiers import DEFAULT_REGISTRY
 from elfol.schemas import InstanceBounds, enumerate_instances
@@ -64,6 +64,24 @@ INSTANCE_COUNTS = {
     "correct-iff-content": 12,
     "sounds-as-considered": 17,
     "do-reified-action": 17,
+}
+
+# sha256 of the rendered derived facts, the (rule, detail) steps and the
+# exhausted flag of forward_chain, over the full KB ("full") and over each
+# bundled query's KB
+SATURATION = {
+    "full": "4d69cd7e7819a198670f556651a13cc7829eb9781ead6fa9cc1ec5482b56f772",
+    "enter": "ea7ab2368d0c643af012d0c63d5fe62425bbd75d389563b8f1b77b089caf7754",
+    "conjunct-drop": "78ca0e652d77d8f4897543bf9c43dbff46f9f549aecc27257f60beca20130bb5",
+    "majority-most": "944ca50d3098d7545971d5944c7ad069fc8dbf9ccdd551e0cc7a7e0a2915016a",
+    "correct-intro": "37258ce53cd9ab3b0ccf9f6ed287274ac9b723154ae115865d43112973c04730",
+    "correct-elim": "37258ce53cd9ab3b0ccf9f6ed287274ac9b723154ae115865d43112973c04730",
+    "compatible-possible": "57202d767ca81cbac25e93abd21ab85fcc12c9a70e730c34dca9a9190b1cc260",
+    "sounds-reasonable": "b183119b1c59be2fdcdd49890ef7b70b16a88238d36c29d669b0e90afca0b159",
+    "do-implies-done": "37258ce53cd9ab3b0ccf9f6ed287274ac9b723154ae115865d43112973c04730",
+    "kind-facts": "37258ce53cd9ab3b0ccf9f6ed287274ac9b723154ae115865d43112973c04730",
+    "attitude-facts": "37258ce53cd9ab3b0ccf9f6ed287274ac9b723154ae115865d43112973c04730",
+    "not-derivable": "ea7ab2368d0c643af012d0c63d5fe62425bbd75d389563b8f1b77b089caf7754",
 }
 
 # The conjunct-drop inference under the downward `fewer-than 2`, which the
@@ -162,6 +180,24 @@ def test_schema_instance_counts_over_full_kb():
         for s in kb.schemas
     }
     assert counts == INSTANCE_COUNTS
+
+
+@pytest.mark.parametrize("name", list(SATURATION))
+def test_forward_chain_derivations(name):
+    if name == "full":
+        kb = BUNDLE.full_kb()
+    else:
+        kb = BUNDLE.kb_for(next(c for c in BUNDLE.queries if c.name == name))
+    result = forward_chain(kb)
+    text = json.dumps(
+        {
+            "derived": [render(f) for f in result.derived],
+            "steps": [[rule, detail] for _f, rule, detail in result.steps],
+            "exhausted": result.exhausted,
+        },
+        sort_keys=True,
+    )
+    assert _sha256(text) == SATURATION[name]
 
 
 def _reduction_digests(kb, ctx, goal=None) -> dict:

@@ -23,6 +23,7 @@ from elfol.prover import (
     FAILED,
     ProverConfig,
     _compile_axiom,
+    _forward_subsumed,
     _head,
     forward_chain,
     prove,
@@ -31,6 +32,7 @@ from elfol.prover import (
 )
 from elfol.quantifiers import DEFAULT_REGISTRY
 from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
+from elfol.schemas import InstanceBounds, Schema
 from elfol.syntax import parse_formula, parse_term, render
 
 import fuzz
@@ -362,6 +364,70 @@ class TestForwardChain:
         a = [render(f) for f in forward_chain(kb).derived]
         b = [render(f) for f in forward_chain(kb).derived]
         assert a == b
+
+    def test_schema_over_the_ceiling_is_skipped_and_reported(self, bundle):
+        facts = [f for name in sorted(bundle.scenarios) for f in bundle.scenarios[name]]
+        kb = bundle.full_kb().with_facts(facts[:8])
+        result = forward_chain(kb)
+        assert len(result.derived) == 5
+        assert (result.exhausted, result.skipped_schemas) == (False, [])
+        # 12 and 17 instances are over a ceiling of 10; the subsumed
+        # monotone-conj-drop is not enumerated, so it is not skipped
+        result = forward_chain(kb, instance_bounds=InstanceBounds(ceiling=10))
+        assert result.skipped_schemas == [
+            "correct-iff-content", "sounds-as-considered", "do-reified-action"
+        ]
+        assert (len(result.derived), result.exhausted) == (3, True)
+
+
+CONJ_DROP = (
+    "(implies (quant Q ?x (P1 ?x) (and (P2 ?x) (P3 ?x)))"
+    " (quant Q ?x (P1 ?x) (P2 ?x)))"
+)
+PREDS = (("P1", 1), ("P2", 1), ("P3", 1))
+
+
+class TestForwardSubsumed:
+    def subsumed(self, body, quants=(("Q", "right-up"),)):
+        schema = Schema("s", PREDS, (), tuple(quants), parse_formula(body))
+        return _forward_subsumed(schema, DEFAULT_REGISTRY)
+
+    def test_right_up_conjunct_drop(self):
+        assert self.subsumed(CONJ_DROP)
+
+    @pytest.mark.parametrize("constraint", ["right-down", "any"])
+    def test_other_constraints(self, constraint):
+        assert not self.subsumed(CONJ_DROP, (("Q", constraint),))
+
+    @pytest.mark.parametrize("body", [
+        # another restrictor
+        "(implies (quant Q ?x (P1 ?x) (and (P2 ?x) (P3 ?x))) (quant Q ?x (P3 ?x) (P2 ?x)))",
+        # another bound variable
+        "(implies (quant Q ?x (P1 ?x) (and (P2 ?x) (P3 ?x))) (quant Q ?y (P1 ?y) (P2 ?y)))",
+        # the conclusion's body is a conjunction
+        "(implies (quant Q ?x (P1 ?x) (and (P2 ?x) (and (P3 ?x) (P1 ?x))))"
+        " (quant Q ?x (P1 ?x) (and (P2 ?x) (P3 ?x))))",
+        # the conclusion's body is no conjunct of the premise's
+        "(implies (quant Q ?x (P1 ?x) (and (P2 ?x) (P3 ?x))) (quant Q ?x (P1 ?x) (P1 ?x)))",
+        # one conjunct only
+        "(implies (quant Q ?x (P1 ?x) (P2 ?x)) (quant Q ?x (P1 ?x) (P2 ?x)))",
+        # an outer universal
+        "(forall ?y (implies (quant Q ?x (P1 ?x) (and (P2 ?x) (P3 ?y)))"
+        " (quant Q ?x (P1 ?x) (P2 ?x))))",
+    ])
+    def test_other_shapes(self, body):
+        assert not self.subsumed(body)
+
+    def test_concrete_quantifiers(self):
+        some = CONJ_DROP.replace("quant Q", "quant some")
+        no = CONJ_DROP.replace("quant Q", "quant no")
+        assert self.subsumed(some, ())
+        assert not self.subsumed(no, ())
+
+    def test_bundled_schemas(self, bundle):
+        assert [_forward_subsumed(s, bundle.registry) for s in bundle.schemas] == [
+            True, False, False, False
+        ]
 
 
 class TestReplay:
