@@ -161,11 +161,17 @@ def _read_goal(text: str, kb):
     """The goal text parsed, closed and well-formed over kb's signature,
     naming only quantifiers that kb's registry resolves."""
     goal = check_entry("goal", parse_formula(text), kb.signature)
-    try:
-        _resolve_quants(goal, kb.registry)
-    except UnknownQuantifierError as e:
-        raise ValueError(f"goal: {e.args[0]}") from None
+    _check_quants("goal", goal, kb.registry)
     return goal
+
+
+def _check_quants(label: str, f, registry) -> None:
+    """Raise a ValueError led by label unless registry resolves every
+    quantifier f names."""
+    try:
+        _resolve_quants(f, registry)
+    except UnknownQuantifierError as e:
+        raise ValueError(f"{label}: {e.args[0]}") from None
 
 
 def _resolve_quants(node, registry) -> None:
@@ -293,6 +299,9 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_check(args) -> int:
     kb, queries = load_files(args.files)
+    for kind, entries in (("axiom", kb.axioms), ("fact", kb.facts)):
+        for f in entries:
+            _check_quants(f"{kind} {render(f)}", f, kb.registry)
     _emit(
         args,
         {

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .core import (
@@ -166,58 +167,71 @@ def _occurs(name: str, term, env: dict) -> bool:
     return name in free_vars(term)
 
 
-def _bind(name: str, term, env: dict, rigid: frozenset):
+def _bind(name: str, term, env: dict, bound: frozenset):
     if type(term) not in TERM_TYPES or _occurs(name, term, env):
         return None
-    if free_vars(resolve_term(term, env)) & rigid:
+    if free_vars(resolve_term(term, env)) & bound:
         return None  # a bound variable would escape its scope
     env2 = dict(env)
     env2[name] = term
     return env2
 
 
-def unify(a, b, env: Optional[dict] = None):
+def unify(a, b, env: Optional[dict] = None, rigid: frozenset = frozenset()):
     """Most general unifier of two terms or formulas extending env, or None.
 
     Reified terms unify only when alpha-equivalent (after resolution) or by
     binding a variable to the whole reified term. Quantified and lambda
-    sub-structures must correspond up to bound-variable renaming.
+    sub-structures must correspond up to bound-variable renaming. The
+    variables named in rigid are bound on neither side: each unifies only
+    with itself or with a variable that may be bound to it.
     """
     env = dict(env) if env else {}
-    return _unify(a, b, env, {}, {}, 0)
+    return _unify(a, b, env, {}, {}, 0, rigid)
 
 
-def _unify(a, b, env, pa: dict, pb: dict, depth: int):
+def _unify(a, b, env, pa: dict, pb: dict, depth: int, rigid: frozenset):
     """pa and pb map the names bound by the quantifiers entered so far on
     each side to the depth of the pair that binds them, so a shadowing pair
-    gets a mark of its own; depth counts the pairs entered."""
-    a = walk(a, env)
-    b = walk(b, env)
+    gets a mark of its own; depth counts the pairs entered. A bound name is
+    looked up before env, which may bind a free variable of the same name."""
     if type(a) is Var and a.name in pa:
         return env if type(b) is Var and pb.get(b.name) == pa[a.name] else None
     if type(b) is Var and b.name in pb:
         return None  # bound on one side only
-    if type(a) is Var:
+    a = walk(a, env)
+    b = walk(b, env)
+    if type(a) is Var and a.name not in rigid:
         if type(b) is Var and a.name == b.name:
             return env
         return _bind(a.name, b, env, frozenset(pb))
-    if type(b) is Var:
+    if type(b) is Var and b.name not in rigid:
         return _bind(b.name, a, env, frozenset(pa))
     if not same_shape(a, b):
         return None
     if type(a) in (Ka, That, Lambda):
-        ra = resolve_formula(a, env)
-        rb = resolve_formula(b, env)
+        ra = _resolve_reified(a, env, pa)
+        rb = _resolve_reified(b, env, pb)
         return env if alpha_equivalent(ra, rb) else None
     if type(a) is RestrictedQuant:
         pa = {**pa, a.var: depth}
         pb = {**pb, b.var: depth}
         depth += 1
     for x, y in zip(children(a), children(b)):
-        env = _unify(x, y, env, pa, pb, depth)
+        env = _unify(x, y, env, pa, pb, depth, rigid)
         if env is None:
             return None
     return env
+
+
+def _resolve_reified(t, env: dict, bound: dict):
+    """t resolved through env, with each name bound by an enclosing pair
+    renamed to that pair's mark, so that the two sides compare by
+    alpha-equivalence."""
+    return subst_map(t, {
+        v: Var(f"#{bound[v]}") if v in bound else resolve_term(Var(v), env)
+        for v in free_vars(t)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +265,15 @@ class _Clause:
         self.head = None if self.consequent is None else _head(self.consequent)
 
 
+def _conjunct_pairs(facts):
+    """(fact, conjunct) for each conjunct of each conjunctive fact, in order."""
+    for f in facts:
+        cs = conjuncts(f)
+        if len(cs) > 1:
+            for c in cs:
+                yield f, c
+
+
 def _compile_axiom(axiom: Formula, label: str) -> _Clause:
     vs, matrix = strip_universals(axiom)
     if isinstance(matrix, Implies):
@@ -277,17 +300,71 @@ class _Search:
             _compile_axiom(ax, f"axiom-{i + 1}") for i, ax in enumerate(kb.axioms)
         ]
         self.equivalences = [c for c in self.clauses if c.kind == "equiv"]
+        self.plans = {}  # (table, head) -> see _same_head
+        self.fact_positions = {}  # head -> alpha_key -> positions in kb.facts
 
     # -- bookkeeping --------------------------------------------------------
 
-    def tick(self):
-        self.explored += 1
+    def tick(self, n=1):
+        """Count n entries visited; past max_explored, stop where ticking
+        one entry at a time would have stopped."""
+        self.explored += n
         if self.explored > self.cfg.max_explored:
+            self.explored = self.cfg.max_explored + 1
             self.exhausted = True
             raise _Budget()
-        if self.explored % 256 == 0 and time.monotonic() > self.deadline:
+        # (explored - n, explored] holds a multiple of 256
+        if self.explored % 256 < n and time.monotonic() > self.deadline:
             self.exhausted = True
             raise _Budget()
+
+    def _each(self, entries):
+        """Yield each entry after ticking it, one at a time."""
+        for entry in entries:
+            self.tick()
+            yield entry
+
+    def _rows(self, table: str) -> list:
+        """(head, fresh names its renaming takes, entry) for each entry of a
+        table that a rule walks in order: the facts, the clauses that are
+        not equivalences, the sides of the equivalences, or the conjuncts of
+        the conjunctive facts."""
+        if table == "facts":
+            return [(_head(f), 0, f) for f in self.kb.facts]
+        if table == "clauses":
+            return [(c.head, len(c.vars), c) for c in self.clauses if c.kind != "equiv"]
+        if table == "sides":
+            return [
+                (_head(this), len(c.vars), (c, this is c.left))
+                for c in self.equivalences for this in (c.left, c.right)
+            ]
+        return [(_head(c), 0, (f, c)) for f, c in _conjunct_pairs(self.kb.facts)]
+
+    def _same_head(self, table: str, head):
+        """Yield the entries of a table whose head is head, in order. The
+        entries skipped are ticked in bulk, and the fresh names their
+        renamings would take are spent, so that explored and fresh_counter
+        read as if every entry had been visited: formulas whose heads
+        differ never unify."""
+        plan = self.plans.get((table, head))
+        if plan is None:
+            # [(ticks, names skipped before entry, entry)], ticks, names after
+            entries, ticks, names = [], 0, 0
+            for h, n, entry in self._rows(table):
+                if h == head:
+                    entries.append((ticks, names, entry))
+                    ticks = names = 0
+                else:
+                    ticks += 1
+                    names += n
+            plan = self.plans[(table, head)] = (entries, ticks, names)
+        entries, ticks, names = plan
+        for skipped, skipped_names, entry in entries:
+            self.tick(skipped + 1)
+            self.fresh_counter += skipped_names
+            yield entry
+        self.tick(ticks)
+        self.fresh_counter += names
 
     def fresh_clause(self, clause: _Clause) -> _Clause:
         if not clause.vars:
@@ -323,7 +400,7 @@ class _Search:
             visited = visited | {key}
 
         yield from self._reflexivity(goal, env)
-        yield from self._facts(goal, env, extra)
+        yield from self._facts(goal, env, extra, closed)
         yield from self._axioms(goal, env, depth, visited, extra, lex_budget, split_done)
         yield from self._schemas(goal, env, depth, visited, extra, lex_budget, split_done)
         yield from self._monotone(goal, env, depth, visited, extra, lex_budget, split_done)
@@ -339,9 +416,26 @@ class _Search:
             self.tick()
             yield env, TraceNode("fact-match", goal, detail="true"), 0
 
-    def _facts(self, goal, env, extra):
-        for fact in list(self.kb.facts) + list(extra):
-            self.tick()
+    def _facts(self, goal, env, extra, closed):
+        if closed:
+            # two closed formulas unify exactly when they are alpha-equivalent
+            head = _head(goal)
+            positions = self.fact_positions.get(head)
+            if positions is None:
+                positions = self.fact_positions[head] = {}
+                for i, f in enumerate(self.kb.facts):
+                    if _head(f) == head:
+                        positions.setdefault(alpha_key(f), []).append(i)
+            done = 0
+            for i in positions.get(alpha_key(goal), ()):
+                self.tick(i + 1 - done)
+                done = i + 1
+                yield dict(env), TraceNode("fact-match", goal), 0
+            self.tick(len(self.kb.facts) - done)
+            kb_facts = ()
+        else:
+            kb_facts = self._same_head("facts", _head(goal))
+        for fact in chain(kb_facts, self._each(extra)):
             e2 = unify(goal, fact, env)
             if e2 is not None:
                 yield e2, TraceNode("fact-match", resolve_formula(goal, e2)), 0
@@ -365,15 +459,7 @@ class _Search:
             if self.clauses:
                 self.exhausted = True
             return
-        goal_head = _head(goal)
-        for clause in self.clauses:
-            if clause.kind == "equiv":
-                continue
-            self.tick()
-            if clause.head != goal_head:
-                # unify would fail; skip the renaming but keep later v<N> names
-                self.fresh_counter += len(clause.vars)
-                continue
+        for clause in self._same_head("clauses", _head(goal)):
             c = self.fresh_clause(clause)
             e2 = unify(c.consequent, goal, env)
             if e2 is None:
@@ -400,11 +486,7 @@ class _Search:
             return
         for schema in self.kb.schemas:
             self.tick()
-            try:
-                bindings = match_conclusion(schema, goal, self.registry)
-            except Exception:
-                continue
-            for binding in bindings:
+            for binding in match_conclusion(schema, goal, self.registry):
                 meta = {
                     k: v for k, v in binding.items() if not k.startswith("_")
                 }
@@ -413,7 +495,7 @@ class _Search:
                 self.tick()
                 try:
                     inst = instantiate(schema, meta, self.registry)
-                except Exception:
+                except SchemaError:
                     continue
                 c = self.fresh_clause(_compile_axiom(inst, schema.name))
                 if c.kind == "impl":
@@ -480,6 +562,7 @@ class _Search:
         """Provable statements (quant q x R C) sharing the goal's quantifier,
         variable, and restrictor; yields (env, trace, lex)."""
         q, x, restr = goal.quant, goal.var, goal.restrictor
+        rigid = frozenset((x,))
         for fact in list(self.kb.facts) + list(extra):
             if not isinstance(fact, RestrictedQuant) or fact.quant != q:
                 continue
@@ -503,7 +586,7 @@ class _Search:
             cq = c.consequent
             renamed_restr = subst_map(cq.restrictor, {cq.var: Var(x)})
             renamed_body = subst_map(cq.body, {cq.var: Var(x)})
-            e2 = unify(renamed_restr, restr, env)
+            e2 = unify(renamed_restr, restr, env, rigid)
             if e2 is None:
                 continue
             subgoals = [resolve_formula(a, e2) for a in c.antecedents]
@@ -568,6 +651,7 @@ class _Search:
         positions = [(-1, body)] + (
             [(i, c) for i, c in enumerate(cs)] if len(cs) > 1 else []
         )
+        rigid = frozenset((rigid_var,))
         for clause in self.equivalences:
             for pos, sub in positions:
                 for src, dst in ((clause.left, clause.right), (clause.right, clause.left)):
@@ -575,7 +659,7 @@ class _Search:
                     c = self.fresh_clause(clause)
                     s = c.left if src is clause.left else c.right
                     d = c.right if src is clause.left else c.left
-                    e = unify(s, sub, {})
+                    e = unify(s, sub, {}, rigid)
                     if e is None:
                         continue
                     newsub = resolve_formula(d, e)
@@ -602,41 +686,34 @@ class _Search:
                     "and-intro", resolve_formula(goal_r, e2), traces
                 ), lex
         # and-elim from conjunctive facts
-        for fact in list(self.kb.facts) + list(extra):
-            cs = conjuncts(fact)
-            if len(cs) < 2:
-                continue
-            for c in cs:
-                self.tick()
-                e2 = unify(goal_r, c, env)
-                if e2 is not None:
-                    yield e2, TraceNode(
-                        "and-elim",
-                        resolve_formula(goal_r, e2),
-                        (TraceNode("fact-match", fact),),
-                    ), 0
+        for fact, c in chain(
+            self._same_head("conjuncts", _head(goal_r)),
+            self._each(_conjunct_pairs(extra)),
+        ):
+            e2 = unify(goal_r, c, env)
+            if e2 is not None:
+                yield e2, TraceNode(
+                    "and-elim",
+                    resolve_formula(goal_r, e2),
+                    (TraceNode("fact-match", fact),),
+                ), 0
         # top-level use of equivalence axioms
         if not free_vars(goal_r):
-            for clause in self.equivalences:
-                for side in ("lr", "rl"):
-                    self.tick()
-                    c = self.fresh_clause(clause)
-                    this, other = (c.left, c.right) if side == "lr" else (
-                        c.right, c.left
-                    )
-                    e2 = unify(this, goal_r, env)
-                    if e2 is None:
-                        continue
-                    subgoal = resolve_formula(other, e2)
-                    if free_vars(subgoal):
-                        continue
-                    for e3, t1, lex in self.solve(
-                        subgoal, e2, depth + 1, visited, extra, lex_budget, split_done
-                    ):
-                        yield e3, TraceNode(
-                            "equiv-rewrite", resolve_formula(goal_r, e3), (t1,),
-                            c.label,
-                        ), lex
+            for clause, left in self._same_head("sides", _head(goal_r)):
+                c = self.fresh_clause(clause)
+                this, other = (c.left, c.right) if left else (c.right, c.left)
+                e2 = unify(this, goal_r, env)
+                if e2 is None:
+                    continue
+                subgoal = resolve_formula(other, e2)
+                if free_vars(subgoal):
+                    continue
+                for e3, t1, lex in self.solve(
+                    subgoal, e2, depth + 1, visited, extra, lex_budget, split_done
+                ):
+                    yield e3, TraceNode(
+                        "equiv-rewrite", resolve_formula(goal_r, e3), (t1,), c.label
+                    ), lex
         if isinstance(goal_r, Or):
             for d in disjuncts(goal_r):
                 self.tick()
@@ -971,17 +1048,13 @@ def _replay_schema(node: TraceNode, kb: KnowledgeBase) -> bool:
     for schema in kb.schemas:
         if schema.name != node.detail:
             continue
-        try:
-            bindings = match_conclusion(schema, node.formula, kb.registry)
-        except Exception:
-            return False
-        for binding in bindings:
+        for binding in match_conclusion(schema, node.formula, kb.registry):
             meta = {k: v for k, v in binding.items() if not k.startswith("_")}
             if not binding_total(schema, meta):
                 continue
             try:
                 inst = instantiate(schema, meta, kb.registry)
-            except Exception:
+            except SchemaError:
                 continue
             clause = _compile_axiom(inst, schema.name)
             if clause.kind == "equiv":

@@ -217,6 +217,19 @@ class TestUnknownQuantifier:
         assert (code, out) == (2, "")
         assert err.strip() == "error: quantifier bogus is not reducible"
 
+    @pytest.mark.parametrize("entry, message", [
+        ("(fact (quant bogus ?x (big ?x) (big ?x)))",
+         "fact (quant bogus ?x (big ?x) (big ?x)): unknown quantifier 'bogus'"),
+        ("(axiom (not (quant (all 3) ?x (big ?x) (big ?x))))",
+         "axiom (not (quant (all 3) ?x (big ?x) (big ?x))): all takes no parameter"),
+    ])
+    def test_check_kb_entry_exits_two(self, capsys, tmp_path, entry, message):
+        kb = tmp_path / "kb.elf"
+        kb.write_text(entry)
+        code, out, err = run(capsys, "check", CORE, str(kb))
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: {message}"
+
 
 class TestCheckCommand:
     def test_clean_files(self, capsys):

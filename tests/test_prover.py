@@ -1,6 +1,7 @@
 """Backward chaining, unification, forward chaining, and trace replay."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,17 @@ from hypothesis import strategies as st
 from elfol.core import (
     Const,
     FunApp,
+    Lambda,
+    RestrictedQuant,
     Signature,
     Var,
     alpha_equivalent,
+    alpha_key,
     conjuncts,
     disjuncts,
+    free_vars,
+    fresh_name,
+    map_children,
     subst_map,
 )
 from elfol.kb import KnowledgeBase
@@ -86,6 +93,33 @@ class TestUnify:
         assert not alpha_equivalent(a, b)
         assert unify(a, b) is None
         assert unify(a, a) == {}
+
+    def test_bound_variable_is_not_read_through_env(self):
+        # env binds a free ?v1; the ?v1 that the quantifier binds is another
+        # variable, so the formula stays an alpha-variant of the one over ?y
+        a = parse_formula("(quant some ?v1 (P ?v1) (Q ?v1))")
+        b = parse_formula("(quant some ?y (P ?y) (Q ?y))")
+        env = {"v1": Const("c")}
+        assert unify(a, b, env) == env
+        pinned = parse_formula("(quant some ?y true (Q c))")
+        assert unify(parse_formula("(quant some ?v1 true (Q ?v1))"), pinned, env) is None
+
+    def test_reified_terms_under_binders_compare_by_binder(self):
+        a = parse_formula("(quant all ?x (P ?x) (R ?x (that (P ?x))))")
+        b = parse_formula("(quant all ?y (P ?y) (R ?y (that (P ?y))))")
+        c = parse_formula("(quant all ?x (P ?x) (R ?x (that (P c))))")
+        assert unify(a, b) == {}
+        assert unify(a, c, {"x": Const("c")}) is None
+
+    def test_rigid_variables_are_bound_on_neither_side(self):
+        clause = parse_formula("(R ?v1 c)")
+        body = parse_formula("(R ?x ?x)")
+        assert unify(clause, body) == {"v1": Var("x"), "x": Const("c")}
+        assert unify(clause, body, {}, frozenset({"x"})) is None
+        assert unify(body, clause, {}, frozenset({"x"})) is None
+        # a rigid variable may still be the value of another variable
+        env = unify(parse_formula("(R ?v1 ?v2)"), body, {}, frozenset({"x"}))
+        assert env == {"v1": Var("x"), "v2": Var("x")}
 
 
 def tiny_kb(facts=(), axioms=(), schemas=()):
@@ -219,6 +253,20 @@ class TestProve:
         # a definitively failing goal reports plain failure
         r2 = prove(tiny_kb(), parse_formula("(P a)"))
         assert r2.outcome == FAILED
+
+    def test_rewrite_never_binds_the_goal_quantifiers_variable(self):
+        # the equivalence rewrites (P ?y c) to (Q ?y); applying it to the
+        # body (P ?x ?x) would bind the bound ?x to c. The model with domain
+        # {d0, d1}, c = d1, R = {d0}, P = {(d0, d0)} and Q = {} satisfies
+        # the kb and falsifies the goal.
+        sig = Signature(predicates={"R": 1, "P": 2, "Q": 1}, constants={"c"})
+        kb = KnowledgeBase(
+            sig,
+            [parse_formula("(quant (at-least 1) ?x (R ?x) (and (P ?x ?x) (R ?x)))")],
+            [parse_formula("(forall ?y (equiv (P ?y c) (Q ?y)))")],
+        )
+        goal = parse_formula("(quant (at-least 1) ?x (R ?x) (Q c))")
+        assert prove(kb, goal).outcome == FAILED
 
     def test_open_goal_rejected(self):
         with pytest.raises(ValueError):
@@ -555,3 +603,157 @@ def test_head_prefilter_keeps_every_unifier_in_the_reduced_kb():
                 unified += env is not None
     # both branches are taken, and most pairs are skipped
     assert unified > 0 and skipped > kept
+
+
+# ---------------------------------------------------------------------------
+# Indexed retrieval: a closed goal looks facts up by alpha_key, which is
+# exact only if closed formulas unify exactly when alpha-equivalent; and the
+# entries a lookup skips are ticked in bulk, which must stop a bounded search
+# exactly where ticking one entry at a time stops it.
+
+
+ENV_NAMES = ("v", "v1", "v2", "v3", "z", "z1", "x")
+
+
+def _new_binder(old: str, body_free: set, taken: set, rng) -> str:
+    """A name for a binder of old that captures nothing in its scope."""
+    names = ("v1", "v2", "v3", old, fresh_name("v", body_free | taken))
+    return rng.choice(
+        [n for n in names if n not in taken and (n == old or n not in body_free)]
+    )
+
+
+def _variant(f, rng, pin=0.0):
+    """f with its binders renamed, many to v<N> names; with probability pin
+    a quantifier's variable is replaced by a constant in its whole scope,
+    which keeps f closed but (when the variable occurs) not alpha-equivalent."""
+    if type(f) is RestrictedQuant:
+        scope = free_vars(f.restrictor) | free_vars(f.body)
+        if rng.random() < pin:
+            name, value = f.var, Const(rng.choice(sorted(fuzz.CONSTS)))
+        else:
+            name = _new_binder(f.var, scope, set(), rng)
+            value = Var(name)
+        m = {f.var: value}
+        return RestrictedQuant(
+            f.quant, name,
+            _variant(subst_map(f.restrictor, m), rng, pin),
+            _variant(subst_map(f.body, m), rng, pin),
+        )
+    if type(f) is Lambda:
+        scope, names = free_vars(f.body), []
+        for p in f.params:
+            names.append(_new_binder(p, scope, set(names), rng))
+        m = {p: Var(n) for p, n in zip(f.params, names)}
+        return Lambda(tuple(names), _variant(subst_map(f.body, m), rng, pin))
+    return map_children(f, lambda c: _variant(c, rng, pin))
+
+
+def _swap_constants(f, rng):
+    if type(f) is Const:
+        return Const(rng.choice(sorted(fuzz.CONSTS)))
+    return map_children(f, lambda c: _swap_constants(c, rng))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("variant", "pinned", "constants", "other")),
+)
+def test_closed_formulas_unify_exactly_when_alpha_equivalent(seed, kind):
+    rng = random.Random(seed)
+    g = AstGen(rng)
+    a = g.closed_formula(depth=rng.randint(0, 3))
+    if kind == "other":
+        b = g.closed_formula(depth=rng.randint(0, 3))
+    elif kind == "constants":
+        b = _swap_constants(_variant(a, rng), rng)
+    else:
+        b = _variant(a, rng, pin=0.3 if kind == "pinned" else 0.0)
+    assert not free_vars(b)
+    if kind == "variant":
+        assert alpha_key(a) == alpha_key(b)
+    env = {
+        n: Const(rng.choice(sorted(fuzz.CONSTS)))
+        for n in rng.sample(ENV_NAMES, rng.randint(0, 3))
+    }
+    assert (unify(a, b, env) is not None) == (alpha_key(a) == alpha_key(b))
+
+
+def _sweep_cases():
+    """(kb, goal, cfg) for every bundled query and the goals of a few fuzz
+    kbs."""
+    bundle = load_bundle()
+    cases = [
+        pytest.param(bundle.kb_for(c), c.goal, ProverConfig(), id=c.name)
+        for c in bundle.queries
+    ]
+    rng = random.Random(19)
+    for i in range(8):
+        kb = fuzz.read_off_kb(rng, fuzz.random_model(rng))
+        gen = AstGen(rng, reified=False, functions=False, modifiers=False)
+        for j, goal in enumerate(fuzz.sample_goals(rng, kb, gen)):
+            cases.append(pytest.param(kb, goal, fuzz.FUZZ_CFG, id=f"fuzz-{i}.{j}"))
+    return cases
+
+
+def _outcome(r):
+    return r.outcome, r.explored, r.trace.to_json() if r.trace is not None else None
+
+
+@pytest.mark.parametrize("kb, goal, cfg", _sweep_cases())
+def test_explored_bound_stops_the_search_one_past_it(kb, goal, cfg):
+    unbounded = prove(kb, goal, replace(cfg, max_explored=100_000))
+    e = unbounded.explored
+    assert e <= 100_000
+    rng = random.Random(e)
+    below = list(range(1, min(e, 301))) + rng.sample(range(301, e), min(20, max(0, e - 301)))
+    for k in below:
+        r = prove(kb, goal, replace(cfg, max_explored=k))
+        assert (r.outcome, r.explored) == (EXHAUSTED, k + 1), k
+    for k in (e, e + 1, 2 * e):
+        assert _outcome(prove(kb, goal, replace(cfg, max_explored=k))) == _outcome(unbounded)
+
+
+# ---------------------------------------------------------------------------
+# Schema errors: the search and replay skip an instance that instantiate
+# rejects with a SchemaError, and let anything else through.
+
+
+def _schema_proof(bundle):
+    case = next(c for c in bundle.queries if c.name == "correct-elim")
+    kb = bundle.kb_for(case)
+    r = prove(kb, case.goal)
+    assert r.proved and "schema-apply" in r.trace.to_json()
+    return kb, case.goal, r.trace
+
+
+@pytest.mark.parametrize("where", ["match_conclusion", "instantiate"])
+def test_unexpected_schema_errors_propagate(bundle, monkeypatch, where):
+    import elfol.prover as prover_mod
+
+    kb, goal, trace = _schema_proof(bundle)
+
+    def broken(*args):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(prover_mod, where, broken)
+    with pytest.raises(TypeError):
+        prove(kb, goal)
+    with pytest.raises(TypeError):
+        replay(trace, kb)
+
+
+def test_schema_errors_skip_the_instance(bundle, monkeypatch):
+    import elfol.prover as prover_mod
+    from elfol.schemas import SchemaError
+
+    kb, goal, trace = _schema_proof(bundle)
+
+    def rejecting(*args):
+        raise SchemaError("rejected")
+
+    monkeypatch.setattr(prover_mod, "instantiate", rejecting)
+    r = prove(kb, goal)
+    assert r.trace is None or "schema-apply" not in r.trace.to_json()
+    assert replay(trace, kb)  # the schema step no longer re-derives
