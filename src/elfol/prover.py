@@ -6,6 +6,14 @@ a tree of steps whose rule applications can be re-validated against the
 knowledge base (`replay`). The lexical-step count of a trace is the number
 of axiom and schema applications in it.
 
+Axioms and schema instances compile to clauses of one shape
+(`_compile_axiom`): for all its variables, a clause's consequent holds
+wherever its antecedents do. An implication gives one clause, a bare
+formula one without antecedents, and an equivalence two rewrite clauses,
+each side once the consequent with the other as its one antecedent.
+`_Search._apply` proves a goal by any of them, and `forward_chain` derives
+facts by the same clauses read forward.
+
 There are no modal inference rules: modal goals are provable only through
 axioms whose consequents are modal. Negative goals are provable only
 through facts or axioms with negated consequents. Failure at the
@@ -199,8 +207,11 @@ def _unify(a, b, env, pa: dict, pb: dict, depth: int, rigid: frozenset):
         return env if type(b) is Var and pb.get(b.name) == pa[a.name] else None
     if type(b) is Var and b.name in pb:
         return None  # bound on one side only
-    a = walk(a, env)
-    b = walk(b, env)
+    # a term read through env lies outside every binder entered here
+    if type(a) is Var and a.name in env:
+        a, pa = walk(a, env), {}
+    if type(b) is Var and b.name in env:
+        b, pb = walk(b, env), {}
     if type(a) is Var and a.name not in rigid:
         if type(b) is Var and a.name == b.name:
             return env
@@ -253,16 +264,27 @@ def _head(f: Formula):
 
 @dataclass
 class _Clause:
-    kind: str  # "impl" | "equiv" | "bare"
+    """For all vars, the consequent holds where every antecedent does. A
+    rewrite clause is one direction of an equivalence: its one antecedent
+    is the other side."""
+
     vars: tuple
-    antecedents: tuple  # for impl
-    consequent: Optional[Formula]  # impl consequent / bare matrix
-    left: Optional[Formula] = None  # equiv sides
-    right: Optional[Formula] = None
+    antecedents: tuple
+    consequent: Formula
     label: str = ""
+    rewrite: bool = False
 
     def __post_init__(self):
-        self.head = None if self.consequent is None else _head(self.consequent)
+        self.head = _head(self.consequent)
+
+    def renamed(self, ren: dict) -> "_Clause":
+        if not ren:
+            return self
+        return _Clause(
+            tuple(ren[v].name for v in self.vars),
+            tuple(subst_map(a, ren) for a in self.antecedents),
+            subst_map(self.consequent, ren), self.label, self.rewrite,
+        )
 
 
 def _conjunct_pairs(facts):
@@ -274,17 +296,18 @@ def _conjunct_pairs(facts):
                 yield f, c
 
 
-def _compile_axiom(axiom: Formula, label: str) -> _Clause:
+def _compile_axiom(axiom: Formula, label: str) -> tuple:
+    """The clauses of an axiom: an implication's consequent with its
+    antecedent's conjuncts, a bare matrix with none, or an equivalence's
+    two rewrite clauses, the one whose consequent is the left side first."""
     vs, matrix = strip_universals(axiom)
+    vs = tuple(vs)
     if isinstance(matrix, Implies):
-        return _Clause(
-            "impl", tuple(vs), tuple(conjuncts(matrix.left)), matrix.right, label=label
-        )
+        return (_Clause(vs, tuple(conjuncts(matrix.left)), matrix.right, label),)
     if isinstance(matrix, Equiv):
-        return _Clause(
-            "equiv", tuple(vs), (), None, matrix.left, matrix.right, label=label
-        )
-    return _Clause("bare", tuple(vs), (), matrix, label=label)
+        l, r = matrix.left, matrix.right
+        return (_Clause(vs, (r,), l, label, True), _Clause(vs, (l,), r, label, True))
+    return (_Clause(vs, (), matrix, label),)
 
 
 class _Search:
@@ -296,10 +319,9 @@ class _Search:
         self.exhausted = False
         self.deadline = time.monotonic() + cfg.timeout_ms / 1000.0
         self.fresh_counter = 0
-        self.clauses = [
-            _compile_axiom(ax, f"axiom-{i + 1}") for i, ax in enumerate(kb.axioms)
-        ]
-        self.equivalences = [c for c in self.clauses if c.kind == "equiv"]
+        compiled = [_compile_axiom(ax, f"axiom-{i + 1}") for i, ax in enumerate(kb.axioms)]
+        self.clauses = [c for cs in compiled for c in cs]
+        self.equivalences = [cs for cs in compiled if cs[0].rewrite]
         self.plans = {}  # (table, head) -> see _same_head
         self.fact_positions = {}  # head -> alpha_key -> positions in kb.facts
 
@@ -326,19 +348,14 @@ class _Search:
 
     def _rows(self, table: str) -> list:
         """(head, fresh names its renaming takes, entry) for each entry of a
-        table that a rule walks in order: the facts, the clauses that are
-        not equivalences, the sides of the equivalences, or the conjuncts of
-        the conjunctive facts."""
+        table that a rule walks in order: the facts, the conjuncts of the
+        conjunctive facts, the clauses that rewrite or those that do not."""
         if table == "facts":
             return [(_head(f), 0, f) for f in self.kb.facts]
-        if table == "clauses":
-            return [(c.head, len(c.vars), c) for c in self.clauses if c.kind != "equiv"]
-        if table == "sides":
-            return [
-                (_head(this), len(c.vars), (c, this is c.left))
-                for c in self.equivalences for this in (c.left, c.right)
-            ]
-        return [(_head(c), 0, (f, c)) for f, c in _conjunct_pairs(self.kb.facts)]
+        if table == "conjuncts":
+            return [(_head(c), 0, (f, c)) for f, c in _conjunct_pairs(self.kb.facts)]
+        rewrite = table == "rewrites"
+        return [(c.head, len(c.vars), c) for c in self.clauses if c.rewrite == rewrite]
 
     def _same_head(self, table: str, head):
         """Yield the entries of a table whose head is head, in order. The
@@ -366,22 +383,13 @@ class _Search:
         self.tick(ticks)
         self.fresh_counter += names
 
-    def fresh_clause(self, clause: _Clause) -> _Clause:
-        if not clause.vars:
-            return clause
+    def renaming(self, vs) -> dict:
+        """A fresh name v<N> for each of vs."""
         ren = {}
-        for v in clause.vars:
+        for v in vs:
             self.fresh_counter += 1
             ren[v] = Var(f"v{self.fresh_counter}")
-        return _Clause(
-            clause.kind,
-            tuple(ren[v].name for v in clause.vars),
-            tuple(subst_map(a, ren) for a in clause.antecedents),
-            subst_map(clause.consequent, ren) if clause.consequent is not None else None,
-            subst_map(clause.left, ren) if clause.left is not None else None,
-            subst_map(clause.right, ren) if clause.right is not None else None,
-            clause.label,
-        )
+        return ren
 
     # -- the solver ---------------------------------------------------------
 
@@ -454,28 +462,33 @@ class _Search:
             ):
                 yield e2, (t1,) + ts, l1 + l2
 
+    def _apply(self, rule, c, goal, env, depth, visited, extra, lex_budget, split_done):
+        """Yield each proof of goal by the renamed clause c: its consequent
+        unified with goal, its antecedents proved one level deeper. A rewrite
+        needs its other side closed. Every rule but equiv-rewrite costs one
+        lexical step."""
+        e2 = unify(c.consequent, goal, env)
+        if e2 is None:
+            return
+        subgoals = [resolve_formula(a, e2) for a in c.antecedents]
+        if c.rewrite and free_vars(subgoals[0]):
+            return
+        cost = 0 if rule == "equiv-rewrite" else 1
+        for e3, traces, lex in self._prove_all(
+            subgoals, e2, depth + 1, visited, extra, lex_budget - cost, split_done
+        ):
+            yield e3, TraceNode(rule, resolve_formula(goal, e3), traces, c.label), cost + lex
+
     def _axioms(self, goal, env, depth, visited, extra, lex_budget, split_done):
         if lex_budget < 1:
             if self.clauses:
                 self.exhausted = True
             return
-        for clause in self._same_head("clauses", _head(goal)):
-            c = self.fresh_clause(clause)
-            e2 = unify(c.consequent, goal, env)
-            if e2 is None:
-                continue
-            if clause.kind == "bare":
-                yield e2, TraceNode(
-                    "axiom-match", resolve_formula(goal, e2), detail=c.label
-                ), 1
-                continue
-            subgoals = [resolve_formula(a, e2) for a in c.antecedents]
-            for e3, traces, lex in self._prove_all(
-                subgoals, e2, depth + 1, visited, extra, lex_budget - 1, split_done
-            ):
-                yield e3, TraceNode(
-                    "axiom-match", resolve_formula(goal, e3), traces, c.label
-                ), 1 + lex
+        for clause in self._same_head("axioms", _head(goal)):
+            c = clause.renamed(self.renaming(clause.vars))
+            yield from self._apply(
+                "axiom-match", c, goal, env, depth, visited, extra, lex_budget, split_done
+            )
 
     def _schemas(self, goal, env, depth, visited, extra, lex_budget, split_done):
         if free_vars(goal):
@@ -497,45 +510,13 @@ class _Search:
                     inst = instantiate(schema, meta, self.registry)
                 except SchemaError:
                     continue
-                c = self.fresh_clause(_compile_axiom(inst, schema.name))
-                if c.kind == "impl":
-                    e2 = unify(c.consequent, goal, env)
-                    if e2 is None:
-                        continue
-                    subgoals = [resolve_formula(a, e2) for a in c.antecedents]
-                    for e3, traces, lex in self._prove_all(
-                        subgoals, e2, depth + 1, visited, extra,
-                        lex_budget - 1, split_done,
-                    ):
-                        yield e3, TraceNode(
-                            "schema-apply", resolve_formula(goal, e3), traces,
-                            schema.name,
-                        ), 1 + lex
-                elif c.kind == "equiv":
-                    for this_side, other_side in (
-                        (c.left, c.right), (c.right, c.left)
-                    ):
-                        e2 = unify(this_side, goal, env)
-                        if e2 is None:
-                            continue
-                        subgoal = resolve_formula(other_side, e2)
-                        if free_vars(subgoal):
-                            continue
-                        for e3, t1, lex in self.solve(
-                            subgoal, e2, depth + 1, visited, extra,
-                            lex_budget - 1, split_done,
-                        ):
-                            yield e3, TraceNode(
-                                "schema-apply", resolve_formula(goal, e3), (t1,),
-                                schema.name,
-                            ), 1 + lex
-                else:
-                    e2 = unify(c.consequent, goal, env)
-                    if e2 is not None:
-                        yield e2, TraceNode(
-                            "schema-apply", resolve_formula(goal, e2), (),
-                            schema.name,
-                        ), 1
+                clauses = _compile_axiom(inst, schema.name)
+                ren = self.renaming(clauses[0].vars)  # one set for both directions
+                for c in clauses:
+                    yield from self._apply(
+                        "schema-apply", c.renamed(ren), goal, env, depth, visited,
+                        extra, lex_budget, split_done,
+                    )
 
     # -- monotone quantifier rule -------------------------------------------
 
@@ -575,14 +556,13 @@ class _Search:
         if lex_budget < 1:
             return
         for clause in self.clauses:
-            if clause.kind != "impl" or not isinstance(
-                clause.consequent, RestrictedQuant
+            cq = clause.consequent
+            if clause.rewrite or not clause.antecedents or not (
+                isinstance(cq, RestrictedQuant) and cq.quant == q
             ):
                 continue
-            if clause.consequent.quant != q:
-                continue
             self.tick()
-            c = self.fresh_clause(clause)
+            c = clause.renamed(self.renaming(clause.vars))
             cq = c.consequent
             renamed_restr = subst_map(cq.restrictor, {cq.var: Var(x)})
             renamed_body = subst_map(cq.body, {cq.var: Var(x)})
@@ -652,17 +632,15 @@ class _Search:
             [(i, c) for i, c in enumerate(cs)] if len(cs) > 1 else []
         )
         rigid = frozenset((rigid_var,))
-        for clause in self.equivalences:
+        for pair in self.equivalences:
             for pos, sub in positions:
-                for src, dst in ((clause.left, clause.right), (clause.right, clause.left)):
+                for clause in pair:
                     self.tick()
-                    c = self.fresh_clause(clause)
-                    s = c.left if src is clause.left else c.right
-                    d = c.right if src is clause.left else c.left
-                    e = unify(s, sub, {}, rigid)
+                    c = clause.renamed(self.renaming(clause.vars))
+                    e = unify(c.consequent, sub, {}, rigid)
                     if e is None:
                         continue
-                    newsub = resolve_formula(d, e)
+                    newsub = resolve_formula(c.antecedents[0], e)
                     if free_vars(newsub) - free_vars(sub):
                         continue
                     if pos == -1:
@@ -699,21 +677,12 @@ class _Search:
                 ), 0
         # top-level use of equivalence axioms
         if not free_vars(goal_r):
-            for clause, left in self._same_head("sides", _head(goal_r)):
-                c = self.fresh_clause(clause)
-                this, other = (c.left, c.right) if left else (c.right, c.left)
-                e2 = unify(this, goal_r, env)
-                if e2 is None:
-                    continue
-                subgoal = resolve_formula(other, e2)
-                if free_vars(subgoal):
-                    continue
-                for e3, t1, lex in self.solve(
-                    subgoal, e2, depth + 1, visited, extra, lex_budget, split_done
-                ):
-                    yield e3, TraceNode(
-                        "equiv-rewrite", resolve_formula(goal_r, e3), (t1,), c.label
-                    ), lex
+            for clause in self._same_head("rewrites", _head(goal_r)):
+                c = clause.renamed(self.renaming(clause.vars))
+                yield from self._apply(
+                    "equiv-rewrite", c, goal_r, env, depth, visited, extra,
+                    lex_budget, split_done,
+                )
         if isinstance(goal_r, Or):
             for d in disjuncts(goal_r):
                 self.tick()
@@ -815,10 +784,6 @@ def _match_conjuncts(ants, env, facts):
         yield env
         return
     head, *rest = ants
-    head_parts = conjuncts(head)
-    if len(head_parts) > 1:
-        yield from _match_conjuncts(head_parts + rest, env, facts)
-        return
     for fact in facts:
         e2 = unify(head, fact, env)
         if e2 is not None:
@@ -864,8 +829,11 @@ def forward_chain(
     bounds = instance_bounds if instance_bounds is not None else InstanceBounds(
         max_quant_param=2, max_formula_instances=8
     )
+    # read forward, an equivalence rewrites its left side first, by its
+    # second clause, whose one antecedent is that side
     clauses = [
-        _compile_axiom(ax, f"axiom-{i + 1}") for i, ax in enumerate(kb.axioms)
+        c for i, ax in enumerate(kb.axioms)
+        for c in reversed(_compile_axiom(ax, f"axiom-{i + 1}"))
     ]
     skipped = []
     for schema in kb.schemas:
@@ -877,7 +845,8 @@ def forward_chain(
             skipped.append(schema.name)
             continue
         clauses += [
-            _compile_axiom(inst, f"{schema.name}[{k}]") for k, inst in enumerate(instances)
+            c for k, inst in enumerate(instances)
+            for c in reversed(_compile_axiom(inst, f"{schema.name}[{k}]"))
         ]
     facts = list(kb.facts)
     keys = {alpha_key(f) for f in facts}
@@ -900,27 +869,11 @@ def forward_chain(
         snapshot = list(facts)
         changed = False
         for clause in clauses:
-            if clause.kind == "bare":
-                if not free_vars(clause.consequent):
-                    changed |= add(clause.consequent, "axiom-match", clause.label)
-                continue
-            if clause.kind == "impl":
-                for env in _match_conjuncts(list(clause.antecedents), {}, snapshot):
-                    derived = resolve_formula(clause.consequent, env)
-                    if not free_vars(derived):
-                        changed |= add(derived, "axiom-match", clause.label)
-            else:
-                for src, dst in (
-                    (clause.left, clause.right),
-                    (clause.right, clause.left),
-                ):
-                    for fact in snapshot:
-                        env = unify(src, fact, {})
-                        if env is None:
-                            continue
-                        derived = resolve_formula(dst, env)
-                        if not free_vars(derived):
-                            changed |= add(derived, "equiv-rewrite", clause.label)
+            rule = "equiv-rewrite" if clause.rewrite else "axiom-match"
+            for env in _match_conjuncts(clause.antecedents, {}, snapshot):
+                derived = resolve_formula(clause.consequent, env)
+                if not free_vars(derived):
+                    changed |= add(derived, rule, clause.label)
         for fact in snapshot:
             if isinstance(fact, RestrictedQuant) and not free_vars(fact):
                 try:
@@ -950,11 +903,14 @@ def forward_chain(
 def replay(trace: TraceNode, kb: KnowledgeBase, extra=()) -> list:
     """Re-validate every step of a trace against kb; returns problems."""
     problems: list = []
-    _replay(trace, kb, tuple(extra), problems)
+    clauses = [c for ax in kb.axioms for c in _compile_axiom(ax, "")]
+    _replay(trace, kb, clauses, tuple(extra), problems)
     return problems
 
 
-def _replay(node: TraceNode, kb: KnowledgeBase, extra: tuple, problems: list) -> None:
+def _replay(
+    node: TraceNode, kb: KnowledgeBase, clauses: list, extra: tuple, problems: list
+) -> None:
     rule = node.rule
     f = node.formula
     ok = False
@@ -965,14 +921,12 @@ def _replay(node: TraceNode, kb: KnowledgeBase, extra: tuple, problems: list) ->
     elif rule == "reflexivity":
         ok = isinstance(f, Equal) and alpha_equivalent(f.left, f.right)
     elif rule == "axiom-match":
-        ok = _replay_clause_use(
-            [_compile_axiom(a, "") for a in kb.axioms], node
-        )
+        ok = _replay_clause_use([c for c in clauses if not c.rewrite], node)
     elif rule == "schema-apply":
         ok = _replay_schema(node, kb)
     elif rule == "equiv-rewrite":
         ok = len(node.children) == 1 and _replay_equiv(
-            node.children[0].formula, f, kb
+            node.children[0].formula, f, [c for c in clauses if c.rewrite]
         )
     elif rule == "monotone-quant":
         ok = _replay_monotone(node, kb)
@@ -997,7 +951,7 @@ def _replay(node: TraceNode, kb: KnowledgeBase, extra: tuple, problems: list) ->
             node.children[0].formula, f.right
         )
     elif rule == "or-elim":
-        ok = _replay_or_elim(node, kb, extra, problems)
+        ok = _replay_or_elim(node, kb, clauses, extra, problems)
         if ok:
             return  # children validated with case assumptions inside
     else:
@@ -1009,37 +963,21 @@ def _replay(node: TraceNode, kb: KnowledgeBase, extra: tuple, problems: list) ->
         child_extra = extra
         if rule == "impl-intro":
             child_extra = extra + (f.left,)
-        _replay(child, kb, child_extra, problems)
+        _replay(child, kb, clauses, child_extra, problems)
 
 
 def _replay_clause_use(clauses, node: TraceNode) -> bool:
+    """Some clause's consequent unifies with the node's formula and its
+    antecedents, under the same unifier, with the children's formulas."""
     for clause in clauses:
-        if clause.kind == "equiv":
-            continue
-        if clause.kind == "bare":
-            if node.children:
-                continue
-            env = unify(clause.consequent, node.formula, {})
-            if env is not None:
-                return True
-            continue
-        if len(clause.antecedents) and not node.children:
+        if len(clause.antecedents) != len(node.children):
             continue
         env = unify(clause.consequent, node.formula, {})
-        if env is None:
-            continue
-        ants = []
-        for a in clause.antecedents:
-            ants.extend(conjuncts(a))
-        if len(ants) != len(node.children):
-            continue
-        good = True
-        for a, child in zip(ants, node.children):
-            env = unify(a, child.formula, env)
+        for a, child in zip(clause.antecedents, node.children):
             if env is None:
-                good = False
                 break
-        if good:
+            env = unify(a, child.formula, env)
+        if env is not None:
             return True
     return False
 
@@ -1056,15 +994,7 @@ def _replay_schema(node: TraceNode, kb: KnowledgeBase) -> bool:
                 inst = instantiate(schema, meta, kb.registry)
             except SchemaError:
                 continue
-            clause = _compile_axiom(inst, schema.name)
-            if clause.kind == "equiv":
-                for this, other in ((clause.left, clause.right), (clause.right, clause.left)):
-                    env = unify(this, node.formula, {})
-                    if env is None or len(node.children) != 1:
-                        continue
-                    if unify(other, node.children[0].formula, env) is not None:
-                        return True
-            elif _replay_clause_use([clause], node):
+            if _replay_clause_use(_compile_axiom(inst, schema.name), node):
                 return True
     return False
 
@@ -1073,19 +1003,17 @@ def _replay_schema(node: TraceNode, kb: KnowledgeBase) -> bool:
 _REWRITE_INSIDE = (And, Or, Implies, Equiv, Not, Modal, RestrictedQuant)
 
 
-def _replay_equiv(source: Formula, target: Formula, kb: KnowledgeBase) -> bool:
-    """target is source with one subformula rewritten by a kb equivalence."""
-    clauses = [_compile_axiom(a, "") for a in kb.axioms]
-    equivs = [c for c in clauses if c.kind == "equiv"]
+def _replay_equiv(source: Formula, target: Formula, rewrites: list) -> bool:
+    """target is source with one subformula rewritten by one of the rewrite
+    clauses of the kb's equivalences."""
 
     def instance_ok(x, y) -> bool:
-        for c in equivs:
-            for l, r in ((c.left, c.right), (c.right, c.left)):
-                env = unify(l, x, {})
-                if env is None:
-                    continue
-                if alpha_equivalent(resolve_formula(r, env), y):
-                    return True
+        for c in rewrites:
+            env = unify(c.consequent, x, {})
+            if env is not None and alpha_equivalent(
+                resolve_formula(c.antecedents[0], env), y
+            ):
+                return True
         return False
 
     def diff(a, b) -> bool:
@@ -1130,11 +1058,13 @@ def _replay_monotone(node: TraceNode, kb: KnowledgeBase) -> bool:
     return False
 
 
-def _replay_or_elim(node: TraceNode, kb: KnowledgeBase, extra, problems) -> bool:
+def _replay_or_elim(
+    node: TraceNode, kb: KnowledgeBase, clauses: list, extra, problems
+) -> bool:
     if len(node.children) < 2:
         return False
     fact_node = node.children[0]
-    _replay(fact_node, kb, extra, problems)
+    _replay(fact_node, kb, clauses, extra, problems)
     ds = disjuncts(fact_node.formula)
     cases = node.children[1:]
     if len(ds) != len(cases):
@@ -1142,5 +1072,5 @@ def _replay_or_elim(node: TraceNode, kb: KnowledgeBase, extra, problems) -> bool
     for d, case in zip(ds, cases):
         if not alpha_equivalent(case.formula, node.formula):
             return False
-        _replay(case, kb, extra + (d,), problems)
+        _replay(case, kb, clauses, extra + (d,), problems)
     return True

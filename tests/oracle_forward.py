@@ -32,14 +32,14 @@ def forward_chain(
         max_quant_param=2, max_formula_instances=8
     )
     clauses = [
-        _compile_axiom(ax, f"axiom-{i + 1}") for i, ax in enumerate(kb.axioms)
+        c for i, ax in enumerate(kb.axioms) for c in _compile_axiom(ax, f"axiom-{i + 1}")
     ]
     for si, schema in enumerate(kb.schemas):
         try:
             for k, inst in enumerate(
                 enumerate_instances(schema, kb.signature, kb.registry, bounds)
             ):
-                clauses.append(_compile_axiom(inst, f"{schema.name}[{k}]"))
+                clauses.extend(_compile_axiom(inst, f"{schema.name}[{k}]"))
         except Exception:
             continue
     facts = list(kb.facts)
@@ -63,27 +63,25 @@ def forward_chain(
         snapshot = list(facts)
         changed = False
         for clause in clauses:
-            if clause.kind == "bare":
+            if not clause.rewrite and not clause.antecedents:
                 if not free_vars(clause.consequent):
                     changed |= add(clause.consequent, "axiom-match", clause.label)
                 continue
-            if clause.kind == "impl":
+            if not clause.rewrite:
                 for env in _match_conjuncts(list(clause.antecedents), {}, snapshot):
                     derived = resolve_formula(clause.consequent, env)
                     if not free_vars(derived):
                         changed |= add(derived, "axiom-match", clause.label)
             else:
-                for src, dst in (
-                    (clause.left, clause.right),
-                    (clause.right, clause.left),
-                ):
-                    for fact in snapshot:
-                        env = unify(src, fact, {})
-                        if env is None:
-                            continue
-                        derived = resolve_formula(dst, env)
-                        if not free_vars(derived):
-                            changed |= add(derived, "equiv-rewrite", clause.label)
+                # an equivalence's rewrite clauses come left side first, and
+                # each rewrites its consequent side into its antecedent
+                for fact in snapshot:
+                    env = unify(clause.consequent, fact, {})
+                    if env is None:
+                        continue
+                    derived = resolve_formula(clause.antecedents[0], env)
+                    if not free_vars(derived):
+                        changed |= add(derived, "equiv-rewrite", clause.label)
         for fact in snapshot:
             if isinstance(fact, RestrictedQuant) and not free_vars(fact):
                 try:

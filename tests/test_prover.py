@@ -104,6 +104,18 @@ class TestUnify:
         pinned = parse_formula("(quant some ?y true (Q c))")
         assert unify(parse_formula("(quant some ?v1 true (Q ?v1))"), pinned, env) is None
 
+    def test_term_read_through_env_is_not_read_under_binders(self):
+        # env's (f ?x) names a free ?x, not the ?x that the quantifier binds,
+        # so ?v5 is not the (f ?y) of the other side
+        a = parse_formula("(quant all ?x (P ?x) (R ?x ?v5))")
+        b = parse_formula("(quant all ?y (P ?y) (R ?y (f ?y)))")
+        env = {"v5": parse_term("(f ?x)")}
+        assert unify(a, b, env) is None
+        assert unify(b, a, env) is None
+        # a term read through env still unifies with a free variable
+        c = parse_formula("(quant all ?y (P ?y) (R ?y (f ?x)))")
+        assert unify(a, c, env) == env
+
     def test_reified_terms_under_binders_compare_by_binder(self):
         a = parse_formula("(quant all ?x (P ?x) (R ?x (that (P ?x))))")
         b = parse_formula("(quant all ?y (P ?y) (R ?y (that (P ?y))))")
@@ -553,8 +565,7 @@ def _reduced_pool():
     case = next(c for c in bundle.queries if c.name == "conjunct-drop")
     ctx = ReductionContext(domain=("c1", "c2", "c3"), worlds=("w0",))
     kb, tables = reduce_kb(bundle.kb_for(case), ctx)
-    clauses = [_compile_axiom(a, "") for a in kb.axioms]
-    clauses = [c for c in clauses if c.kind != "equiv"]
+    clauses = [c for a in kb.axioms for c in _compile_axiom(a, "") if not c.rewrite]
     goals = list(kb.facts)
     for c in clauses:
         goals += [c.consequent, *c.antecedents]
