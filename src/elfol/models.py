@@ -819,28 +819,56 @@ def _search_vocabulary(f: Formula, bounds: SearchBounds) -> tuple:
 # Textual model format (dump is re-parsable)
 
 
+# section -> (IntensionalModel field, key symbols before the world, whether
+# a world's entry groups its tuples by individual); a key is the key symbols,
+# then the individual if grouped, then the world
+_WORLD_SECTIONS = {
+    "pred": ("predicates", 1, False),
+    "mod": ("modifiers", 2, False),
+    "op": ("term_ops", 1, True),
+}
+
+
+def _dump_tuples(ext) -> str:
+    return "".join(" (" + " ".join(str(x) for x in t) + ")" for t in sorted(ext))
+
+
+def _dump_world_section(m: IntensionalModel, section: str) -> list:
+    """One line per key of the section, with an entry for every world."""
+    field_name, n_keys, by_individual = _WORLD_SECTIONS[section]
+    table = getattr(m, field_name)
+    lines = []
+    for key in sorted({k[:n_keys] for k in table}):
+        chunks = []
+        for w in m.worlds:
+            if by_individual:
+                inner = "".join(
+                    f" ({ind}{_dump_tuples(ext)})"
+                    for ind, ext in sorted(
+                        (k[n_keys], tuple(sorted(ext)))
+                        for k, ext in table.items()
+                        if k[:n_keys] == key and k[-1] == w
+                    )
+                )
+            else:
+                inner = _dump_tuples(table.get(key + (w,), ()))
+            chunks.append(f"({w}{inner})")
+        lines.append(f"  ({section} {' '.join(key)} " + " ".join(chunks) + ")")
+    return lines
+
+
 def dump_model(m: IntensionalModel) -> str:
     """Stable, diffable s-expression listing of a model."""
-    lines = ["(model"]
-    lines.append("  (worlds " + " ".join(m.worlds) + ")")
-    acc = sorted(m.accessibility)
-    lines.append(
-        "  (acc" + "".join(f" ({a} {b})" for a, b in acc) + ")"
-    )
+    from .syntax import render
+
+    lines = ["(model", "  (worlds " + " ".join(m.worlds) + ")"]
+    lines.append("  (acc" + "".join(f" ({a} {b})" for a, b in sorted(m.accessibility)) + ")")
     lines.append("  (domain " + " ".join(str(d) for d in m.domain) + ")")
     if m.reified_individuals:
         listed = [d for d in m.domain if d in m.reified_individuals]
         lines.append("  (reified-domain " + " ".join(str(d) for d in listed) + ")")
-    for name in sorted(m.constants):
-        lines.append(f"  (const {name} {m.constants[name]})")
-    pred_names = sorted({name for name, _ in m.predicates})
-    for name in pred_names:
-        chunks = []
-        for w in m.worlds:
-            ext = sorted(m.predicates.get((name, w), ()))
-            inner = "".join(" (" + " ".join(str(x) for x in t) + ")" for t in ext)
-            chunks.append(f"({w}{inner})")
-        lines.append(f"  (pred {name} " + " ".join(chunks) + ")")
+    lines += [f"  (const {name} {m.constants[name]})" for name in sorted(m.constants)]
+    lines += _dump_world_section(m, "pred")
     for fn in sorted(m.functions):
         table, default = m.functions[fn]
         entries = "".join(
@@ -848,35 +876,9 @@ def dump_model(m: IntensionalModel) -> str:
             for args, val in sorted(table.items())
         )
         lines.append(f"  (fn {fn} (default {default}){entries})")
-    mod_keys = sorted({(mo, p) for mo, p, _ in m.modifiers})
-    for mo, p in mod_keys:
-        chunks = []
-        for w in m.worlds:
-            ext = sorted(m.modifiers.get((mo, p, w), ()))
-            inner = "".join(" (" + " ".join(str(x) for x in t) + ")" for t in ext)
-            chunks.append(f"({w}{inner})")
-        lines.append(f"  (mod {mo} {p} " + " ".join(chunks) + ")")
-    op_names = sorted({op for op, _, _ in m.term_ops})
-    for op in op_names:
-        chunks = []
-        for w in m.worlds:
-            entries = sorted(
-                (ind, tuple(sorted(ext)))
-                for (o, ind, ww), ext in m.term_ops.items()
-                if o == op and ww == w
-            )
-            inner = ""
-            for ind, ext in entries:
-                tuples = "".join(
-                    " (" + " ".join(str(x) for x in t) + ")" for t in ext
-                )
-                inner += f" ({ind}{tuples})"
-            chunks.append(f"({w}{inner})")
-        lines.append(f"  (op {op} " + " ".join(chunks) + ")")
+    lines += _dump_world_section(m, "mod") + _dump_world_section(m, "op")
     for key in sorted(m.reified_sources, key=lambda k: (k[0], str(k[1]))):
         if key[1] == () and key in m.reified:
-            from .syntax import render
-
             lines.append(f"  (reify {render(m.reified_sources[key])} {m.reified[key]})")
     lines.append(")")
     return "\n".join(lines)
@@ -886,7 +888,8 @@ def parse_model(text: str) -> IntensionalModel:
     """Parse the model file format used by the eval subcommand.
 
     Reified entries are written with the surface term, e.g.
-    ``(reify (ka city) r0)``.
+    ``(reify (ka city) r0)``. Every world and individual the model uses must
+    be declared, once, in its worlds and domain sections.
     """
     from . import syntax
 
@@ -895,129 +898,119 @@ def parse_model(text: str) -> IntensionalModel:
     head = p.expect_symbol("model")
     if head.text != "model":
         p.fail("expected (model ...)", span=head.span)
-    worlds: list = []
-    acc: list = []
-    domain: list = []
-    reified_dom: list = []
-    constants: dict = {}
-    predicates: dict = {}
-    functions: dict = {}
-    modifiers: dict = {}
-    term_ops: dict = {}
-    reified: dict = {}
-    reified_sources: dict = {}
+    lists: dict = {"worlds": [], "domain": [], "reified-domain": []}  # tokens
+    acc: list = []  # (the entry's "(", its worlds)
+    tables: dict = {f: {} for f in ("constants", "predicates", "functions",
+                                    "modifiers", "term_ops", "reified", "reified_sources")}
+    uses: list = []  # (token, "world" or "individual"), checked at the end
 
-    def symbols_until_close():
+    def opens():  # the next token if it is a "(", consumed; else None
+        if p.peek() is not None and p.peek().kind == "(":
+            return p.next()
+
+    def symbols(use=None) -> list:
         out = []
         while p.peek() is not None and p.peek().kind in ("symbol", "int"):
-            out.append(p.next().text)
+            out.append(p.next())
         p.expect(")")
+        uses.extend((tok, use) for tok in out if use)
         return out
 
-    def tuple_list():
-        out = []
-        while p.peek() is not None and p.peek().kind == "(":
-            p.next()
-            out.append(tuple(symbols_until_close()))
-        return out
+    def names(use="individual") -> tuple:
+        return tuple(tok.text for tok in symbols(use))
 
-    while p.peek() is not None and p.peek().kind == "(":
-        p.next()
+    def name(use=None) -> str:
+        tok = p.expect_symbol("world" if use == "world" else "name")
+        if use:
+            uses.append((tok, use))
+        return tok.text
+
+    def tuple_list() -> frozenset:
+        return frozenset(names() for _ in iter(opens, None))
+
+    while opens():
         kind = p.expect_symbol("model section").text
-        if kind == "worlds":
-            worlds = symbols_until_close()
+        if kind in lists:
+            lists[kind] = symbols("individual" if kind == "reified-domain" else None)
         elif kind == "acc":
-            acc = tuple_list()
+            acc += [(start, names("world")) for start in iter(opens, None)]
             p.expect(")")
-        elif kind == "domain":
-            domain = symbols_until_close()
-        elif kind == "reified-domain":
-            reified_dom = symbols_until_close()
         elif kind == "const":
-            name = p.expect_symbol().text
-            val = p.expect_symbol().text
-            constants[name] = val
+            const = name()
+            tables["constants"][const] = name("individual")
             p.expect(")")
-        elif kind == "pred":
-            name = p.expect_symbol().text
-            while p.peek() is not None and p.peek().kind == "(":
-                p.next()
-                w = p.expect_symbol("world").text
-                predicates[(name, w)] = frozenset(tuple_list())
+        elif kind in _WORLD_SECTIONS:
+            field_name, n_keys, by_individual = _WORLD_SECTIONS[kind]
+            table = tables[field_name]
+            key = tuple(name() for _ in range(n_keys))
+            while opens():
+                w = name("world")
+                if by_individual:
+                    while opens():
+                        ind = name("individual")
+                        table[key + (ind, w)] = tuple_list()
+                        p.expect(")")
+                else:
+                    table[key + (w,)] = tuple_list()
                 p.expect(")")
             p.expect(")")
         elif kind == "fn":
-            name = p.expect_symbol().text
-            table: dict = {}
+            fn = name()
+            fn_table: dict = {}
             default = None
-            while p.peek() is not None and p.peek().kind == "(":
-                p.next()
-                tok = p.peek()
-                if tok.kind == "symbol" and tok.text == "default":
+            while opens():
+                if p.peek() is not None and p.peek().text == "default":
                     p.next()
-                    default = p.expect_symbol().text
+                    default = name("individual")
                     p.expect(")")
                 else:
                     p.expect("(")
-                    args = tuple(symbols_until_close())
-                    val = p.expect_symbol().text
+                    args = names()
+                    fn_table[args] = name("individual")
                     p.expect(")")
-                    table[args] = val
             if default is None:
-                p.fail(f"function {name} needs a (default ...) entry")
-            functions[name] = (table, default)
-            p.expect(")")
-        elif kind == "mod":
-            mo = p.expect_symbol().text
-            base = p.expect_symbol().text
-            while p.peek() is not None and p.peek().kind == "(":
-                p.next()
-                w = p.expect_symbol("world").text
-                modifiers[(mo, base, w)] = frozenset(tuple_list())
-                p.expect(")")
-            p.expect(")")
-        elif kind == "op":
-            op = p.expect_symbol().text
-            while p.peek() is not None and p.peek().kind == "(":
-                p.next()
-                w = p.expect_symbol("world").text
-                while p.peek() is not None and p.peek().kind == "(":
-                    p.next()
-                    ind = p.expect_symbol().text
-                    term_ops[(op, ind, w)] = frozenset(tuple_list())
-                    p.expect(")")
-                p.expect(")")
+                p.fail(f"function {fn} needs a (default ...) entry")
+            tables["functions"][fn] = (fn_table, default)
             p.expect(")")
         elif kind == "reify":
+            start = p.peek()
             term = p.term()
-            ind = p.expect_symbol().text
+            ind = name("individual")
+            if free_vars(term):
+                p.fail("a reified term in a model must be closed", span=start.span)
             key = reified_key(term, {})
-            reified[key] = ind
-            reified_sources[key] = term
+            tables["reified"][key] = ind
+            tables["reified_sources"][key] = term
             p.expect(")")
         else:
             p.fail(f"unknown model section {kind!r}")
     p.expect(")")
     if not p.at_end():
         p.fail("trailing input after model")
+    worlds, domain, reified_dom = ([t.text for t in lists[k]] for k in lists)
     if not worlds:
         raise EnumerationError("model needs at least one world")
     if not domain:
         raise EnumerationError("model needs a nonempty domain")
-    if len(set(reified.values())) != len(reified):
+    if len(set(tables["reified"].values())) != len(tables["reified"]):
         raise EnumerationError(
             "reified denotation must be injective on term classes"
         )
+    for start, pair in acc:
+        if len(pair) != 2:
+            p.fail(f"an acc entry is a pair of worlds, found {len(pair)}", span=start.span)
+    for section, what in (("worlds", "world"), ("domain", "individual")):
+        for i, tok in enumerate(lists[section]):
+            if tok.text in (t.text for t in lists[section][:i]):
+                p.fail(f"{what} {tok.text!r} declared twice", span=tok.span)
+    declared = {"world": set(worlds), "individual": set(domain)}
+    for tok, what in uses:
+        if tok.text not in declared[what]:
+            p.fail(f"undeclared {what} {tok.text!r}", span=tok.span)
     return IntensionalModel(
         worlds=tuple(worlds),
-        accessibility=frozenset((a, b) for a, b in acc),
+        accessibility=frozenset(pair for _, pair in acc),
         domain=tuple(domain),
-        constants=constants,
-        predicates=predicates,
-        functions=functions,
-        modifiers=modifiers,
-        term_ops=term_ops,
-        reified=reified,
         reified_individuals=frozenset(reified_dom),
-        reified_sources=reified_sources,
+        **tables,
     )

@@ -3,14 +3,13 @@
 A quantifier relates a restrictor set A and a body set B. Truth conditions
 here depend only on |A∩B| and |A\\B|, which builds in conservativity and
 closure under isomorphism. Each definition carries a monotonicity profile
-(per argument: up, down, or none) that is verified by exhaustive search
-over small set configurations before a registry will hand it out.
+(per argument: up, down, or none) that is verified on the number triangle,
+the pairs (|A∩B|, |A\\B|) up to a bound, before a registry will hand it out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Callable, Optional
 
 from .core import QuantRef
@@ -47,77 +46,66 @@ class MonotonicityError(ValueError):
     """A claimed monotonicity profile failed exhaustive verification."""
 
 
-def _subsets(universe: tuple):
-    return chain.from_iterable(
-        combinations(universe, k) for k in range(len(universe) + 1)
-    )
-
-
-def _find_violation(q: QuantDef, side: str, direction: str, subsets) -> Optional[dict]:
-    """First configuration violating side-direction monotonicity, if any."""
-    for a in subsets:
-        for b in subsets:
-            if not eval_quant(q, a, b):
-                continue
-            if side == "right":
-                for b2 in subsets:
-                    grows = b <= b2 if direction == UP else b2 <= b
-                    if grows and not eval_quant(q, a, b2):
-                        return {
-                            "A": a, "B": b, "B2": b2,
-                            "reason": f"right-{direction} fails",
-                        }
-            else:
-                for a2 in subsets:
-                    grows = a <= a2 if direction == UP else a2 <= a
-                    if grows and not eval_quant(q, a2, b):
-                        return {
-                            "A": a, "A2": a2, "B": b,
-                            "reason": f"left-{direction} fails",
-                        }
+def _find_violation(truth: Callable, side: str, direction: str, max_n: int) -> Optional[dict]:
+    """First step on the number triangle that breaks side-direction
+    monotonicity: from a pair (a, b) = (|A∩B|, |A\\B|) with a + b <= max_n
+    where truth holds to a neighbour where it fails. Growing B moves one
+    individual from A\\B to A∩B; growing A adds one to either. The step is
+    returned as sets over range(max_n)."""
+    sign = 1 if direction == UP else -1
+    steps = ((sign, -sign),) if side == "right" else ((sign, 0), (0, sign))
+    for a in range(max_n + 1):
+        for b in range(max_n + 1 - a):
+            for da, db in steps:
+                a2, b2 = a + da, b + db
+                if min(a2, b2) < 0 or a2 + b2 > max_n:
+                    continue
+                if not truth(a, b) or truth(a2, b2):
+                    continue
+                # B holds the first m individuals, and each A its a of them
+                # and its b of the ones after; on the right A stays the same
+                m = max(a, a2) if side == "left" else a
+                A, A2 = (frozenset(range(x)) | frozenset(range(m, m + y))
+                         for x, y in ((a, b), (a2, b2)))
+                B, reason = frozenset(range(m)), f"{side}-{direction} fails"
+                if side == "right":
+                    return {"A": A, "B": B, "B2": frozenset(range(a2)), "reason": reason}
+                return {"A": A, "A2": A2, "B": B, "reason": reason}
     return None
 
 
 def verify_monotonicity(q: QuantDef, claimed, max_n: int = 4):
-    """Check a (left, right) profile claim by exhaustive search.
+    """Check a (left, right) profile claim by a walk over the number triangle.
 
-    Enumerates all set configurations with |A ∪ B ∪ B'| <= max_n (and the
-    analogous triples on the left). An `up`/`down` claim must hold in every
-    instance; a `none` claim requires a witness against both directions.
+    Visits every pair (|A∩B|, |A\\B|) with a sum of at most max_n, which are
+    the configurations with |A ∪ B ∪ B'| <= max_n (and the analogous triples
+    on the left). An `up`/`down` claim must hold at every step; a `none`
+    claim requires a witness against both directions.
     Returns None when the claim checks out, else the first counterexample,
     a dict with keys among {"A", "B", "B2", "A2"} and a "reason".
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     left_claim, right_claim = claimed
-    universe = tuple(range(max_n))
-    subsets = [frozenset(s) for s in _subsets(universe)]
-
     for side, claim in (("left", left_claim), ("right", right_claim)):
         if claim in (UP, DOWN):
-            cx = _find_violation(q, side, claim, subsets)
+            cx = _find_violation(q.truth, side, claim, max_n)
             if cx is not None:
                 return cx
         elif claim == NONE:
-            if _find_violation(q, side, UP, subsets) is None:
-                return {"reason": f"{side}-none too weak: {side}-up actually holds"}
-            if _find_violation(q, side, DOWN, subsets) is None:
-                return {"reason": f"{side}-none too weak: {side}-down actually holds"}
+            for d in (UP, DOWN):
+                if _find_violation(q.truth, side, d, max_n) is None:
+                    return {"reason": f"{side}-none too weak: {side}-{d} actually holds"}
         else:
             return {"reason": f"unknown profile entry {claim!r}"}
     return None
 
 
 def derive_profile(truth: Callable, max_n: int = 4) -> tuple:
-    """Brute-force the profile a truth condition actually has at max_n."""
-    probe = QuantDef("probe", None, truth, NONE, NONE)
-    universe = tuple(range(max_n))
-    subsets = [frozenset(s) for s in _subsets(universe)]
+    """The profile a truth condition actually has at max_n."""
     out = []
     for side in ("left", "right"):
-        holds = [
-            d for d in (UP, DOWN) if _find_violation(probe, side, d, subsets) is None
-        ]
+        holds = [d for d in (UP, DOWN) if _find_violation(truth, side, d, max_n) is None]
         if holds == [UP, DOWN]:
             # insensitive to this argument; up is the claim the registry stores
             out.append(UP)

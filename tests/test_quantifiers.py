@@ -1,6 +1,7 @@
 """Generalized quantifier truth conditions and monotonicity profiles."""
 
-from itertools import combinations
+import random
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -13,6 +14,7 @@ from elfol.quantifiers import (
     QuantDef,
     QuantRegistry,
     UnknownQuantifierError,
+    _find_violation,
     derive_profile,
     eval_quant,
     verify_monotonicity,
@@ -163,3 +165,91 @@ class TestRegistry:
     def test_exactly_zero_is_downward(self):
         entry = QuantRegistry().resolve(QuantRef("exactly", 0))
         assert (entry.left, entry.right) == (DOWN, DOWN)
+
+
+# ---------------------------------------------------------------------------
+# The number-triangle walk against the subset search it replaced
+
+
+def subset_violation(truth, side, direction, max_n):
+    """First triple of subsets of range(max_n) that breaks side-direction
+    monotonicity, searched the way verification did before the walk."""
+    universe = range(max_n)
+    subsets = [
+        frozenset(c)
+        for c in chain.from_iterable(combinations(universe, k) for k in range(max_n + 1))
+    ]
+    probe = QuantDef("probe", None, truth, NONE, NONE)
+    for a, b in product(subsets, subsets):
+        if not eval_quant(probe, a, b):
+            continue
+        for c in subsets:
+            if side == "right" and (b <= c if direction == UP else c <= b):
+                if not eval_quant(probe, a, c):
+                    return {"A": a, "B": b, "B2": c}
+            if side == "left" and (a <= c if direction == UP else c <= a):
+                if not eval_quant(probe, c, b):
+                    return {"A": a, "A2": c, "B": b}
+    return None
+
+
+def check_walk_against_subsets(truth, max_n):
+    probe = QuantDef("probe", None, truth, NONE, NONE)
+    holds = {}
+    for side, d in product(("left", "right"), (UP, DOWN)):
+        cx = _find_violation(truth, side, d, max_n)
+        holds[side, d] = cx is None
+        assert holds[side, d] == (subset_violation(truth, side, d, max_n) is None)
+        if cx is None:
+            continue
+        assert cx["reason"] == f"{side}-{d} fails"
+        # the step is a real counterexample within the universe
+        a2, b2 = (cx["A2"], cx["B"]) if side == "left" else (cx["A"], cx["B2"])
+        small, big = (cx["A"], a2) if side == "left" else (cx["B"], b2)
+        assert (small <= big if d == UP else big <= small)
+        assert eval_quant(probe, cx["A"], cx["B"]) and not eval_quant(probe, a2, b2)
+        assert max(cx["A"] | a2 | cx["B"] | b2, default=0) < max_n
+    derived = tuple(
+        UP if holds[side, UP] else DOWN if holds[side, DOWN] else NONE
+        for side in ("left", "right")
+    )
+    assert derive_profile(truth, max_n) == derived
+    for claim in product((UP, DOWN, NONE), repeat=2):
+        want = None
+        for side, c in zip(("left", "right"), claim):
+            if c != NONE and not holds[side, c]:
+                want = f"{side}-{c} fails"
+            elif c == NONE and (holds[side, UP] or holds[side, DOWN]):
+                d = UP if holds[side, UP] else DOWN
+                want = f"{side}-none too weak: {side}-{d} actually holds"
+            if want:
+                break
+        cx = verify_monotonicity(probe, claim, max_n)
+        assert (cx and cx["reason"]) == want, (claim, max_n)
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3, 4, 5])
+def test_walk_agrees_with_the_subset_search_on_builtins(max_n):
+    reg = QuantRegistry()
+    entries = [reg.resolve(QuantRef(n)) for n in ("all", "some", "no", "most")] + [
+        reg.resolve(QuantRef(n, p))
+        for n in ("at-least", "at-most", "exactly", "fewer-than")
+        for p in range(6)
+    ]
+    for entry in entries:
+        check_walk_against_subsets(entry.truth, max_n)
+
+
+def test_walk_agrees_with_the_subset_search_on_random_truth_tables():
+    # coin-flip tables are rarely monotone anywhere; linear thresholds are
+    rng = random.Random(7)
+    for _ in range(300):
+        max_n = rng.randint(1, 5)
+        p = rng.choice((0.1, 0.5, 0.9))
+        wa, wb, t = (rng.randint(-2, 2) for _ in range(3))
+        linear = rng.random() < 0.5
+        table = {
+            (a, b): wa * a + wb * b >= t if linear else rng.random() < p
+            for a in range(max_n + 1) for b in range(max_n + 1 - a)
+        }
+        check_walk_against_subsets(lambda ab, anb, t=table: t[ab, anb], max_n)
