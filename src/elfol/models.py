@@ -889,7 +889,10 @@ def parse_model(text: str) -> IntensionalModel:
 
     Reified entries are written with the surface term, e.g.
     ``(reify (ka city) r0)``. Every world and individual the model uses must
-    be declared, once, in its worlds and domain sections.
+    be declared, once, in its worlds and domain sections. Each section but
+    acc, each constant, function, function entry and reified term, and each
+    pred, mod or op key at a world is given once; the tuples of one pred,
+    mod or op key, and the arguments of one function, have one length.
     """
     from . import syntax
 
@@ -897,20 +900,22 @@ def parse_model(text: str) -> IntensionalModel:
     p.expect("(")
     head = p.expect_symbol("model")
     if head.text != "model":
-        p.fail("expected (model ...)", span=head.span)
+        p.fail("expected (model ...)", span=p.span(head))
     lists: dict = {"worlds": [], "domain": [], "reified-domain": []}  # tokens
     acc: list = []  # (the entry's "(", its worlds)
     tables: dict = {f: {} for f in ("constants", "predicates", "functions",
                                     "modifiers", "term_ops", "reified", "reified_sources")}
     uses: list = []  # (token, "world" or "individual"), checked at the end
+    late: list = []  # (token, message) of repeats and length clashes, checked last
+    lengths: dict = {}  # (section, name) -> the length of its first tuple
 
     def opens():  # the next token if it is a "(", consumed; else None
-        if p.peek() is not None and p.peek().kind == "(":
+        if p.at("("):
             return p.next()
 
     def symbols(use=None) -> list:
         out = []
-        while p.peek() is not None and p.peek().kind in ("symbol", "int"):
+        while p.at("symbol") or p.at("int"):
             out.append(p.next())
         p.expect(")")
         uses.extend((tok, use) for tok in out if use)
@@ -919,66 +924,88 @@ def parse_model(text: str) -> IntensionalModel:
     def names(use="individual") -> tuple:
         return tuple(tok.text for tok in symbols(use))
 
-    def name(use=None) -> str:
+    def name(use=None):  # the token
         tok = p.expect_symbol("world" if use == "world" else "name")
         if use:
             uses.append((tok, use))
-        return tok.text
+        return tok
 
-    def tuple_list() -> frozenset:
-        return frozenset(names() for _ in iter(opens, None))
+    def once(seen, key, tok, what: str) -> None:
+        if key in seen:
+            late.append((tok, f"{what} declared twice"))
 
+    def sized(start, section: str, label: str, t: tuple) -> tuple:
+        n = lengths.setdefault((section, label), len(t))
+        if len(t) != n:
+            message = f"{section} {label!r} has a tuple of length {len(t)}, not {n}"
+            late.append((start, message))
+        return t
+
+    def tuple_list(section: str, label: str) -> frozenset:
+        return frozenset(sized(start, section, label, names()) for start in iter(opens, None))
+
+    def world_entry(table: dict, section: str, label: str, key: tuple, tok) -> None:
+        once(table, key, tok, f"{section} {' '.join(key[:-1])!r} at world {key[-1]!r}")
+        table[key] = tuple_list(section, label)
+
+    given: set = set()  # the sections of lists read so far
     while opens():
-        kind = p.expect_symbol("model section").text
+        kind_tok = p.expect_symbol("model section")
+        kind = kind_tok.text
         if kind in lists:
+            once(given, kind, kind_tok, f"section {kind!r}")
+            given.add(kind)
             lists[kind] = symbols("individual" if kind == "reified-domain" else None)
         elif kind == "acc":
             acc += [(start, names("world")) for start in iter(opens, None)]
             p.expect(")")
         elif kind == "const":
             const = name()
-            tables["constants"][const] = name("individual")
+            once(tables["constants"], const.text, const, f"constant {const.text!r}")
+            tables["constants"][const.text] = name("individual").text
             p.expect(")")
         elif kind in _WORLD_SECTIONS:
             field_name, n_keys, by_individual = _WORLD_SECTIONS[kind]
             table = tables[field_name]
-            key = tuple(name() for _ in range(n_keys))
+            key = tuple(name().text for _ in range(n_keys))
+            label = " ".join(key)
             while opens():
                 w = name("world")
                 if by_individual:
                     while opens():
                         ind = name("individual")
-                        table[key + (ind, w)] = tuple_list()
+                        world_entry(table, kind, label, key + (ind.text, w.text), ind)
                         p.expect(")")
                 else:
-                    table[key + (w,)] = tuple_list()
+                    world_entry(table, kind, label, key + (w.text,), w)
                 p.expect(")")
             p.expect(")")
         elif kind == "fn":
             fn = name()
-            fn_table: dict = {}
-            default = None
-            while opens():
+            once(tables["functions"], fn.text, fn, f"function {fn.text!r}")
+            fn_table: dict = {}  # argument tuple or "default" -> individual
+            while start := opens():
                 if p.peek() is not None and p.peek().text == "default":
-                    p.next()
-                    default = name("individual")
-                    p.expect(")")
+                    key = p.next().text
                 else:
-                    p.expect("(")
-                    args = names()
-                    fn_table[args] = name("individual")
-                    p.expect(")")
+                    key = sized(p.expect("("), "fn", fn.text, names())
+                entry = key if key == "default" else "(" + " ".join(key) + ")"
+                once(fn_table, key, start, f"function {fn.text!r} entry {entry!r}")
+                fn_table[key] = name("individual").text
+                p.expect(")")
+            default = fn_table.pop("default", None)
             if default is None:
-                p.fail(f"function {fn} needs a (default ...) entry")
-            tables["functions"][fn] = (fn_table, default)
+                p.fail(f"function {fn.text} needs a (default ...) entry")
+            tables["functions"][fn.text] = (fn_table, default)
             p.expect(")")
         elif kind == "reify":
             start = p.peek()
             term = p.term()
-            ind = name("individual")
+            ind = name("individual").text
             if free_vars(term):
-                p.fail("a reified term in a model must be closed", span=start.span)
+                p.fail("a reified term in a model must be closed", span=p.span(start))
             key = reified_key(term, {})
+            once(tables["reified"], key, start, f"reified term {syntax.render(term)!r}")
             tables["reified"][key] = ind
             tables["reified_sources"][key] = term
             p.expect(")")
@@ -998,15 +1025,18 @@ def parse_model(text: str) -> IntensionalModel:
         )
     for start, pair in acc:
         if len(pair) != 2:
-            p.fail(f"an acc entry is a pair of worlds, found {len(pair)}", span=start.span)
+            p.fail(f"an acc entry is a pair of worlds, found {len(pair)}", span=p.span(start))
     for section, what in (("worlds", "world"), ("domain", "individual")):
         for i, tok in enumerate(lists[section]):
             if tok.text in (t.text for t in lists[section][:i]):
-                p.fail(f"{what} {tok.text!r} declared twice", span=tok.span)
+                p.fail(f"{what} {tok.text!r} declared twice", span=p.span(tok))
     declared = {"world": set(worlds), "individual": set(domain)}
     for tok, what in uses:
         if tok.text not in declared[what]:
-            p.fail(f"undeclared {what} {tok.text!r}", span=tok.span)
+            p.fail(f"undeclared {what} {tok.text!r}", span=p.span(tok))
+    if late:
+        tok, message = late[0]
+        p.fail(message, span=p.span(tok))
     return IntensionalModel(
         worlds=tuple(worlds),
         accessibility=frozenset(pair for _, pair in acc),

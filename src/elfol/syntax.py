@@ -15,12 +15,21 @@ and ``(quant some ?x true F)``. Comments run from ``;`` to end of line.
 
 A knowledge-base file is a sequence of top-level forms: ``(declare ...)``,
 ``(axiom F)``, ``(fact F)``, ``(schema name decls... F)``, ``(query ...)``.
+
+Tokens are ``(kind, text, start, end)`` tuples read by one compiled pattern;
+they carry offsets into the text, not lines and columns. A `SourceSpan` is
+resolved only when one is needed: for a `ParseError`, or for the span of an
+entry that a caller keeps (see `Parser.span`).
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import repeat, tee
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .core import (
     And,
@@ -71,6 +80,8 @@ FORMULA_KEYWORDS = {
     "that",
     "kind",
 }
+_BINARY = {"and": And, "or": Or, "implies": Implies, "equiv": Equiv}
+_CONNECTIVES = {*_BINARY, "not", "=", "poss", "nec", "quant", "forall", "exists"}
 
 
 @dataclass(frozen=True)
@@ -97,64 +108,39 @@ class ParseError(Exception):
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "(" | ")" | "symbol" | "int"
     text: str
-    span: SourceSpan
+    start: int  # offsets into the source text
+    end: int
 
 
-def _tokenize(text: str, max_nesting: int) -> list:
-    """Tokens of text; a ParseError at the first "(" nested deeper than
-    max_nesting."""
-    tokens = []
-    depth = 0
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            span = SourceSpan(i, i + 1, line, col)
-            if c == ")":
-                depth -= 1
-            elif depth == max_nesting:
-                raise ParseError(f"nested deeper than {max_nesting} levels", span)
-            else:
-                depth += 1
-            tokens.append(_Token(c, c, span))
-            i += 1
-            col += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            word = text[i:j]
-            span = SourceSpan(i, j, line, col)
-            kind = "int" if _is_int(word) else "symbol"
-            tokens.append(_Token(kind, word, span))
-            col += j - i
-            i = j
-    return tokens
+# One group per token kind, numbered as in _KINDS; a comment matches no
+# group, and the spaces between tokens match nothing.
+_TOKEN = re.compile(r"(\()|(\))|([+-]?\d+(?![^ \t\r\n();]))|([^ \t\r\n();]+)|;.*")
+_KINDS = (None, "(", ")", "int", "symbol")
+_GROUP = attrgetter("lastindex")  # None for a comment
 
 
-def _is_int(word: str) -> bool:
-    body = word[1:] if word[:1] in "+-" else word
-    return body.isdigit() and body != ""
+def _tokenize(text: str) -> list:
+    """The tokens of text, built in C-level loops that each read one match
+    at a time."""
+    kinds, texts, starts, ends = tee(filter(_GROUP, _TOKEN.finditer(text)), 4)
+    return list(map(tuple.__new__, repeat(_Token), zip(
+        map(_KINDS.__getitem__, map(_GROUP, kinds)), map(re.Match.group, texts),
+        map(re.Match.start, starts), map(re.Match.end, ends),
+    )))
 
 
 class Parser:
     """Token reader and recursive-descent parser over one source text; the
-    model file reader shares its tokens and located errors."""
+    model file reader shares its tokens and located errors.
+
+    Tokens carry offsets, not positions. `span` resolves a token's line and
+    column on demand, from a table of the text's newline offsets built the
+    first time a span is asked for: once per entry a caller keeps, and once
+    per error.
+    """
 
     # Deepest parenthesis nesting accepted. The parser spends about one
     # Python frame per level and the tree walkers downstream up to four, so
@@ -162,219 +148,192 @@ class Parser:
     MAX_NESTING = 200
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text, self.MAX_NESTING)
+        self.tokens = _tokenize(text)
+        self.n = len(self.tokens)
         self.pos = 0
         self.text = text
+        self._newlines = None
+        if text.count("(") > self.MAX_NESTING:  # else no "(" can nest too deep
+            depth = 0
+            for tok in self.tokens:
+                if tok.kind == ")":
+                    depth -= 1
+                elif tok.kind == "(":
+                    if depth == self.MAX_NESTING:
+                        message = f"nested deeper than {self.MAX_NESTING} levels"
+                        self.fail(message, span=self.span(tok))
+                    depth += 1
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def span(self, tok: _Token, end_tok: Optional[_Token] = None) -> SourceSpan:
+        """The span from tok to end_tok (tok if None), at tok's line and column."""
+        return self._span_at(tok.start, (end_tok or tok).end)
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, expected: tuple = ()) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input", expected)
-        self.pos += 1
-        return tok
+    def _span_at(self, start: int, end: int) -> SourceSpan:
+        if self._newlines is None:
+            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self._newlines, start)  # newlines before start
+        line_start = self._newlines[line - 1] + 1 if line else 0
+        return SourceSpan(start, end, line + 1, start - line_start + 1)
 
     def eof_span(self) -> SourceSpan:
-        if self.tokens:
-            last = self.tokens[-1].span
-            return SourceSpan(last.end, last.end, last.line, last.column + 1)
-        return SourceSpan(0, 0, 1, 1)
+        end = self.tokens[-1].end if self.tokens else 0
+        return self._span_at(end, end)
+
+    def at_end(self) -> bool:
+        return self.pos >= self.n
+
+    def at(self, kind: str) -> bool:
+        """Whether the next token is of kind."""
+        return self.pos < self.n and self.tokens[self.pos].kind == kind
+
+    def peek(self) -> Optional[_Token]:
+        return self.tokens[self.pos] if self.pos < self.n else None
+
+    def next(self, expected: tuple = ()) -> _Token:
+        pos = self.pos
+        if pos >= self.n:
+            self.fail("unexpected end of input", expected)
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def fail(self, message: str, expected: tuple = (), span: SourceSpan = None):
         if span is None:
             tok = self.peek()
-            span = tok.span if tok else self.eof_span()
+            span = self.span(tok) if tok else self.eof_span()
         raise ParseError(message, span, expected)
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            self.fail(
-                f"found {tok.text!r}" if tok else "unexpected end of input",
-                expected=(kind,),
-            )
-        return self.next()
+    def expect(self, kind: str, what: Optional[str] = None) -> _Token:
+        """The next token, consumed, if it is of kind; else an error that
+        expects `what` (kind if None)."""
+        pos = self.pos
+        if pos < self.n:
+            tok = self.tokens[pos]
+            if tok.kind == kind:
+                self.pos = pos + 1
+                return tok
+            self.fail(f"found {tok.text!r}", (what or kind,))
+        self.fail("unexpected end of input", (what or kind,))
 
     def expect_symbol(self, what: str = "name") -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "symbol":
-            self.fail(
-                f"found {tok.text!r}" if tok else "unexpected end of input",
-                expected=(what,),
-            )
-        return self.next()
+        return self.expect("symbol", what)
+
+    def _terms(self) -> tuple:
+        """Terms up to the next ")", which is consumed."""
+        args = []
+        while self.pos < self.n and self.tokens[self.pos].kind != ")":
+            args.append(self.term())
+        self.expect(")")
+        return tuple(args)
 
     # -- grammar ------------------------------------------------------------
 
     def formula(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input", ("formula",))
-        if tok.kind == "symbol":
-            if tok.text == "true":
-                self.next()
-                return TrueF()
-            self.fail(f"found bare symbol {tok.text!r}", ("formula",))
+        tok = self.next(("formula",))
         if tok.kind != "(":
-            self.fail(f"found {tok.text!r}", ("formula",))
-        self.next()
-        head = self.peek()
-        if head is None:
+            if tok.kind == "symbol":
+                if tok.text == "true":
+                    return TrueF()
+                self.fail(f"found bare symbol {tok.text!r}", ("formula",), self.span(tok))
+            self.fail(f"found {tok.text!r}", ("formula",), self.span(tok))
+        if self.pos >= self.n:
             self.fail("unexpected end of input", ("formula head",))
-        if head.kind == "symbol":
-            word = head.text
-            if word == "not":
-                self.next()
-                f = self.formula()
-                self.expect(")")
-                return Not(f)
-            if word in ("and", "or", "implies", "equiv"):
-                self.next()
-                l = self.formula()
-                r = self.formula()
-                self.expect(")")
-                ctor = {"and": And, "or": Or, "implies": Implies, "equiv": Equiv}
-                return ctor[word](l, r)
-            if word == "=":
-                self.next()
-                l = self.term()
-                r = self.term()
-                self.expect(")")
-                return Equal(l, r)
-            if word == "poss":
-                self.next()
-                f = self.formula()
-                self.expect(")")
-                return Modal(POSSIBLY, f)
-            if word == "nec":
-                self.next()
-                f = self.formula()
-                self.expect(")")
-                return Modal(NECESSARILY, f)
-            if word == "quant":
-                self.next()
-                q = self.quant_ref()
-                var = self.variable()
-                restrictor = self.formula()
-                body = self.formula()
-                self.expect(")")
-                return RestrictedQuant(q, var, restrictor, body)
-            if word in ("forall", "exists"):
-                self.next()
-                var = self.variable()
-                body = self.formula()
-                self.expect(")")
-                q = "all" if word == "forall" else "some"
-                return RestrictedQuant(QuantRef(q), var, TrueF(), body)
-        # atom: ( predexpr term* )
-        pred = self.predexpr()
-        args = []
-        while self.peek() is not None and self.peek().kind != ")":
-            args.append(self.term())
+        word = self.tokens[self.pos].text
+        if word not in _CONNECTIVES:  # atom: ( predexpr term* )
+            return Atom(self.predexpr(), self._terms())
+        self.pos += 1
+        if word in _BINARY:
+            f = _BINARY[word](self.formula(), self.formula())
+        elif word == "not":
+            f = Not(self.formula())
+        elif word == "=":
+            f = Equal(self.term(), self.term())
+        elif word in ("poss", "nec"):
+            f = Modal(POSSIBLY if word == "poss" else NECESSARILY, self.formula())
+        elif word == "quant":
+            q = self.quant_ref()
+            f = RestrictedQuant(q, self.variable(), self.formula(), self.formula())
+        else:  # forall, exists
+            q = QuantRef("all" if word == "forall" else "some")
+            f = RestrictedQuant(q, self.variable(), TrueF(), self.formula())
         self.expect(")")
-        return Atom(pred, tuple(args))
+        return f
 
     def quant_ref(self) -> QuantRef:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input", ("quantifier",))
+        tok = self.next(("quantifier",))
         if tok.kind == "symbol":
-            self.next()
             return QuantRef(tok.text)
-        if tok.kind == "(":
-            self.next()
-            name = self.expect_symbol("quantifier name").text
-            param = self.expect("int")
-            self.expect(")")
-            return QuantRef(name, int(param.text))
-        self.fail(f"found {tok.text!r}", ("quantifier",))
+        if tok.kind != "(":
+            self.fail(f"found {tok.text!r}", ("quantifier",), self.span(tok))
+        name = self.expect("symbol", "quantifier name").text
+        param = self.expect("int")
+        self.expect(")")
+        return QuantRef(name, int(param.text))
 
     def variable(self) -> str:
-        tok = self.expect_symbol("variable")
-        if not tok.text.startswith("?") or len(tok.text) < 2:
-            self.fail(f"found {tok.text!r}", ("?variable",), span=tok.span)
+        tok = self.expect("symbol", "variable")
+        if tok.text[0] != "?" or len(tok.text) < 2:
+            self.fail(f"found {tok.text!r}", ("?variable",), self.span(tok))
         return tok.text[1:]
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input", ("term",))
+        tok = self.next(("term",))
         if tok.kind == "symbol":
-            self.next()
-            if tok.text.startswith("?"):
-                if len(tok.text) < 2:
-                    self.fail("bare '?'", ("?variable",), span=tok.span)
-                return Var(tok.text[1:])
-            if tok.text in FORMULA_KEYWORDS:
-                self.fail(f"keyword {tok.text!r} is not a term", ("term",), span=tok.span)
-            return Const(tok.text)
+            text = tok.text
+            if text[0] == "?":
+                if len(text) < 2:
+                    self.fail("bare '?'", ("?variable",), self.span(tok))
+                return Var(text[1:])
+            if text in FORMULA_KEYWORDS:
+                self.fail(f"keyword {text!r} is not a term", ("term",), self.span(tok))
+            return Const(text)
         if tok.kind == "int":
-            self.fail(f"found number {tok.text!r}", ("term",), span=tok.span)
-        self.next()  # consume "("
-        head = self.expect_symbol("function symbol")
+            self.fail(f"found number {tok.text!r}", ("term",), self.span(tok))
+        # the token is read as the "(" of a compound term
+        head = self.expect("symbol", "function symbol")
         if head.text in ("ka", "kind"):
-            pred = self.predexpr()
-            self.expect(")")
-            return Ka(pred)
-        if head.text == "that":
-            body = self.formula()
-            self.expect(")")
-            return That(body)
-        if head.text in FORMULA_KEYWORDS:
+            t = Ka(self.predexpr())
+        elif head.text == "that":
+            t = That(self.formula())
+        elif head.text in FORMULA_KEYWORDS:
             self.fail(
                 f"keyword {head.text!r} cannot head a term", ("function symbol",),
-                span=head.span,
+                self.span(head),
             )
-        args = []
-        while self.peek() is not None and self.peek().kind != ")":
-            args.append(self.term())
+        else:
+            return FunApp(head.text, self._terms())
         self.expect(")")
-        return FunApp(head.text, tuple(args))
+        return t
 
     def predexpr(self) -> PredExpr:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input", ("predicate expression",))
+        tok = self.next(("predicate expression",))
         if tok.kind == "symbol":
-            self.next()
-            if tok.text.startswith("?") or tok.text in FORMULA_KEYWORDS:
-                self.fail(
-                    f"found {tok.text!r}", ("predicate name",), span=tok.span
-                )
+            if tok.text[0] == "?" or tok.text in FORMULA_KEYWORDS:
+                self.fail(f"found {tok.text!r}", ("predicate name",), self.span(tok))
             return PredConst(tok.text)
         if tok.kind != "(":
-            self.fail(f"found {tok.text!r}", ("predicate expression",))
-        self.next()
-        head = self.expect_symbol("predicate operator")
+            self.fail(f"found {tok.text!r}", ("predicate expression",), self.span(tok))
+        head = self.expect("symbol", "predicate operator")
         if head.text == "lambda":
             self.expect("(")
             params = [self.variable()]
-            while self.peek() is not None and self.peek().kind != ")":
+            while self.pos < self.n and self.tokens[self.pos].kind != ")":
                 params.append(self.variable())
             self.expect(")")
-            body = self.formula()
-            self.expect(")")
-            return Lambda(tuple(params), body)
-        if head.text == "mod":
-            modifier = self.expect_symbol("modifier name").text
-            base = self.predexpr()
-            self.expect(")")
-            return Modified(modifier, base)
-        if head.text in FORMULA_KEYWORDS:
+            pred = Lambda(tuple(params), self.formula())
+        elif head.text == "mod":
+            modifier = self.expect("symbol", "modifier name").text
+            pred = Modified(modifier, self.predexpr())
+        elif head.text in FORMULA_KEYWORDS:
             self.fail(
                 f"keyword {head.text!r} cannot head a predicate expression",
                 ("lambda", "mod", "operator name"),
-                span=head.span,
+                self.span(head),
             )
-        # ( opname term ): a term-derived predicate
-        arg = self.term()
+        else:  # ( opname term ): a term-derived predicate
+            pred = TermDerived(head.text, self.term())
         self.expect(")")
-        return TermDerived(head.text, arg)
+        return pred
+
 
 
 def _parse_single(text: str, production: str):
@@ -403,7 +362,7 @@ def parse_schema(text: str) -> "SchemaForm":
     open_tok = p.expect("(")
     head = p.expect_symbol("schema")
     if head.text != "schema":
-        p.fail("expected a (schema ...) form", ("schema",), span=head.span)
+        p.fail("expected a (schema ...) form", ("schema",), span=p.span(head))
     form = _parse_schema_form(p, open_tok)
     if not p.at_end():
         p.fail("trailing input after schema")
@@ -446,6 +405,13 @@ class KbSource:
 
 
 SCHEMA_CONSTRAINTS = ("right-up", "right-down", "any")
+_SCHEMA_GROUPS = ("pred-vars", "formula-vars", "quant-vars")
+# declaration kind -> (what its name is, the Signature field it fills)
+_DECLARATIONS = {
+    "fn": ("function name", "functions"), "pred": ("predicate name", "predicates"),
+    "op": ("operator name", "term_ops"), "mod": ("modifier name", "modifiers"),
+    "const": ("constant name", "constants"),
+}
 
 
 def parse_kb(text: str, into: Optional[KbSource] = None) -> KbSource:
@@ -454,16 +420,12 @@ def parse_kb(text: str, into: Optional[KbSource] = None) -> KbSource:
     p = Parser(text)
     while not p.at_end():
         open_tok = p.expect("(")
-        head = p.expect_symbol("top-level form")
+        head = p.expect("symbol", "top-level form")
         if head.text == "declare":
             _parse_declare(p, src.signature)
         elif head.text in ("axiom", "fact"):
             f = p.formula()
-            p.expect(")")
-            span = SourceSpan(
-                open_tok.span.start, p.tokens[p.pos - 1].span.end,
-                open_tok.span.line, open_tok.span.column,
-            )
+            span = p.span(open_tok, p.expect(")"))
             (src.axioms if head.text == "axiom" else src.facts).append((f, span))
         elif head.text == "schema":
             src.schemas.append(_parse_schema_form(p, open_tok))
@@ -473,155 +435,109 @@ def parse_kb(text: str, into: Optional[KbSource] = None) -> KbSource:
             p.fail(
                 f"unknown top-level form {head.text!r}",
                 ("declare", "axiom", "fact", "schema", "query"),
-                span=head.span,
+                span=p.span(head),
             )
     return src
 
 
 def _parse_declare(p: Parser, sig: Signature) -> None:
-    kind = p.expect_symbol("declaration kind")
-    if kind.text == "fn":
-        name = p.expect_symbol("function name")
-        arity = int(p.expect("int").text)
-        _declare(p, sig, name, "functions", arity)
-    elif kind.text == "pred":
-        name = p.expect_symbol("predicate name")
-        arity = int(p.expect("int").text)
-        _declare(p, sig, name, "predicates", arity)
-    elif kind.text == "op":
-        name = p.expect_symbol("operator name")
-        arity = int(p.expect("int").text)
-        _declare(p, sig, name, "term_ops", arity)
-    elif kind.text == "mod":
-        while p.peek() is not None and p.peek().kind == "symbol":
-            name = p.expect_symbol("modifier name")
-            _declare(p, sig, name, "modifiers", None)
-    elif kind.text == "const":
-        while p.peek() is not None and p.peek().kind == "symbol":
-            name = p.expect_symbol("constant name")
-            _declare(p, sig, name, "constants", None)
+    kind = p.expect("symbol", "declaration kind")
+    if kind.text not in _DECLARATIONS:
+        p.fail(f"unknown declaration kind {kind.text!r}", tuple(_DECLARATIONS), p.span(kind))
+    what, category = _DECLARATIONS[kind.text]
+    if kind.text in ("mod", "const"):
+        while p.at("symbol"):
+            _declare(p, sig, p.expect("symbol", what), category, None)
     else:
-        p.fail(
-            f"unknown declaration kind {kind.text!r}",
-            ("fn", "pred", "op", "mod", "const"),
-            span=kind.span,
-        )
+        name = p.expect("symbol", what)
+        _declare(p, sig, name, category, int(p.expect("int").text))
     p.expect(")")
 
 
 def _declare(p: Parser, sig: Signature, name_tok: _Token, category: str, arity):
     name = name_tok.text
     if name in FORMULA_KEYWORDS:
-        p.fail(f"{name!r} is a reserved keyword", span=name_tok.span)
+        p.fail(f"{name!r} is a reserved keyword", span=p.span(name_tok))
     if arity is not None and arity < 0:
-        p.fail("arity must be >= 0", span=name_tok.span)
+        p.fail("arity must be >= 0", span=p.span(name_tok))
     existing = sig.all_names()
     table = getattr(sig, category)
     if name in existing and name not in (
         table if isinstance(table, set) else table.keys()
     ):
-        p.fail(f"{name!r} already declared in another category", span=name_tok.span)
+        p.fail(f"{name!r} already declared in another category", span=p.span(name_tok))
     if isinstance(table, set):
         table.add(name)
     else:
         if name in table and table[name] != arity:
-            p.fail(f"{name!r} redeclared with different arity", span=name_tok.span)
+            p.fail(f"{name!r} redeclared with different arity", span=p.span(name_tok))
         table[name] = arity
 
 
 def _parse_schema_form(p: Parser, open_tok: _Token) -> SchemaForm:
-    name = p.expect_symbol("schema name").text
-    pred_vars: list = []
-    formula_vars: list = []
-    quant_vars: list = []
+    name = p.expect("symbol", "schema name").text
+    groups: dict = {group: [] for group in _SCHEMA_GROUPS}
     while True:
         tok = p.peek()
         if tok is None:
             p.fail("unexpected end of input in schema")
         if tok.kind != "(":
             p.fail(f"found {tok.text!r}", ("schema declaration or body",))
-        nxt = p.tokens[p.pos + 1] if p.pos + 1 < len(p.tokens) else None
-        if nxt is not None and nxt.kind == "symbol" and nxt.text in (
-            "pred-vars",
-            "formula-vars",
-            "quant-vars",
-        ):
-            p.next()
-            group = p.next().text
-            if group == "pred-vars":
-                while p.peek() is not None and p.peek().kind == "(":
-                    p.next()
-                    mv = p.expect_symbol("metavariable").text
-                    ar = int(p.expect("int").text)
-                    p.expect(")")
-                    pred_vars.append((mv, ar))
-            elif group == "formula-vars":
-                while p.peek() is not None and p.peek().kind == "symbol":
-                    formula_vars.append(p.expect_symbol().text)
-            else:
-                while p.peek() is not None and p.peek().kind == "(":
-                    p.next()
-                    mv = p.expect_symbol("metavariable").text
-                    c = p.expect_symbol("constraint")
-                    if c.text not in SCHEMA_CONSTRAINTS:
-                        p.fail(
-                            f"unknown constraint {c.text!r}",
-                            SCHEMA_CONSTRAINTS,
-                            span=c.span,
-                        )
-                    p.expect(")")
-                    quant_vars.append((mv, c.text))
-            p.expect(")")
-        else:
+        group = p.tokens[p.pos + 1].text if p.pos + 1 < p.n else None
+        if group not in groups:
             break
+        p.pos += 2
+        while group == "formula-vars" and p.at("symbol"):
+            groups[group].append(p.expect("symbol").text)
+        while group != "formula-vars" and p.at("("):
+            p.next()
+            mv = p.expect("symbol", "metavariable").text
+            if group == "pred-vars":
+                groups[group].append((mv, int(p.expect("int").text)))
+            else:
+                c = p.expect("symbol", "constraint")
+                if c.text not in SCHEMA_CONSTRAINTS:
+                    p.fail(f"unknown constraint {c.text!r}", SCHEMA_CONSTRAINTS, p.span(c))
+                groups[group].append((mv, c.text))
+            p.expect(")")
+        p.expect(")")
     body = p.formula()
-    close = p.expect(")")
-    span = SourceSpan(
-        open_tok.span.start, close.span.end, open_tok.span.line, open_tok.span.column
-    )
-    return SchemaForm(
-        name, tuple(pred_vars), tuple(formula_vars), tuple(quant_vars), body, span
-    )
+    span = p.span(open_tok, p.expect(")"))
+    return SchemaForm(name, *(tuple(groups[g]) for g in _SCHEMA_GROUPS), body, span)
 
 
 def _parse_query_form(p: Parser, open_tok: _Token) -> QueryForm:
-    name = p.expect_symbol("query name").text
+    name = p.expect("symbol", "query name").text
     scenarios: tuple = ()
     expect = "provable"
     max_steps: Optional[int] = None
     goal: Optional[Formula] = None
-    while p.peek() is not None and p.peek().kind == "(":
+    while p.at("("):
         mark = p.pos
         p.next()
-        key = p.expect_symbol("query attribute")
-        if key.text == "scenarios":
+        key = p.expect("symbol", "query attribute").text
+        if key == "scenarios":
             names = []
-            while p.peek() is not None and p.peek().kind == "symbol":
+            while p.at("symbol"):
                 names.append(p.next().text)
             scenarios = tuple(names)
-            p.expect(")")
-        elif key.text == "expect":
-            val = p.expect_symbol("provable|unprovable")
+        elif key == "expect":
+            val = p.expect("symbol", "provable|unprovable")
             if val.text not in ("provable", "unprovable"):
-                p.fail("expected provable or unprovable", span=val.span)
+                p.fail("expected provable or unprovable", span=p.span(val))
             expect = val.text
-            p.expect(")")
-        elif key.text == "max-lexical-steps":
+        elif key == "max-lexical-steps":
             max_steps = int(p.expect("int").text)
-            p.expect(")")
-        elif key.text == "goal":
+        elif key == "goal":
             goal = p.formula()
-            p.expect(")")
         else:
             p.pos = mark  # bare formula goal
             goal = p.formula()
             break
+        p.expect(")")
     if goal is None:
         goal = p.formula()
-    close = p.expect(")")
-    span = SourceSpan(
-        open_tok.span.start, close.span.end, open_tok.span.line, open_tok.span.column
-    )
+    span = p.span(open_tok, p.expect(")"))
     return QueryForm(name, goal, scenarios, expect, max_steps, span)
 
 

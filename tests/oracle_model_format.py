@@ -87,7 +87,7 @@ def parse_model(text: str) -> IntensionalModel:
     p.expect("(")
     head = p.expect_symbol("model")
     if head.text != "model":
-        p.fail("expected (model ...)", span=head.span)
+        p.fail("expected (model ...)", span=p.span(head))
     worlds: list = []
     acc: list = []
     domain: list = []

@@ -114,6 +114,9 @@ def test_readme_model_block_parses():
 # the messages of the errors that only the table-driven reader raises
 NEW_ON_ACCEPTED = re.compile(
     r"undeclared (world|individual) '.*'|(world|individual) '.*' declared twice"
+    r"|(section|constant|function|reified term) '.*' declared twice"
+    r"|(pred|mod|op) '.*' at world '.*' declared twice"
+    r"|(pred|mod|op|fn) '.*' has a tuple of length \d+, not \d+"
 )
 NEW_ON_CRASH = re.compile(
     r"an acc entry is a pair of worlds, found \d+"
@@ -212,6 +215,59 @@ def test_undeclared_or_twice_declared_names_are_located_errors(tail, message):
     assert str(e.value) == f"1:{column}: {message}"
 
 
+@pytest.mark.parametrize(
+    "tail, message, at",
+    [
+        ("(worlds w0 w1))", "section 'worlds' declared twice", "worlds w0 w1))"),
+        ("(domain d0 d1))", "section 'domain' declared twice", "domain d0 d1))"),
+        ("(reified-domain d0) (reified-domain d1))", "section 'reified-domain' declared twice",
+         "reified-domain d1"),
+        ("(const a d1))", "constant 'a' declared twice", "a d1"),
+        ("(fn f (default d0)) (fn f (default d1)))", "function 'f' declared twice", "f (default d1"),
+        ("(fn f (default d0) (default d1)))", "function 'f' entry 'default' declared twice",
+         "(default d1"),
+        ("(fn f (default d0) ((d0) d1) ((d0) d0)))", "function 'f' entry '(d0)' declared twice",
+         "((d0) d0"),
+        ("(reify (ka P) d0) (reify (ka P) d1))", "reified term '(ka P)' declared twice",
+         "(ka P) d1"),
+        ("(reify (that (forall ?x (P ?x))) d0) (reify (that (forall ?y (P ?y))) d1))",
+         "reified term '(that (quant all ?y true (P ?y)))' declared twice", "(that (forall ?y"),
+        ("(pred P (w0 (d0))) (pred P (w0)))", "pred 'P' at world 'w0' declared twice", "w0)))"),
+        ("(pred P (w0 (d0)) (w0)))", "pred 'P' at world 'w0' declared twice", "w0)))"),
+        ("(mod m P (w1) (w1 (d0))))", "mod 'm P' at world 'w1' declared twice", "w1 (d0"),
+        ("(op o (w0 (d0 (d1)) (d0))))", "op 'o d0' at world 'w0' declared twice", "d0))))"),
+        ("(op o (w0 (d0 (d1))) (w0 (d0))))", "op 'o d0' at world 'w0' declared twice", "d0))))"),
+        ("(pred P (w0 (d0) (d0 d1))))", "pred 'P' has a tuple of length 2, not 1", "(d0 d1"),
+        ("(pred P (w0 (d0)) (w1 ())))", "pred 'P' has a tuple of length 0, not 1", "()"),
+        ("(pred P (w0 (d0))) (pred P (w1 (d1 d0))))", "pred 'P' has a tuple of length 2, not 1",
+         "(d1 d0"),
+        ("(mod m P (w0 (d0)) (w1 (d0 d1))))", "mod 'm P' has a tuple of length 2, not 1", "(d0 d1"),
+        ("(op o (w0 (d0 (d0)) (d1 (d0 d1)))))", "op 'o' has a tuple of length 2, not 1", "(d0 d1"),
+        ("(op o (w0 (d0 (d0)))) (op o (w1 (d1 ()))))", "op 'o' has a tuple of length 0, not 1",
+         "()"),
+        ("(fn f (default d0) ((d0) d1) ((d0 d0) d1)))", "fn 'f' has a tuple of length 2, not 1",
+         "(d0 d0)"),
+    ],
+)
+def test_repeated_entries_and_tuple_length_clashes_are_located_errors(tail, message, at):
+    text = f"{BASE} {tail}"
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert str(e.value) == f"1:{text.rindex(at) + 1}: {message}"
+    assert NEW_ON_ACCEPTED.fullmatch(message)
+
+
+def test_one_length_is_per_key_and_an_entry_may_repeat_at_another_world():
+    m = parse_model(
+        f"{BASE} (mod m P (w0 (d0)) (w1)) (mod m R (w0 (d0 d1)) (w1))"
+        " (op o (w0 (d0 (d1)) (d1)) (w1 (d0 (d0))))"
+        " (fn f (default d0) ((d0) d1)) (fn g (default d0) ((d0 d1) d1)))"
+    )
+    assert m.modifiers[("m", "R", "w0")] == {("d0", "d1")}
+    assert m.term_ops[("o", "d0", "w1")] == {("d0",)}
+    assert m.functions["g"] == ({("d0", "d1"): "d1"}, "d0")
+
+
 def test_name_checks_come_after_the_hand_written_readers_checks():
     with pytest.raises(EnumerationError, match="nonempty domain"):
         parse_model("(model (worlds w0) (acc) (domain) (const a d0))")
@@ -266,6 +322,26 @@ def test_eval_exits_two_with_a_located_error_where_the_reader_crashed(
     ],
 )
 def test_eval_rejects_a_model_that_uses_undeclared_or_repeated_names(
+    capsys, tmp_path, model, formula, err
+):
+    assert eval_cli(capsys, tmp_path, model, formula) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "model, formula, err",
+    [
+        ("(model (worlds w0) (acc) (domain d0) (const a d0) (pred P (w0 (d0))) (pred P (w0)))",
+         "(P a)", "error: 1:79: pred 'P' at world 'w0' declared twice\n"),
+        ("(model (worlds w0) (acc) (domain d0 d1) (const a d0) (const a d1))",
+         "(= a a)", "error: 1:61: constant 'a' declared twice\n"),
+        ("(model (worlds w0) (acc) (domain d0) (worlds w1))",
+         "true", "error: 1:39: section 'worlds' declared twice\n"),
+        ("(model (worlds w0) (acc) (domain d0) (const a d0)"
+         " (fn f (default d0) ((d0) d0) ((d0 d0) d0)))",
+         "(= (f a) a)", "error: 1:81: fn 'f' has a tuple of length 2, not 1\n"),
+    ],
+)
+def test_eval_rejects_repeated_entries_and_tuple_length_clashes(
     capsys, tmp_path, model, formula, err
 ):
     assert eval_cli(capsys, tmp_path, model, formula) == (2, "", err)
