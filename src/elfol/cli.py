@@ -3,8 +3,9 @@
 Subcommands: prove, eval, validate, reduce, check, demo. Exit codes: 0 for
 success (goal proved / check clean / all demo queries pass / schema valid up
 to bounds), 1 for a definite negative (not provable at bounds, demo failure,
-counterexample found), 2 for usage or input errors. `--structured` switches
-to line-delimited JSON records with stable field names.
+counterexample found, a `check --model` model that fails the kb), 2 for
+usage or input errors. `--structured` switches to line-delimited JSON
+records with stable field names.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .models import (
     dump_model,
     eval_formula,
     find_counterexample,
+    first_failure,
     parse_model,
 )
 from .prover import ProverConfig, prove
@@ -83,9 +85,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     _bounds_args(red_p)
 
-    check_p = sub.add_parser("check", help="parse and well-formedness check only",
-                             parents=[shared])
+    check_p = sub.add_parser(
+        "check", help="parse and well-formedness check; with --model, also "
+        "whether the model satisfies the kb", parents=[shared],
+    )
     check_p.add_argument("files", nargs="+")
+    check_p.add_argument("--model", help="a model file the kb must hold in")
 
     demo_p = sub.add_parser("demo", help="run the bundled query suite",
                             parents=[shared])
@@ -302,18 +307,35 @@ def _cmd_check(args) -> int:
     for kind, entries in (("axiom", kb.axioms), ("fact", kb.facts)):
         for f in entries:
             _check_quants(f"{kind} {render(f)}", f, kb.registry)
-    _emit(
-        args,
-        {
-            "axioms": len(kb.axioms),
-            "facts": len(kb.facts),
-            "schemas": len(kb.schemas),
-            "queries": len(queries),
-        },
+    record = {
+        "axioms": len(kb.axioms),
+        "facts": len(kb.facts),
+        "schemas": len(kb.schemas),
+        "queries": len(queries),
+    }
+    human = (
         f"ok: {len(kb.axioms)} axioms, {len(kb.facts)} facts, "
-        f"{len(kb.schemas)} schemas, {len(queries)} queries",
+        f"{len(kb.schemas)} schemas, {len(queries)} queries"
     )
-    return 0
+    failure = None
+    if args.model is not None:
+        with open(args.model, encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            failure = first_failure(parse_model(text), kb)
+        except (ParseError, EnumerationError, EvalError) as e:
+            raise ValueError(f"{args.model}: {e}") from None
+        if failure is None:
+            record["model"] = {"outcome": "satisfied"}
+            human += "\nsatisfied"
+        else:
+            kind, f, w = failure
+            record["model"] = {
+                "outcome": "fails", "kind": kind, "formula": render(f), "world": w,
+            }
+            human += f"\n{kind} fails at world {w}: {render(f)}"
+    _emit(args, record, human)
+    return 0 if failure is None else 1
 
 
 def _cmd_demo(args) -> int:

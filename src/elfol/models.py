@@ -24,6 +24,22 @@ own orbit: it is canonical, and the canonical search meets it after the same
 non-falsifying models, less their non-canonical ones. It returns the same
 countermodel, or raises the same error, as a search of every model.
 
+The search also skips each prefix of the canonical order whose every
+completion satisfies the formula, found by monotonicity. Each predicate
+occurrence is marked by polarity (negation and the left side of an
+implication flip the mark, an equivalence is read as two implications, and
+a quantifier passes the mark to its restrictor and body through its left
+and right profiles, a `none` entry erasing it), and each negative
+occurrence of P is renamed to a fresh P⁻ (P's name followed by ` -`,
+which the parser cannot produce). The renamed formula grows with
+each P and shrinks with each P⁻, so if it is true with each unassigned P
+read as ∅ and each unassigned P⁻ as every tuple, the formula is true in
+every completion. No prefix is skipped while a predicate with an unmarked
+occurrence is unassigned, nor for a formula that could raise (one with a
+constant, or a quantifier the registry cannot resolve). So only subtrees
+without a countermodel are skipped, in an unchanged order: the first
+countermodel, and every error, stay the same.
+
 `first_failure` checks each schema by compiling its body once, with the
 metavariables as slots (`Slots`), and running the closure for each binding
 in `enumerate_bindings` order. A slot holds the bound predicate constant or
@@ -34,7 +50,11 @@ each binding runs the closures of the compiled instance, node for node: the
 same value, the same EvalError or ModelRejection with the same message, met
 at the same node, world and binding. The instance ceiling is still checked
 when the schema is reached, and the failing instance is built by
-`instantiate` only once it has failed.
+`instantiate` only once it has failed. The instances of a
+`schemas.weakening_valid` schema, a conjunct dropped under a right-up
+quantifier, hold at every world of every model by monotonicity; when no
+instance can raise either, `first_failure` checks only the ceiling there,
+since none of them can be its answer.
 """
 
 from __future__ import annotations
@@ -71,14 +91,22 @@ from .core import (
     children,
     free_vars,
     free_vars_ordered,
+    map_children,
 )
-from .quantifiers import DEFAULT_REGISTRY, QuantRegistry, UnknownQuantifierError
+from .quantifiers import (
+    DEFAULT_REGISTRY,
+    DOWN,
+    UP,
+    QuantRegistry,
+    UnknownQuantifierError,
+)
 from .schemas import (
     InstanceBounds,
     Schema,
-    enumerate_bindings,
+    _bindings,
     instantiate,
     substitute,
+    weakening_valid,
 )
 
 
@@ -515,17 +543,37 @@ def first_failure(
     then the facts; an axiom or instance is tried at every world in order,
     a fact at the current world only. Each schema body is compiled once and
     run for each binding in enumerate_bindings' order; only the failing
-    instance is built."""
+    instance is built. A `weakening_valid` schema whose instances cannot
+    raise is only checked against the instance ceiling: each of its
+    instances holds at every world of every model.
+
+    Raises EvalError, before anything is evaluated, if a predicate or
+    function of kb's signature has a tuple or argument list in m whose
+    length is not its declared arity."""
     registry = registry if registry is not None else getattr(
         kb, "registry", DEFAULT_REGISTRY
     )
+    sig = kb.signature
+    shapes = [
+        (f"predicate {name} at world {w} has a tuple", sig.predicates.get(name), ext)
+        for (name, w), ext in m.predicates.items()
+    ] + [
+        (f"function {name} has an argument list", sig.functions.get(name), table)
+        for name, (table, _) in m.functions.items()
+    ]
+    for what, arity, tuples in shapes:
+        wrong = sorted({len(t) for t in tuples} - {arity})
+        if arity is not None and wrong:
+            raise EvalError(f"{what} of length {wrong[0]}, not its declared arity {arity}")
     for axiom in kb.axioms:
         holds = compile_formula(axiom, registry)
         for w in m.worlds:
             if not holds(m, w, {}):
                 return "axiom", axiom, w
     for schema in kb.schemas:
-        bindings = enumerate_bindings(schema, kb.signature, registry, bounds)
+        bindings = _bindings(schema, kb.signature, registry, bounds, None)
+        if weakening_valid(schema, registry) and _total(schema.body, registry, schema):
+            continue
         slots = Slots(schema)
         holds = compile_formula(schema.body, registry, slots)
         for binding in bindings:
@@ -538,6 +586,36 @@ def first_failure(
         if not compile_formula(fact, registry)(m, m.w0, {}):
             return "fact", fact, m.w0
     return None
+
+
+# the nodes whose evaluation raises nothing of its own
+_TOTAL = (Var, TrueF, Equal, Not, And, Or, Implies, Equiv)
+
+
+def _total(node, registry, schema: Optional[Schema] = None) -> bool:
+    """Whether evaluating node (with schema, each instance of node, a part
+    of schema's body) can never raise, at any world of any model, with its
+    free variables bound: each atom applies a predicate constant or
+    predicate metavariable to variables, each quantifier resolves or is a
+    quantifier metavariable, and each modality is known; no constant,
+    function, reified term or formula metavariable occurs."""
+    kind = type(node)
+    if kind is Atom:
+        return (
+            type(node.pred) is PredConst
+            and not (schema and node.pred.name in schema.formula_metavars)
+            and all(type(a) is Var for a in node.args)
+        )
+    if kind is RestrictedQuant:
+        metas = schema.quant_constraints if schema else ()
+        if not (node.quant.name in metas or registry.known(node.quant)):
+            return False
+    elif kind is Modal:
+        if node.flavor not in (POSSIBLY, NECESSARILY):
+            return False
+    elif kind not in _TOTAL:
+        return False
+    return all(_total(c, registry, schema) for c in children(node))
 
 
 def model_satisfies(
@@ -599,6 +677,7 @@ def enumerate_models(
     ceiling: int = 2_000_000,
     *,
     canonical: bool = False,
+    settled=None,
 ):
     """Every model with exactly these sizes over the given predicate list,
     in a fixed deterministic order; with canonical=True, only the models
@@ -610,7 +689,13 @@ def enumerate_models(
     of each (predicate, world) in predicate-list then world order, the
     value of each constant), each read as an index: a set as the bit mask
     of its members in `product(domain, repeat=arity)` order, a constant as
-    its individual's position in the domain."""
+    its individual's position in the domain.
+
+    settled, if given, is called at each prefix that leaves an extension
+    unassigned, as settled(m, open_keys): m holds the accessibility and
+    the extensions assigned so far, and open_keys lists the (predicate,
+    world) keys still unassigned. When it returns True, no model that
+    completes the prefix is yielded."""
     predicates = tuple(predicates)
     constants = tuple(constants)
     count = _checked_count(domain_size, world_count, predicates, constants, ceiling)
@@ -643,7 +728,21 @@ def enumerate_models(
     images = [tables[a] for a in arities]
     n_ext = len(ext_keys)
     for acc in _all_subsets(tuple(product(worlds, repeat=2))):
-        for masks in _orderly(values, images, range(len(group))):
+        prune = None
+        if settled is not None:
+            def prune(prefix, acc=acc):
+                return len(prefix) < n_ext and settled(
+                    IntensionalModel(
+                        worlds=worlds,
+                        accessibility=acc,
+                        domain=domain,
+                        predicates={
+                            k: s[m] for k, s, m in zip(ext_keys, ext_subsets, prefix)
+                        },
+                    ),
+                    ext_keys[len(prefix):],
+                )
+        for masks in _orderly(values, images, range(len(group)), prune):
             yield IntensionalModel(
                 worlds=worlds,
                 accessibility=acc,
@@ -693,16 +792,22 @@ def _bit_images(targets: list) -> list:
     return table
 
 
-def _orderly(values: list, images: list, group, i: int = 0, prefix: tuple = ()):
+def _orderly(values: list, images: list, group, prune=None, i: int = 0, prefix: tuple = ()):
     """The tuples of product(*values) that no permutation in group (indices
-    into each images[i]) maps to a smaller tuple, in order.
+    into each images[i]) maps to a smaller tuple, in order; with prune,
+    less the completions of each shorter prefix for which prune(prefix) is
+    True.
 
     Depth first: a prefix carries the permutations that leave it unchanged
     (its stabilizer in group). A next value v is dropped, with every
     completion, as soon as one of them maps v to a smaller value, since
     that permutation maps each completion to an earlier tuple. Once no
-    permutation is left, the rest is a plain product."""
-    if not group or i == len(values):
+    permutation is left, and no prefix is left to prune, the rest is a
+    plain product."""
+    n = len(values)
+    if prune is not None and i < n and prune(prefix):
+        return
+    if i == n or not group and (prune is None or i == n - 1):
         for rest in product(*values[i:]):
             yield prefix + rest
         return
@@ -718,7 +823,7 @@ def _orderly(values: list, images: list, group, i: int = 0, prefix: tuple = ()):
             if u == v:
                 fixed.append(p)
         else:
-            yield from _orderly(values, images, fixed, i + 1, prefix + (v,))
+            yield from _orderly(values, images, fixed, prune, i + 1, prefix + (v,))
 
 
 # nodes formula_vocabulary passes through to their children
@@ -767,21 +872,105 @@ def find_counterexample(
 ) -> Optional[IntensionalModel]:
     """First enumerated model falsifying the closed formula f at the current
     world, or None if f holds in every model within bounds. Only canonical
-    models are visited; the module docstring says why the answer is the
-    same as a search of every model's."""
+    models are visited, and a prefix whose every completion satisfies f by
+    polarity is not completed; the module docstring says why the answer is
+    the same as a search of every model's."""
     bounds = bounds if bounds is not None else SearchBounds()
     preds, consts = _search_vocabulary(f, bounds)
     registry = registry if registry is not None else DEFAULT_REGISTRY
     holds = compile_formula(f, registry)
+    settled = _settled(f, preds, consts, registry)
     for world_count in range(1, bounds.max_worlds + 1):
         for domain_size in range(1, bounds.max_domain + 1):
             for m in enumerate_models(
                 domain_size, world_count, preds, consts, bounds.ceiling,
-                canonical=True,
+                canonical=True, settled=settled,
             ):
                 if not holds(m, m.w0, {}):
                     return m
     return None
+
+
+# appended to a predicate's name to mark its negative occurrences; no parsed
+# name holds a space
+_NEGATIVE = " -"
+_SIGN = {UP: 1, DOWN: -1}  # a profile entry's effect on a mark; none: 0
+
+
+def _polarize(f: Formula, registry) -> tuple:
+    """(f with equivalences read as two implications and each negative
+    occurrence of a predicate P renamed to P + _NEGATIVE, the names of the
+    predicates with an occurrence that has no mark). Negation and the left
+    side of an implication flip the mark; a quantifier's restrictor and
+    body take it through the quantifier's left and right profile entries,
+    `up` keeping it, `down` flipping it and `none` erasing it. f must be
+    `_total`, so every quantifier resolves."""
+    unmarked = set()
+
+    def walk(node, sign):
+        kind = type(node)
+        if kind is Atom:
+            if not sign:
+                unmarked.add(node.pred.name)
+            elif sign < 0:
+                return Atom(PredConst(node.pred.name + _NEGATIVE), node.args)
+            return node
+        if kind is Not:
+            return Not(walk(node.body, -sign))
+        if kind is Implies:
+            return Implies(walk(node.left, -sign), walk(node.right, sign))
+        if kind is Equiv:
+            l, r = node.left, node.right
+            return And(
+                Implies(walk(l, -sign), walk(r, sign)),
+                Implies(walk(r, -sign), walk(l, sign)),
+            )
+        if kind is RestrictedQuant:
+            q = registry.resolve(node.quant)
+            return RestrictedQuant(
+                node.quant,
+                node.var,
+                walk(node.restrictor, sign * _SIGN.get(q.left, 0)),
+                walk(node.body, sign * _SIGN.get(q.right, 0)),
+            )
+        return map_children(node, lambda child: walk(child, sign))
+
+    return walk(f, 1), unmarked
+
+
+def _settled(f: Formula, preds: tuple, consts: tuple, registry):
+    """enumerate_models' settled test for a search for a countermodel to f,
+    or None where polarity cannot prune: f names a constant or could raise,
+    the search has constants or names a predicate twice, or every
+    predicate has an unmarked occurrence.
+
+    f, polarized, is increasing in each predicate P and decreasing in each
+    P + _NEGATIVE. So at a prefix, with an unassigned P read as the empty
+    set and an unassigned P + _NEGATIVE as every tuple, the polarized f is
+    true only if f is true in every completion."""
+    arity = dict(preds)
+    if consts or len(arity) != len(preds) or not _total(f, registry):
+        return None
+    polar, unmarked = _polarize(f, registry)
+    if arity.keys() <= unmarked:
+        return None
+    holds = compile_formula(polar, registry)
+    full = {}  # (domain size, arity) -> every tuple
+
+    def settled(m, open_keys) -> bool:
+        if any(name in unmarked for name, _ in open_keys):
+            return False
+        exts = m.predicates
+        for (name, w), ext in list(exts.items()):
+            exts[name + _NEGATIVE, w] = ext
+        for name, w in open_keys:
+            key = len(m.domain), arity[name]
+            if key not in full:
+                full[key] = frozenset(product(m.domain, repeat=key[1]))
+            exts[name + _NEGATIVE, w] = full[key]
+        return holds(m, m.w0, {})
+
+    return settled
 
 
 def check_search_size(f: Formula, bounds: Optional[SearchBounds] = None) -> None:

@@ -63,10 +63,10 @@ from .quantifiers import DOWN, UP, UnknownQuantifierError
 from .schemas import (
     EnumerationCeiling,
     SchemaError,
-    _quant_ok,
     binding_total,
     instantiate,
     match_conclusion,
+    weakening_valid,
 )
 from .syntax import render
 
@@ -790,39 +790,17 @@ def _match_conjuncts(ants, env, facts):
             yield from _match_conjuncts(rest, e2, facts)
 
 
-def _forward_subsumed(schema, registry) -> bool:
-    """Whether forward_chain's monotone rule derives every conclusion of
-    schema's instances in the round the instance would, so that they need
-    not be built: schema is a closed `(implies (quant Q ?x R B) (quant Q ?x
-    R A))` with Q right-up, two or more conjuncts in B and the atom A one of
-    them, its metavariables read as symbols. A (closed) fact that an
-    instance's premise unifies with is then one the rule splits."""
-    body = schema.body
-    if not isinstance(body, Implies) or free_vars(body):
-        return False
-    p, c = body.left, body.right
-    if not (isinstance(p, RestrictedQuant) and isinstance(c, RestrictedQuant)):
-        return False
-    if (p.quant, p.var, p.restrictor) != (c.quant, c.var, c.restrictor):
-        return False
-    constraints = schema.quant_constraints
-    if p.quant.name in constraints:
-        right_up = constraints[p.quant.name] == "right-up"
-    else:
-        right_up = _quant_ok("right-up", p.quant, registry)
-    parts = conjuncts(p.body)
-    return right_up and len(parts) >= 2 and isinstance(c.body, Atom) and c.body in parts
-
-
 def forward_chain(
     kb: KnowledgeBase, cfg: Optional[ProverConfig] = None, instance_bounds=None
 ) -> ForwardResult:
     """Saturate the fact set under single applications of axioms, bounded
     schema instances, and the monotone conjunct-dropping rule.
 
-    A schema the monotone rule subsumes (`_forward_subsumed`) is not
-    enumerated. A schema whose enumeration fails at the bounds is named in
-    `skipped_schemas`, and the result is exhausted."""
+    A schema the monotone rule subsumes is not enumerated: for a
+    `schemas.weakening_valid` schema, each (closed) fact an instance's
+    premise unifies with is one the rule splits, in the same round. A schema
+    whose enumeration fails at the bounds is named in `skipped_schemas`, and
+    the result is exhausted."""
     from .schemas import InstanceBounds, enumerate_instances
 
     cfg = cfg if cfg is not None else ProverConfig()
@@ -837,7 +815,7 @@ def forward_chain(
     ]
     skipped = []
     for schema in kb.schemas:
-        if _forward_subsumed(schema, kb.registry):
+        if weakening_valid(schema, kb.registry):
             continue
         try:
             instances = enumerate_instances(schema, kb.signature, kb.registry, bounds)

@@ -36,6 +36,7 @@ from .core import (
     alpha_equivalent,
     alpha_key,
     children,
+    conjuncts,
     free_vars,
     map_children,
     same_shape,
@@ -135,6 +136,30 @@ def _quant_ok(constraint: str, ref: QuantRef, registry: QuantRegistry) -> bool:
     if constraint == "right-down":
         return q.right == DOWN
     return True
+
+
+def weakening_valid(s: Schema, registry: QuantRegistry) -> bool:
+    """Whether every instance of s is valid by right-up conjunct dropping:
+    s is a closed `(implies (quant Q ?x R B) (quant Q ?x R A))` with Q
+    right-up, two or more conjuncts in B and the atom A one of them, its
+    metavariables read as symbols. Within R, A holds wherever B does, so an
+    upward quantifier true of B is true of A, at every world of every
+    model."""
+    body = s.body
+    if not isinstance(body, Implies) or free_vars(body):
+        return False
+    p, c = body.left, body.right
+    if not (isinstance(p, RestrictedQuant) and isinstance(c, RestrictedQuant)):
+        return False
+    if (p.quant, p.var, p.restrictor) != (c.quant, c.var, c.restrictor):
+        return False
+    constraints = s.quant_constraints
+    if p.quant.name in constraints:
+        right_up = constraints[p.quant.name] == "right-up"
+    else:
+        right_up = _quant_ok("right-up", p.quant, registry)
+    parts = conjuncts(p.body)
+    return right_up and len(parts) >= 2 and isinstance(c.body, Atom) and c.body in parts
 
 
 def beta_reduce(lam: Lambda, args) -> Formula:

@@ -56,11 +56,13 @@ QUANTS = [
 class AstGen:
     """Random well-formed ASTs. Feature flags trim the language for callers
     that need the plainly-enumerable fragment (no functions, reification,
-    modifiers, or derived predicates)."""
+    modifiers, or derived predicates). With constants=False no constant
+    occurs, so an atom outside every quantifier is the 0-ary S."""
 
     def __init__(self, rng: random.Random, reified=True, functions=True,
-                 modifiers=True, equality=True, modal=True):
+                 modifiers=True, equality=True, modal=True, constants=True):
         self.rng = rng
+        self.constants = constants
         self.reified = reified
         self.functions = functions
         self.modifiers = modifiers
@@ -68,7 +70,7 @@ class AstGen:
         self.modal = modal
 
     def term(self, scope, depth=2):
-        opts = ["const"]
+        opts = ["const"] if self.constants else []
         if scope:
             opts.append("var")
         if depth > 0 and self.functions:
@@ -117,6 +119,8 @@ class AstGen:
 
     def atom(self, scope, depth):
         arity = self.rng.choice([0, 1, 1, 1, 2])
+        if not (self.constants or scope):
+            arity = 0
         pred = self.predexpr(scope, depth - 1, arity=arity)
         from elfol.core import pred_arity
 
@@ -128,7 +132,7 @@ class AstGen:
     def formula(self, scope=frozenset(), depth=3):
         scope = frozenset(scope)
         if depth <= 0:
-            if self.equality and self.rng.random() < 0.15:
+            if self.equality and (self.constants or scope) and self.rng.random() < 0.15:
                 return Equal(self.term(scope, 1), self.term(scope, 1))
             return self.atom(scope, 1)
         kinds = ["atom", "not", "and", "or", "implies", "equiv", "quant"]

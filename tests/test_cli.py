@@ -6,13 +6,15 @@ import time
 import pytest
 
 from elfol.cli import main
-from elfol.lexicon import DATA_DIR
+from elfol.lexicon import DATA_DIR, load_bundle, witness_model
+from elfol.models import dump_model
 from elfol.syntax import Parser
 
 CORE = str(DATA_DIR / "core.elf")
 AXIOMS = str(DATA_DIR / "axioms.elf")
 SCHEMAS = str(DATA_DIR / "schemas.elf")
 ENTER = str(DATA_DIR / "scenario-enter.elf")
+BUNDLE_FILES = sorted(str(p) for p in DATA_DIR.glob("*.elf"))
 
 
 def run(capsys, *argv):
@@ -236,6 +238,60 @@ class TestCheckCommand:
         code, out, err = run(capsys, "check", CORE, AXIOMS, SCHEMAS, ENTER)
         assert code == 0
         assert "ok:" in out
+
+    @pytest.fixture()
+    def witness(self, tmp_path):
+        """A writer of the witness model's dump, edited by (old, new)."""
+        text = dump_model(witness_model(load_bundle()))
+
+        def write(old="", new=""):
+            assert old in text
+            path = tmp_path / "witness.elf"
+            path.write_text(text.replace(old, new))
+            return str(path)
+
+        return write
+
+    def test_witness_model_satisfies_the_bundle(self, capsys, witness):
+        code, out, err = run(capsys, "check", *BUNDLE_FILES, "--model", witness())
+        assert (code, out.splitlines()[-1], err) == (0, "satisfied", "")
+        code, out, err = run(
+            capsys, "--structured", "check", *BUNDLE_FILES, "--model", witness()
+        )
+        assert code == 0
+        assert json.loads(out)["model"] == {"outcome": "satisfied"}
+
+    @pytest.mark.parametrize("old, new, kind, formula", [
+        ("(pred compatible-with (w0 (a1 a2))", "(pred compatible-with (w0)",
+         "fact", "(compatible-with a1 a2)"),
+        ("(pred contained-in (w0 (b1 f1))", "(pred contained-in (w0)", "axiom",
+         "(quant all ?x true (quant all ?y true (implies (result-state (enter ?x ?y))"
+         " (contained-in ?x ?y))))"),
+    ])
+    def test_a_removed_tuple_names_the_failure_and_its_world(
+        self, capsys, witness, old, new, kind, formula
+    ):
+        path = witness(old, new)
+        code, out, err = run(capsys, "check", *BUNDLE_FILES, "--model", path)
+        assert (code, out.splitlines()[-1]) == (1, f"{kind} fails at world w0: {formula}")
+        code, out, err = run(capsys, "--structured", "check", *BUNDLE_FILES, "--model", path)
+        assert code == 1
+        assert json.loads(out)["model"] == {
+            "outcome": "fails", "kind": kind, "formula": formula, "world": "w0",
+        }
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("(pred big (w0 (i1) (i2) (i3)) (w1 (i1) (i2) (i3)))", "(pred big (w0 (i1 i2)))",
+         "predicate big at world w0 has a tuple of length 2, not its declared arity 1"),
+        ("(worlds w0 w1)", "(worlds w0 w1", "3:3: found '(' (expected ))"),
+    ])
+    def test_an_unreadable_model_exits_two_naming_it(
+        self, capsys, witness, old, new, message
+    ):
+        path = witness(old, new)
+        code, out, err = run(capsys, "check", *BUNDLE_FILES, "--model", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {message}")
 
     def test_env_timeout_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("ELFOL_TIMEOUT_MS", "9000")

@@ -46,6 +46,7 @@ from elfol.models import (
     Slots,
     compile_formula,
     compile_term,
+    _total,
     eval_formula,
     first_failure,
 )
@@ -58,6 +59,7 @@ from elfol.schemas import (
     enumerate_instances,
     instantiate,
     substitute,
+    weakening_valid,
 )
 from elfol.syntax import parse_formula, parse_term, render
 
@@ -495,3 +497,74 @@ def test_first_failure_matches_the_oracle_on_a_schema_that_is_not_valid():
 def test_first_failure_matches_the_oracle_over_the_ceiling():
     got = bundle_failure(witness_model(BUNDLE), InstanceBounds(ceiling=10))
     assert got[:2] == ("raised", EnumerationCeiling)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.predicates.update({("big", "w1"): frozenset({("i1", "i2")})}),
+     "predicate big at world w1 has a tuple of length 2, not its declared arity 1"),
+    (lambda m: m.functions.update({"end-of": ({("tt", "tt"): "tt"}, "tt")}),
+     "function end-of has an argument list of length 2, not its declared arity 1"),
+])
+def test_first_failure_checks_arities_before_evaluating(edit, message):
+    # the axiom on contained-in would fail first, but nothing is evaluated
+    m = witness_model(BUNDLE)
+    m.predicates[("contained-in", "w0")] = frozenset()
+    edit(m)
+    with pytest.raises(EvalError, match=re.escape(message)):
+        first_failure(m, BUNDLE.full_kb())
+
+
+# conjunct drops under a right-up quantifier, each instance valid; the
+# first cannot raise, so first_failure skips its instances, while the
+# others can, through a reified term or a constant, and are evaluated
+DROP_PREDS = (("P1", 1), ("P2", 1), ("P3", 1))
+DROPS = [
+    Schema(name, DROP_PREDS, (), (("Q", "right-up"),), parse_formula(text))
+    for name, text in zip(("drop", "drop-that", "drop-const"), (
+        "(implies (quant Q ?x (P1 ?x) (and (P2 ?x) (P3 ?x)))"
+        " (quant Q ?x (P1 ?x) (P2 ?x)))",
+        "(implies (quant Q ?x (and (P1 ?x) (correct (that (P3 ?x)))) (and (P2 ?x) (P3 ?x)))"
+        " (quant Q ?x (and (P1 ?x) (correct (that (P3 ?x)))) (P2 ?x)))",
+        "(implies (quant Q ?x (P1 ?x) (and (P2 ?x) (near ?x a)))"
+        " (quant Q ?x (P1 ?x) (P2 ?x)))",
+    ))
+]
+DROP_SIG = Signature(
+    predicates={"p": 1, "person": 1, "correct": 1, "near": 2}, constants={"a", "b"}
+)
+FACTS = [parse_formula(text) for text in ("(person a)", "(near b a)")]
+
+
+def test_only_the_drop_that_cannot_raise_is_skipped():
+    reg = BUNDLE.registry
+    assert all(weakening_valid(s, reg) for s in DROPS)
+    assert [_total(s.body, reg, s) for s in DROPS] == [True, False, False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    raising=st.lists(st.sampled_from(DROPS[1:]), max_size=2),
+    failing=st.lists(st.sampled_from([CONJ_ADD, *FACTS]), min_size=1, max_size=2),
+    ceiling=st.sampled_from([SMALL.ceiling, 100, 200]),
+)
+def test_skipping_a_weakening_valid_schema_changes_no_failure(seed, raising, failing, ceiling):
+    # each kb has the skipped drop first, then drops that may raise, then a
+    # schema or fact that may fail; under a ceiling of 100 the skipped
+    # drop's 135 instances are too many, and under 200 CONJ_ADD's 324
+    rng = random.Random(seed)
+    schemas = [DROPS[0], *raising] + [f for f in failing if isinstance(f, Schema)]
+    kb = KnowledgeBase(
+        signature=DROP_SIG,
+        facts=[f for f in failing if not isinstance(f, Schema)],
+        schemas=schemas,
+        registry=BUNDLE.registry,
+    )
+    bounds = replace(SMALL, ceiling=ceiling)
+    instances = [
+        inst for s in DROPS for inst in enumerate_instances(s, DROP_SIG, kb.registry, SMALL)
+    ]
+    for m in (schema_model(rng, DROP_SIG, instances) for _ in range(2)):
+        assert outcome(lambda: first_failure(m, kb, bounds=bounds)) == outcome(
+            lambda: oracle_eval.first_failure(m, kb, bounds=bounds)
+        )

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elfol.models
 from elfol.core import (
     And,
     Atom,
     Const,
+    Equiv,
     Implies,
     Lambda,
     Modal,
@@ -22,17 +24,21 @@ from elfol.core import (
     PredConst,
     QuantRef,
     RestrictedQuant,
+    Signature,
     TrueF,
     Var,
     alpha_equivalent,
 )
 from elfol.kb import KnowledgeBase
+from elfol.lexicon import load_bundle
 from elfol.models import (
     EnumerationError,
     EvalError,
     IntensionalModel,
     ModelRejection,
     SearchBounds,
+    _polarize,
+    _settled,
     compile_formula,
     dump_model,
     enumerate_models,
@@ -46,8 +52,8 @@ from elfol.models import (
     reified_key,
 )
 from elfol.quantifiers import DEFAULT_REGISTRY, UP
-from elfol.schemas import Schema
-from elfol.syntax import parse_formula, parse_term
+from elfol.schemas import InstanceBounds, Schema, enumerate_instances
+from elfol.syntax import parse_formula, parse_term, render
 
 from gen import QUANTS, AstGen
 
@@ -390,29 +396,161 @@ def first_falsifier_of_every_model(f, bounds):
     return "model", None
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_canonical_search_finds_the_first_countermodel(seed):
-    rng = random.Random(seed)
-    gen = AstGen(rng, reified=False, functions=False, modifiers=False)
-    if rng.random() < 0.5:
+# every profile: `most` and `exactly n` have `none` entries
+SEARCH_QUANTS = QUANTS + [QuantRef("exactly", 2)]
+
+
+def conjunct_drop(rng, connective=Implies):
+    """(connective (Q ?x R (and B C)) (Q ?x R B)) over three monadic
+    predicates whose names sort in a random order, so the restrictor may
+    come last and the dropped conjunct C before the kept one B."""
+    r, b, c = (Atom(PredConst(n), (Var("x"),)) for n in rng.sample(["A", "B", "C"], 3))
+    q = rng.choice(SEARCH_QUANTS)
+    return connective(RestrictedQuant(q, "x", r, And(b, c)), RestrictedQuant(q, "x", r, b))
+
+
+def search_case(rng, case):
+    """A closed formula and the bounds to search it at, for one case."""
+    if case in ("implication", "monotone"):
+        gen = AstGen(rng, reified=False, functions=False, modifiers=False,
+                     constants=case == "implication")
         f = Implies(gen.closed_formula(depth=2), gen.closed_formula(depth=2))
-        bounds = SearchBounds(max_domain=3, max_worlds=2, ceiling=5_000)
+        return f, SearchBounds(max_domain=3, max_worlds=2, ceiling=5_000)
+    if case == "conjunct-drop":
+        # most such implications are valid or refuted only with two or more
+        # individuals
+        f = conjunct_drop(rng)
+    elif case == "equiv":
+        f = conjunct_drop(rng, Equiv)
+    elif case == "constant":
+        # a constant anywhere turns pruning off
+        f = conjunct_drop(rng)
+        f = And(f, Atom(PredConst("D"), (Const("a"),)))
     else:
-        # a conjunct drop under any quantifier: most such implications are
-        # valid or refuted only with two or more individuals
+        # a conjunct drop over atoms and equations of ?x and constants
+        gen = AstGen(rng, reified=False, functions=False, modifiers=False)
         q = rng.choice(QUANTS)
         r, b, c = (gen.formula(frozenset({"x"}), depth=0) for _ in range(3))
-        f = Implies(
-            RestrictedQuant(q, "x", r, And(b, c)), RestrictedQuant(q, "x", r, b)
-        )
-        bounds = SearchBounds(max_domain=3, max_worlds=1, ceiling=20_000)
+        f = Implies(RestrictedQuant(q, "x", r, And(b, c)), RestrictedQuant(q, "x", r, b))
+    return f, SearchBounds(max_domain=3, max_worlds=1, ceiling=20_000)
+
+
+SEARCH_CASES = ["implication", "monotone", "conjunct-drop", "equiv", "constant", "atoms"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    case=st.sampled_from(SEARCH_CASES),
+)
+def test_canonical_search_finds_the_first_countermodel(seed, case):
+    f, bounds = search_case(random.Random(seed), case)
     try:
         cx = find_counterexample(f, bounds)
         found = ("model", None if cx is None else dump_model(cx))
     except Exception as e:
         found = "raises", type(e), str(e)
     assert found == first_falsifier_of_every_model(f, bounds)
+
+
+class TestPolarityPruning:
+    def test_marks(self):
+        # the premise of an implication is negative; `all` flips its
+        # restrictor, `most` leaves its restrictor unmarked, and each side
+        # of an equivalence occurs with both marks
+        f = parse_formula(
+            "(implies (quant all ?x (A ?x) (not (B ?x)))"
+            " (equiv (quant most ?y (C ?y) (D ?y)) (nec (E))))"
+        )
+        polar, unmarked = _polarize(f, DEFAULT_REGISTRY)
+        assert render(polar) == (
+            "(implies (quant all ?x (A ?x) (not (B ?x)))"
+            " (and (implies (quant most ?y (C ?y) (D - ?y)) (nec (E)))"
+            " (implies (nec (E -)) (quant most ?y (C ?y) (D ?y)))))"
+        )
+        assert unmarked == {"C"}
+
+    @pytest.mark.parametrize("text", [
+        "(implies (P a) (quant some ?x (P ?x) (Q ?x)))",
+        "(implies (quant some ?x (P ?x) (= ?x a)) (P b))",
+        "(implies (quant bogus ?x (P ?x) (Q ?x)) (quant some ?x (P ?x) (Q ?x)))",
+    ])
+    def test_no_pruning_where_evaluation_could_raise(self, text):
+        # a constant may be uninterpreted, and an unknown quantifier raises
+        f = parse_formula(text)
+        preds, _ = formula_vocabulary(f)
+        assert _settled(f, preds, (), DEFAULT_REGISTRY) is None
+
+    def test_no_pruning_when_every_predicate_is_unmarked(self):
+        f = parse_formula("(quant (exactly 1) ?x (P ?x) (Q ?x))")
+        assert _settled(f, (("P", 1), ("Q", 1)), (), DEFAULT_REGISTRY) is None
+
+    def skipped_models_hold(self, f, max_domain, max_worlds):
+        """Check that every canonical model the settled test skips satisfies
+        f, and that the others keep their order."""
+        preds, consts = formula_vocabulary(f)
+        settled = _settled(f, preds, consts, DEFAULT_REGISTRY)
+        holds = compile_formula(f)
+        for worlds in range(1, max_worlds + 1):
+            for size in range(1, max_domain + 1):
+                if model_count(size, worlds, preds, ()) > 5_000:
+                    continue
+
+                def models(**kw):
+                    return {
+                        (m.accessibility, tuple(m.predicates.items())): m
+                        for m in enumerate_models(size, worlds, preds, canonical=True, **kw)
+                    }
+
+                every, kept = models(), models(settled=settled)
+                assert list(kept) == [k for k in every if k in kept]
+                assert all(holds(m, m.w0, {}) for k, m in every.items() if k not in kept)
+
+    @pytest.mark.parametrize("connective", [Implies, Equiv])
+    @pytest.mark.parametrize("q", SEARCH_QUANTS, ids=str)
+    def test_a_conjunct_drop_skips_only_models_that_satisfy_it(self, q, connective):
+        # the roles restrictor, kept and dropped conjunct take the names in
+        # every order, so pruning meets each role while it is unassigned
+        for r, b, c in permutations([Atom(PredConst(n), (Var("x"),)) for n in "ABC"]):
+            f = connective(
+                RestrictedQuant(q, "x", r, And(b, c)), RestrictedQuant(q, "x", r, b)
+            )
+            self.skipped_models_hold(f, 3, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_only_models_that_satisfy_the_formula_are_skipped(self, seed):
+        gen = AstGen(random.Random(seed), reified=False, functions=False,
+                     modifiers=False, constants=False)
+        f = Implies(gen.closed_formula(depth=2), gen.closed_formula(depth=2))
+        try:
+            formula_vocabulary(f)
+        except EnumerationError:
+            return
+        self.skipped_models_hold(f, 2, 2)
+
+    def test_every_validate_instance_gives_the_unpruned_answer(self, monkeypatch):
+        # the instances `elfol validate --schema monotone-conj-drop` checks
+        bundle = load_bundle()
+        registry = bundle.registry
+        schema = next(s for s in bundle.schemas if s.name == "monotone-conj-drop")
+        sig = Signature(predicates={"p1": 1, "p2": 1, "p3": 1})
+        instances = enumerate_instances(
+            schema, sig, registry, InstanceBounds(max_formula_instances=2)
+        )
+        bounds = SearchBounds(max_domain=4, max_worlds=1)
+        # under a downward quantifier the conjunct drop is refuted
+        drop = "(implies (quant Q ?x (p1 ?x) (and (p2 ?x) (p3 ?x))) (quant Q ?x (p1 ?x) (p2 ?x)))"
+        formulas = instances + [
+            parse_formula(drop.replace("Q", q)) for q in ("no", "(fewer-than 2)", "(at-most 1)")
+        ]
+        pruned = [find_counterexample(f, bounds, registry) for f in formulas]
+        monkeypatch.setattr(elfol.models, "_settled", lambda *args: None)
+        full = [find_counterexample(f, bounds, registry) for f in formulas]
+        dumps = [[None if m is None else dump_model(m) for m in ms] for ms in (pruned, full)]
+        assert dumps[0] == dumps[1]
+        assert len(instances) == 162 and dumps[0][:162] == [None] * 162
+        assert None not in dumps[0][162:]
 
 
 class TestDumpParse:

@@ -30,7 +30,6 @@ from elfol.prover import (
     FAILED,
     ProverConfig,
     _compile_axiom,
-    _forward_subsumed,
     _head,
     forward_chain,
     prove,
@@ -39,7 +38,7 @@ from elfol.prover import (
 )
 from elfol.quantifiers import DEFAULT_REGISTRY
 from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
-from elfol.schemas import InstanceBounds, Schema
+from elfol.schemas import InstanceBounds, Schema, weakening_valid
 from elfol.syntax import parse_formula, parse_term, render
 
 import fuzz
@@ -450,7 +449,7 @@ PREDS = (("P1", 1), ("P2", 1), ("P3", 1))
 class TestForwardSubsumed:
     def subsumed(self, body, quants=(("Q", "right-up"),)):
         schema = Schema("s", PREDS, (), tuple(quants), parse_formula(body))
-        return _forward_subsumed(schema, DEFAULT_REGISTRY)
+        return weakening_valid(schema, DEFAULT_REGISTRY)
 
     def test_right_up_conjunct_drop(self):
         assert self.subsumed(CONJ_DROP)
@@ -485,7 +484,7 @@ class TestForwardSubsumed:
         assert not self.subsumed(no, ())
 
     def test_bundled_schemas(self, bundle):
-        assert [_forward_subsumed(s, bundle.registry) for s in bundle.schemas] == [
+        assert [weakening_valid(s, bundle.registry) for s in bundle.schemas] == [
             True, False, False, False
         ]
 
