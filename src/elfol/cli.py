@@ -210,7 +210,11 @@ def _cmd_prove(args) -> int:
 
 def _cmd_eval(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
-        model = parse_model(fh.read())
+        text = fh.read()
+    try:
+        model = parse_model(text)
+    except (ParseError, EnumerationError) as e:
+        raise ValueError(f"{args.model}: {e}") from None
     f = parse_formula(args.formula)
     if free_vars(f):
         raise ValueError("formula must be closed")

@@ -256,13 +256,11 @@ def _wf(expr: Expr, sig: Signature, bound: frozenset, path: str, out: list) -> N
             ar = pred_arity(pred, sig)
             if ar is not None and ar != 1:
                 bad(f"ka requires a monadic predicate, got arity {ar}")
-            if not (free_vars(pred) <= bound):
-                loose = sorted(free_vars(pred) - bound)
+            if loose := sorted(free_vars(pred) - bound):
                 bad(f"reified term has unbound variables: {', '.join(loose)}")
             _wf(pred, sig, bound, sub("pred"), out)
         case That(body):
-            if not (free_vars(body) <= bound):
-                loose = sorted(free_vars(body) - bound)
+            if loose := sorted(free_vars(body) - bound):
                 bad(f"reified sentence has unbound variables: {', '.join(loose)}")
             _wf(body, sig, bound, sub("body"), out)
         case PredConst(name):
@@ -431,22 +429,44 @@ def same_shape(a: Expr, b: Expr) -> bool:
     return type(a) is type(b) and shape(a) == shape(b)
 
 
+def _cached(expr: Expr, attr: str, compute):
+    """compute(expr), computed once per node object and kept in its instance
+    ``__dict__`` under attr, which equality, hashing and ``repr`` ignore."""
+    value = getattr(expr, attr, None)
+    if value is None:
+        value = compute(expr)
+        object.__setattr__(expr, attr, value)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Free variables
 
 
-def free_vars(expr: Expr) -> set:
-    """Names with a free occurrence. Reified subexpressions are transparent."""
+_NO_VARS = frozenset()
+
+
+def free_vars(expr: Expr) -> frozenset:
+    """Names with a free occurrence. Reified subexpressions are transparent.
+    `_cached` keeps it on inner nodes; leaves other than Var share one set."""
     if type(expr) is Var:
-        return {expr.name}
-    out = set()
+        return frozenset((expr.name,))
+    if type(expr) in (Const, PredConst, TrueF):
+        return _NO_VARS
+    return _cached(expr, "_free_vars", _free_vars)
+
+
+def _free_vars(expr: Expr) -> frozenset:
+    out = _NO_VARS
     for child in children(expr):
-        out |= free_vars(child)
+        fv = free_vars(child)
+        if not fv <= out:
+            out = out | fv if out else fv
     if type(expr) is Lambda:
-        out -= set(expr.params)
+        out = out.difference(expr.params)
     elif type(expr) is RestrictedQuant:
-        out.discard(expr.var)
-    return out
+        out = out - {expr.var}
+    return out or _NO_VARS
 
 
 def free_vars_ordered(expr: Expr) -> list:
@@ -522,9 +542,7 @@ def _subst_binder2(params: list, bodies: list, m: Mapping):
     live = {v: t for v, t in m.items() if v not in params and v in relevant}
     if not live:
         return params, bodies, None
-    incoming = set()
-    for t in live.values():
-        incoming |= free_vars(t)
+    incoming = set().union(*map(free_vars, live.values()))
     renames = {}
     avoid = incoming | relevant | set(params)
     new_params = []
@@ -551,19 +569,15 @@ def alpha_equivalent(a: Expr, b: Expr) -> bool:
 
 
 def alpha_key(expr: Expr) -> str:
-    """Canonical string key: equal for exactly the alpha-equivalent expressions.
+    """Canonical string key: equal for exactly the alpha-equivalent
+    expressions. It depends on the node alone, so `_cached` keeps it."""
+    return _cached(expr, "_alpha_key", _alpha_key)
 
-    The key of a whole expression does not depend on any context, so it is
-    computed once per node object and kept in the instance ``__dict__``. It
-    is not a dataclass field: equality, hashing and ``repr`` ignore it.
-    """
-    key = vars(expr).get("_alpha_key")
-    if key is None:
-        parts: list = []
-        _ak(expr, {}, parts)
-        key = "".join(parts)
-        object.__setattr__(expr, "_alpha_key", key)
-    return key
+
+def _alpha_key(expr: Expr) -> str:
+    parts: list = []
+    _ak(expr, {}, parts)
+    return "".join(parts)
 
 
 def _ak(expr: Expr, binders: dict, out: list, depth: int = 0) -> None:

@@ -61,8 +61,7 @@ def parse_file(path, sig: Signature) -> syntax.KbSource:
 
 def check_entry(kind: str, f: Formula, sig: Signature, file=None, span=None) -> Formula:
     """f, if it is a closed formula well-formed over sig; else a located KbError."""
-    if free_vars(f):
-        loose = ", ".join(sorted(free_vars(f)))
+    if loose := ", ".join(sorted(free_vars(f))):
         raise KbError(f"{kind} has free variables: {loose}", file, span)
     diags = well_formed(f, sig)
     if diags:

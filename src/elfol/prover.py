@@ -287,13 +287,9 @@ class _Clause:
         )
 
 
-def _conjunct_pairs(facts):
-    """(fact, conjunct) for each conjunct of each conjunctive fact, in order."""
-    for f in facts:
-        cs = conjuncts(f)
-        if len(cs) > 1:
-            for c in cs:
-                yield f, c
+def _splits(facts, split) -> list:
+    """(fact, parts) for each fact that split cuts into two or more parts."""
+    return [(f, parts) for f in facts if len(parts := split(f)) > 1]
 
 
 def _compile_axiom(axiom: Formula, label: str) -> tuple:
@@ -324,6 +320,7 @@ class _Search:
         self.equivalences = [cs for cs in compiled if cs[0].rewrite]
         self.plans = {}  # (table, head) -> see _same_head
         self.fact_positions = {}  # head -> alpha_key -> positions in kb.facts
+        self.fact_splits = _splits(kb.facts, disjuncts)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -353,7 +350,8 @@ class _Search:
         if table == "facts":
             return [(_head(f), 0, f) for f in self.kb.facts]
         if table == "conjuncts":
-            return [(_head(c), 0, (f, c)) for f, c in _conjunct_pairs(self.kb.facts)]
+            splits = _splits(self.kb.facts, conjuncts)
+            return [(_head(c), 0, (f, c)) for f, cs in splits for c in cs]
         rewrite = table == "rewrites"
         return [(c.head, len(c.vars), c) for c in self.clauses if c.rewrite == rewrite]
 
@@ -400,7 +398,6 @@ class _Search:
             return
         goal = resolve_formula(goal, env)
         closed = not free_vars(goal)
-        key = None
         if closed:
             key = (alpha_key(goal), tuple(sorted(alpha_key(f) for f in extra)))
             if key in visited:
@@ -654,6 +651,7 @@ class _Search:
 
     def _structural(self, goal, env, depth, visited, extra, lex_budget, split_done):
         goal_r = resolve_formula(goal, env)
+        closed = not free_vars(goal_r)
         if isinstance(goal_r, And):
             self.tick()
             parts = conjuncts(goal_r)
@@ -663,12 +661,15 @@ class _Search:
                 yield e2, TraceNode(
                     "and-intro", resolve_formula(goal_r, e2), traces
                 ), lex
-        # and-elim from conjunctive facts
+        # and-elim from conjunctive facts; closed pairs unify iff alpha-equivalent
         for fact, c in chain(
             self._same_head("conjuncts", _head(goal_r)),
-            self._each(_conjunct_pairs(extra)),
+            self._each((f, c) for f, cs in _splits(extra, conjuncts) for c in cs),
         ):
-            e2 = unify(goal_r, c, env)
+            if closed and not free_vars(c):
+                e2 = dict(env) if alpha_key(c) == alpha_key(goal_r) else None
+            else:
+                e2 = unify(goal_r, c, env)
             if e2 is not None:
                 yield e2, TraceNode(
                     "and-elim",
@@ -676,7 +677,7 @@ class _Search:
                     (TraceNode("fact-match", fact),),
                 ), 0
         # top-level use of equivalence axioms
-        if not free_vars(goal_r):
+        if closed:
             for clause in self._same_head("rewrites", _head(goal_r)):
                 c = clause.renamed(self.renaming(clause.vars))
                 yield from self._apply(
@@ -702,11 +703,8 @@ class _Search:
                     "impl-intro", resolve_formula(goal_r, e2), (t1,)
                 ), lex
         # case analysis on disjunctive facts, last resort
-        if not free_vars(goal_r):
-            for fi, fact in enumerate(list(self.kb.facts) + list(extra)):
-                ds = disjuncts(fact)
-                if len(ds) < 2:
-                    continue
+        if closed:
+            for fact, ds in chain(self.fact_splits, _splits(extra, disjuncts)):
                 fkey = alpha_key(fact)
                 if fkey in split_done:
                     continue

@@ -164,6 +164,20 @@ class TestEvalCommand:
         assert "m.elf" in err and "(= zz a)" in err
         assert "uninterpreted constant zz" in err
 
+    def test_model_parse_error_names_the_model_file(self, capsys, tmp_path):
+        model = tmp_path / "bad.elf"
+        model.write_text("(model (worlds w0 (domain d0))\n")
+        code, out, err = run(capsys, "eval", "--model", str(model), "--formula", "(P a)")
+        assert (code, out) == (2, "")
+        assert err == f"error: {model}: 1:19: found '(' (expected ))\n"
+
+    def test_model_without_worlds_names_the_model_file(self, capsys, tmp_path):
+        model = tmp_path / "empty.elf"
+        model.write_text("(model (worlds) (acc) (domain d0))\n")
+        code, out, err = run(capsys, "eval", "--model", str(model), "--formula", "true")
+        assert (code, out) == (2, "")
+        assert err == f"error: {model}: model needs at least one world\n"
+
 
 class TestReduceCommand:
     def test_reports_effort_table(self, capsys):

@@ -317,11 +317,26 @@ def _nodes(expr):
         yield from _nodes(child)
 
 
-def _assert_cached_keys_fresh(expr):
+def _walked_free_vars(expr) -> set:
+    """Free variables by a walk that reads no cache."""
+    if type(expr) is Var:
+        return {expr.name}
+    out = set().union(*map(_walked_free_vars, children(expr)))
+    if type(expr) is core.Lambda:
+        return out - set(expr.params)
+    if type(expr) is core.RestrictedQuant:
+        return out - {expr.var}
+    return out
+
+
+def _assert_caches_fresh(expr):
+    """alpha_key and free_vars of every node of expr equal an uncached walk's."""
     for node in _nodes(expr):
         assert alpha_key(node) == _fresh_key(node)
-    # a second call reads the cache and gives the same key
+        assert free_vars(node) == _walked_free_vars(node)
+    # a second call reads the cache and gives the same values
     assert alpha_key(expr) == _fresh_key(expr)
+    assert free_vars(expr) == _walked_free_vars(expr)
 
 
 class TestCachedAlphaKey:
@@ -332,7 +347,7 @@ class TestCachedAlphaKey:
             formulas += enumerate_instances(schema, kb.signature, kb.registry)
         assert len(formulas) > 29_000
         for f in formulas:
-            _assert_cached_keys_fresh(f)
+            _assert_caches_fresh(f)
 
     def test_cache_is_not_a_field(self):
         f = parse_formula("(quant all ?x (P ?x) (Q (that (P ?x))))")
@@ -347,15 +362,49 @@ class TestCachedAlphaKey:
             alpha_key("P")
 
 
+class TestCachedFreeVars:
+    def test_cache_is_not_a_field(self):
+        text = "(quant all ?x (P ?x ?y) (Q (that (P ?x ?z))))"
+        f, twin = parse_formula(text), parse_formula(text)
+        before = (hash(f), repr(f))
+        fv = free_vars(f)
+        assert "_free_vars" in f.__dict__ and "_free_vars" not in twin.__dict__
+        assert f == twin and (hash(f), repr(f)) == before == (hash(twin), repr(twin))
+        assert fv == {"y", "z"} and free_vars(f) is fv
+
+    def test_cached_set_cannot_be_mutated(self):
+        f = parse_formula("(and (P ?x) (Q ?y))")
+        fv = free_vars(f)
+        assert type(fv) is frozenset
+        with pytest.raises(AttributeError):
+            fv.add("z")
+        assert free_vars(f) == {"x", "y"}
+
+    def test_leaves_are_not_cached(self):
+        x, a, p, t = Var("x"), Const("a"), core.PredConst("P"), core.TrueF()
+        assert free_vars(x) == {"x"} and free_vars(x) is not free_vars(x)
+        assert free_vars(a) is free_vars(p) is free_vars(t) == frozenset()
+        assert all("_free_vars" not in vars(leaf) for leaf in (x, a, p, t))
+
+    def test_closed_inner_nodes_share_the_empty_set(self):
+        f = parse_formula("(quant all ?x (P ?x) (Q a))")
+        assert free_vars(f) is free_vars(f.body) is free_vars(core.TrueF())
+
+    def test_non_node_raises(self):
+        with pytest.raises(TypeError):
+            free_vars("P")
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=seeds)
 def test_cached_alpha_key_after_subst_map(seed):
+    """Both cached values, alpha_key and free_vars, on subst_map's output."""
     rng = random.Random(seed)
     g = AstGen(rng)
     f = g.formula(frozenset({"x", "y"}), depth=3)
-    _assert_cached_keys_fresh(f)  # cache the parts subst_map may reuse
+    _assert_caches_fresh(f)  # cache the parts subst_map may reuse
     mapping = {
         "x": g.term(frozenset({"y"}), depth=1),
         "y": g.term(frozenset(), depth=1),
     }
-    _assert_cached_keys_fresh(core.subst_map(f, mapping))
+    _assert_caches_fresh(core.subst_map(f, mapping))

@@ -284,20 +284,20 @@ def eval_cli(capsys, tmp_path, model: str, formula: str):
     path.write_text(model + "\n")
     code = main(["eval", "--model", str(path), "--formula", formula])
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return code, captured.out, captured.err.replace(str(path), path.name)
 
 
 @pytest.mark.parametrize(
     "model, err",
     [
         ("(model (worlds w0) (acc) (domain d0) (fn f (",
-         "error: 1:45: unexpected end of input (expected ()\n"),
+         "error: m.elf: 1:45: unexpected end of input (expected ()\n"),
         ("(model (worlds w0) (acc (w0)) (domain d0))",
-         "error: 1:25: an acc entry is a pair of worlds, found 1\n"),
+         "error: m.elf: 1:25: an acc entry is a pair of worlds, found 1\n"),
         ("(model (worlds w0) (acc (w0 w0 w0)) (domain d0))",
-         "error: 1:25: an acc entry is a pair of worlds, found 3\n"),
+         "error: m.elf: 1:25: an acc entry is a pair of worlds, found 3\n"),
         ("(model (worlds w0) (acc) (domain d0) (reify (that (P ?x)) d0))",
-         "error: 1:45: a reified term in a model must be closed\n"),
+         "error: m.elf: 1:45: a reified term in a model must be closed\n"),
     ],
 )
 def test_eval_exits_two_with_a_located_error_where_the_reader_crashed(
@@ -311,14 +311,14 @@ def test_eval_exits_two_with_a_located_error_where_the_reader_crashed(
     [
         ("(model (worlds w0) (acc) (domain d0 d0))",
          "(quant (exactly 2) ?x true true)",
-         "error: 1:37: individual 'd0' declared twice\n"),
+         "error: m.elf: 1:37: individual 'd0' declared twice\n"),
         ("(model (worlds w0) (acc) (domain d0) (const a d9) (pred P (w0 (d9))))",
          "(and (P a) (quant no ?x true (= ?x a)))",
-         "error: 1:47: undeclared individual 'd9'\n"),
+         "error: m.elf: 1:47: undeclared individual 'd9'\n"),
         ("(model (worlds w0 w1) (acc (w0 wl)) (domain d0) (const a d0)"
          " (pred P (w0 (d0)) (w1)))",
          "(nec (P a))",
-         "error: 1:32: undeclared world 'wl'\n"),
+         "error: m.elf: 1:32: undeclared world 'wl'\n"),
     ],
 )
 def test_eval_rejects_a_model_that_uses_undeclared_or_repeated_names(
@@ -331,14 +331,14 @@ def test_eval_rejects_a_model_that_uses_undeclared_or_repeated_names(
     "model, formula, err",
     [
         ("(model (worlds w0) (acc) (domain d0) (const a d0) (pred P (w0 (d0))) (pred P (w0)))",
-         "(P a)", "error: 1:79: pred 'P' at world 'w0' declared twice\n"),
+         "(P a)", "error: m.elf: 1:79: pred 'P' at world 'w0' declared twice\n"),
         ("(model (worlds w0) (acc) (domain d0 d1) (const a d0) (const a d1))",
-         "(= a a)", "error: 1:61: constant 'a' declared twice\n"),
+         "(= a a)", "error: m.elf: 1:61: constant 'a' declared twice\n"),
         ("(model (worlds w0) (acc) (domain d0) (worlds w1))",
-         "true", "error: 1:39: section 'worlds' declared twice\n"),
+         "true", "error: m.elf: 1:39: section 'worlds' declared twice\n"),
         ("(model (worlds w0) (acc) (domain d0) (const a d0)"
          " (fn f (default d0) ((d0) d0) ((d0 d0) d0)))",
-         "(= (f a) a)", "error: 1:81: fn 'f' has a tuple of length 2, not 1\n"),
+         "(= (f a) a)", "error: m.elf: 1:81: fn 'f' has a tuple of length 2, not 1\n"),
     ],
 )
 def test_eval_rejects_repeated_entries_and_tuple_length_clashes(

@@ -18,6 +18,8 @@ from elfol.core import (
     alpha_key,
     conjuncts,
     disjuncts,
+    exists,
+    forall,
     free_vars,
     fresh_name,
     map_children,
@@ -688,6 +690,97 @@ def test_closed_formulas_unify_exactly_when_alpha_equivalent(seed, kind):
         for n in rng.sample(ENV_NAMES, rng.randint(0, 3))
     }
     assert (unify(a, b, env) is not None) == (alpha_key(a) == alpha_key(b))
+
+
+# and-elim compares a closed goal with a closed conjunct by alpha_key and
+# calls unify only otherwise, so the two must agree on every closed pair,
+# binders that shadow binders and reified subterms included.
+
+
+def _shadowed(f, rng):
+    """f with every binder renamed to x, y or w, so that inner binders often
+    shadow outer ones; an occurrence of an outer name inside then refers to
+    the inner binder. The result is closed if f is, but need not be
+    alpha-equivalent to f."""
+    if type(f) is RestrictedQuant:
+        m = {f.var: Var(rng.choice("xy"))}
+        return RestrictedQuant(
+            f.quant, m[f.var].name,
+            _shadowed(subst_map(f.restrictor, m), rng),
+            _shadowed(subst_map(f.body, m), rng),
+        )
+    if type(f) is Lambda:
+        names = rng.sample("xyw", len(f.params))
+        m = {p: Var(n) for p, n in zip(f.params, names)}
+        return Lambda(tuple(names), _shadowed(subst_map(f.body, m), rng))
+    return map_children(f, lambda c: _shadowed(c, rng))
+
+
+def _shadowing_formula(g, rng):
+    """A closed formula under two binders, with most inner binders (lambda
+    parameters included) renamed to shadow one of them."""
+    body = g.formula(frozenset("xy"), depth=rng.randint(1, 3))
+    return _shadowed(forall("x", exists("y", body)), rng)
+
+
+def _assert_unify_iff_alpha_key(a, b, env) -> bool:
+    assert not free_vars(a) and not free_vars(b)
+    same = alpha_key(a) == alpha_key(b)
+    assert (unify(a, b, env) is not None) == same
+    return same
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("variant", "pinned", "reshadowed", "other")),
+)
+def test_shadowing_closed_formulas_unify_exactly_when_alpha_equivalent(seed, kind):
+    rng = random.Random(seed)
+    g = AstGen(rng)
+    a = _shadowing_formula(g, rng)
+    if kind == "other":
+        b = _shadowing_formula(g, rng)
+    elif kind == "reshadowed":
+        b = _shadowed(a, rng)
+    else:
+        b = _variant(a, rng, pin=0.3 if kind == "pinned" else 0.0)
+    if kind == "variant":
+        assert alpha_key(a) == alpha_key(b)
+    env = {
+        n: Const(rng.choice(sorted(fuzz.CONSTS)))
+        for n in rng.sample(ENV_NAMES, rng.randint(0, 3))
+    }
+    _assert_unify_iff_alpha_key(a, b, env)
+
+
+def test_fuzz_and_bundle_conjuncts_unify_exactly_when_alpha_equivalent():
+    rng = random.Random(24)
+    facts = []
+    for _ in range(12):
+        kb = fuzz.read_off_kb(rng, fuzz.random_model(rng))
+        gen = AstGen(rng, reified=False, functions=False, modifiers=False)
+        facts += kb.facts + fuzz.sample_goals(rng, kb, gen)
+    bundle = load_bundle()
+    facts += bundle.full_kb().facts
+    for name, ctx in (
+        ("conjunct-drop", ReductionContext(("d1", "d2", "d3"), ("w0",))),
+        ("compatible-possible", ReductionContext(("a1", "a2"), ("w0", "w1"), (("w0", "w1"),))),
+    ):
+        case = next(c for c in bundle.queries if c.name == name)
+        reduced, _ = reduce_kb(bundle.kb_for(case), ctx)
+        facts += reduced.facts + reduced.axioms
+    parts = list(dict.fromkeys(c for f in facts for c in conjuncts(f)))
+    pool = parts + [
+        variant(c) for c in parts for variant in (
+            lambda c: _variant(c, rng),
+            lambda c: _variant(c, rng, pin=0.3),
+            lambda c: _shadowed(c, rng),
+        )
+    ]
+    matches = sum(_assert_unify_iff_alpha_key(a, b, {}) for a in pool for b in pool)
+    # pairs of distinct objects both unify and fail to
+    assert len(parts) > 100 and len(pool) < matches < len(pool) ** 2
 
 
 def _sweep_cases():
