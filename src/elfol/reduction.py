@@ -9,6 +9,17 @@ pairwise-distinct witness tuples, `most` by cardinality comparison),
 reified terms become opaque fresh constants, and modified or term-derived
 predicates become fresh predicate symbols keyed by operator and base.
 
+The reducer never substitutes into a quantifier's scope: it passes an
+environment from each bound variable to its domain constant down through
+formulas and terms, and applies it with `subst_map` only to a reified term
+or a lambda atom, as substituting at every level gave. It builds each
+constant, each quantifier instance and each witness tuple's distinctness
+conjunction once and shares the node objects across the output. Sharing is
+safe because nodes are immutable and `core._cached` keeps only values that
+depend on the node alone. The names `obj-k<N>` of reified terms are
+reserved: a context may not use them, nor name one constant as both an
+individual and a world.
+
 The reduction deliberately loses the structure inside reified terms and
 schemas; measuring what that costs a prover is the point of
 `compare_effort`.
@@ -17,11 +28,13 @@ schemas; measuring what that costs a prover is the point of
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from math import comb
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .core import (
     And,
@@ -60,6 +73,8 @@ from .quantifiers import UnknownQuantifierError
 from .syntax import render
 
 ACC = "acc"
+RESERVED = re.compile(r"obj-k[0-9]+")  # the names `SideTables` gives reified terms
+_NO_ENV = MappingProxyType({})
 
 
 class ReductionError(Exception):
@@ -83,6 +98,21 @@ class ReductionContext:
         for name, items in (("domain", self.domain), ("worlds", self.worlds)):
             if len(set(items)) != len(items):
                 raise ReductionError(f"duplicate {name} constants")
+            for c in items:
+                if RESERVED.fullmatch(c):
+                    raise ReductionError(
+                        f"{c} has the form obj-k<N>, reserved for reified terms"
+                    )
+        for c in self.domain:
+            if c in self.worlds:
+                raise ReductionError(f"{c} is both a domain and a world constant")
+        for pair in self.accessibility:
+            for c in pair:
+                if c not in self.worlds:
+                    raise ReductionError(
+                        f"accessibility pair {':'.join(pair)} names {c}, "
+                        f"which is not a declared world"
+                    )
 
 
 @dataclass
@@ -104,20 +134,33 @@ class SideTables:
         return self.reified_consts[key]
 
 
+def _close(expr, env: Mapping):
+    """expr with the environment's constants put for its free variables."""
+    return subst_map(expr, {v: env[v] for v in free_vars(expr) if v in env})
+
+
 class Reducer:
+    """Reduces formulas under an environment from each variable bound by an
+    enclosing quantifier to its domain constant (see the module docstring)."""
+
     def __init__(self, ctx: ReductionContext, tables: Optional[SideTables] = None):
         self.ctx = ctx
         self.tables = tables if tables is not None else SideTables()
+        self.consts = {c: Const(c) for c in (*ctx.domain, *ctx.worlds)}
+        self.distinct = {}  # witness tuple -> [conjunction of its distinctness]
 
     # -- terms ----------------------------------------------------------------
 
-    def term(self, t):
+    def term(self, t, env: Mapping):
         match t:
-            case Var(_) | Const(_):
+            case Var(name):
+                return env.get(name, t)
+            case Const(_):
                 return t
             case FunApp(fn, args):
-                return FunApp(fn, tuple(self.term(a) for a in args))
+                return FunApp(fn, tuple(self.term(a, env) for a in args))
             case Ka(_) | That(_):
+                t = _close(t, env)
                 if free_vars(t):
                     raise ReductionError(
                         f"reified term is open after expansion: {render(t)}"
@@ -125,58 +168,61 @@ class Reducer:
                 return Const(self.tables.reified_const(t))
         raise ReductionError(f"cannot reduce term {t!r}")
 
-    def _term_token(self, t) -> str:
-        reduced = self.term(t)
+    def _term_token(self, t, env: Mapping) -> str:
+        reduced = self.term(t, env)
         if isinstance(reduced, Const):
             return reduced.name
         raise ReductionError(
-            f"term-derived predicate argument must reduce to a constant: {render(t)}"
+            f"term-derived predicate argument must reduce to a constant: "
+            f"{render(_close(t, env))}"
         )
 
     # -- formulas ---------------------------------------------------------------
 
-    def formula(self, f: Formula, w: str) -> Formula:
+    def formula(self, f: Formula, w: str, env: Mapping = _NO_ENV) -> Formula:
         match f:
             case TrueF():
                 return f
             case Atom(pred, args):
-                return self.atom(pred, args, w)
+                return self.atom(pred, args, w, env)
             case Equal(l, r):
-                return Equal(self.term(l), self.term(r))
+                return Equal(self.term(l, env), self.term(r, env))
             case Not(b):
-                return Not(self.formula(b, w))
+                return Not(self.formula(b, w, env))
             case And(l, r):
-                return And(self.formula(l, w), self.formula(r, w))
+                return And(self.formula(l, w, env), self.formula(r, w, env))
             case Or(l, r):
-                return Or(self.formula(l, w), self.formula(r, w))
+                return Or(self.formula(l, w, env), self.formula(r, w, env))
             case Implies(l, r):
-                return Implies(self.formula(l, w), self.formula(r, w))
+                return Implies(self.formula(l, w, env), self.formula(r, w, env))
             case Equiv(l, r):
-                return Equiv(self.formula(l, w), self.formula(r, w))
+                return Equiv(self.formula(l, w, env), self.formula(r, w, env))
             case Modal(flavor, body):
                 parts = []
                 for w2 in self.ctx.worlds:
-                    guard = Atom(PredConst(ACC), (Const(w), Const(w2)))
-                    inner = self.formula(body, w2)
+                    guard = Atom(PredConst(ACC), (self.consts[w], self.consts[w2]))
+                    inner = self.formula(body, w2, env)
                     if flavor == POSSIBLY:
                         parts.append(And(guard, inner))
                     else:
                         parts.append(Implies(guard, inner))
                 return disjoin(parts) if flavor == POSSIBLY else conjoin(parts)
             case RestrictedQuant(_, _, _, _):
-                return self.quant(f, w)
+                return self.quant(f, w, env)
         raise ReductionError(f"cannot reduce formula {f!r}")
 
-    def atom(self, pred, args, w: str) -> Formula:
-        new_args = tuple(self.term(a) for a in args)
-        world_arg = (Const(w),)
+    def atom(self, pred, args, w: str, env: Mapping) -> Formula:
+        new_args = tuple(self.term(a, env) for a in args)
+        world_arg = (self.consts[w],)
         match pred:
             case PredConst(name):
-                return Atom(PredConst(name), new_args + world_arg)
-            case Lambda(params, body):
+                return Atom(pred, new_args + world_arg)
+            case Lambda(params, _):
                 if len(params) != len(args):
                     raise ReductionError("lambda arity mismatch")
-                return self.formula(subst_map(body, dict(zip(params, args))), w)
+                closed = _close(Atom(pred, args), env)
+                body = subst_map(closed.pred.body, dict(zip(params, closed.args)))
+                return self.formula(body, w)
             case Modified(modifier, base):
                 if not isinstance(base, PredConst):
                     raise ReductionError(
@@ -186,35 +232,36 @@ class Reducer:
                 name = self.tables.mod_preds.setdefault(key, f"{modifier}%{base.name}")
                 return Atom(PredConst(name), new_args + world_arg)
             case TermDerived(op, arg):
-                token = self._term_token(arg)
+                token = self._term_token(arg, env)
                 key = (op, token)
                 name = self.tables.op_preds.setdefault(key, f"{op}%{token}")
                 return Atom(PredConst(name), new_args + world_arg)
         raise ReductionError(f"cannot reduce predicate {pred!r}")
 
-    def quant(self, f: RestrictedQuant, w: str) -> Formula:
+    def quant(self, f: RestrictedQuant, w: str, env: Mapping) -> Formula:
         q = f.quant
         domain = self.ctx.domain
+        plain = isinstance(f.restrictor, TrueF)
 
-        # Each instance is built once, on first use, and then shared. First
-        # uses come in the same order as before, so obj-kN numbering holds.
+        # Each instance is built once, on first use, and then shared. Every
+        # restrictor comes before its body, and `member` runs over the whole
+        # domain before `counter` does, so obj-kN numbering holds.
+        @cache
+        def restrictor(c: str) -> Formula:
+            return self.formula(f.restrictor, w, {**env, f.var: self.consts[c]})
+
+        @cache
+        def body(c: str) -> Formula:
+            return self.formula(f.body, w, {**env, f.var: self.consts[c]})
+
         @cache
         def member(c: str) -> Formula:
-            inst_r = subst_map(f.restrictor, {f.var: Const(c)})
-            inst_b = subst_map(f.body, {f.var: Const(c)})
-            if isinstance(f.restrictor, TrueF):
-                return self.formula(inst_b, w)
-            return And(self.formula(inst_r, w), self.formula(inst_b, w))
+            return body(c) if plain else And(restrictor(c), body(c))
 
         @cache
         def counter(c: str) -> Formula:
             # member of the restrictor but not the body
-            inst_r = subst_map(f.restrictor, {f.var: Const(c)})
-            inst_b = subst_map(f.body, {f.var: Const(c)})
-            neg = Not(self.formula(inst_b, w))
-            if isinstance(f.restrictor, TrueF):
-                return neg
-            return And(self.formula(inst_r, w), neg)
+            return Not(body(c)) if plain else And(restrictor(c), Not(body(c)))
 
         def at_least(n: int, make) -> Formula:
             if n == 0:
@@ -226,28 +273,20 @@ class Reducer:
                     f"at-least {n} over {len(domain)} constants exceeds the "
                     f"expansion ceiling"
                 )
-            options = []
-            for combo in combinations(domain, n):
-                parts = [
-                    Not(Equal(Const(a), Const(b)))
-                    for a, b in combinations(combo, 2)
+            return disjoin(
+                [
+                    conjoin(self._distinct(combo) + [make(c) for c in combo])
+                    for combo in combinations(domain, n)
                 ]
-                parts.extend(make(c) for c in combo)
-                options.append(conjoin(parts))
-            return disjoin(options)
+            )
 
         if q.name == "all":
-            parts = []
-            for c in domain:
-                inst_r = subst_map(f.restrictor, {f.var: Const(c)})
-                inst_b = subst_map(f.body, {f.var: Const(c)})
-                if isinstance(f.restrictor, TrueF):
-                    parts.append(self.formula(inst_b, w))
-                else:
-                    parts.append(
-                        Implies(self.formula(inst_r, w), self.formula(inst_b, w))
-                    )
-            return conjoin(parts)
+            return conjoin(
+                [
+                    body(c) if plain else Implies(restrictor(c), body(c))
+                    for c in domain
+                ]
+            )
         if q.name == "some":
             return at_least(1, member)
         if q.name == "no":
@@ -273,6 +312,18 @@ class Reducer:
                 )
             return disjoin(options)
         raise UnknownQuantifierError(f"quantifier {q.name} is not reducible")
+
+    def _distinct(self, combo: tuple) -> list:
+        """[the conjunction of (not (= a b)) over the tuple's pairs], or [] for
+        one constant. `conjoin` folds to the left, so the conjunction is the
+        shared prefix of every option for the tuple."""
+        if combo not in self.distinct:
+            pairs = [
+                Not(Equal(self.consts[a], self.consts[b]))
+                for a, b in combinations(combo, 2)
+            ]
+            self.distinct[combo] = [conjoin(pairs)] if pairs else []
+        return self.distinct[combo]
 
 
 def reduce_formula(

@@ -201,6 +201,26 @@ class TestReduceCommand:
         first = json.loads(lines[0])
         assert set(first) == {"encoding", "explored", "proof_len", "outcome"}
 
+    @pytest.mark.parametrize("domain, worlds, acc, message", [
+        ("w0,b1", "w0", "", "w0 is both a domain and a world constant"),
+        ("obj-k1,b1", "w0", "",
+         "obj-k1 has the form obj-k<N>, reserved for reified terms"),
+        ("b1,f1", "w0,obj-k2", "",
+         "obj-k2 has the form obj-k<N>, reserved for reified terms"),
+        ("b1,f1", "w0", "w0:w9",
+         "accessibility pair w0:w9 names w9, which is not a declared world"),
+        ("b1,f1", "w0,w1,w2", "w0:w1:w2",
+         "accessibility pair w0:w1:w2 names w1:w2, which is not a declared world"),
+    ])
+    def test_ambiguous_context_exits_two(self, capsys, domain, worlds, acc, message):
+        code, out, err = run(
+            capsys, "reduce", "--kb", CORE, AXIOMS, ENTER,
+            "--goal", "(contained-in b1 f1)",
+            "--domain", domain, "--worlds", worlds, "--acc", acc,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestUnknownQuantifier:
     @pytest.mark.parametrize("quant, message", [
