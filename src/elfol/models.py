@@ -12,17 +12,24 @@ missing entry rejects the model for that formula rather than defaulting to
 false.
 
 `enumerate_models` and `find_counterexample` drive bounded validity
-checking by exhaustive search over small signatures. The search visits
-only canonical models: a model is canonical when it comes first in
-`enumerate_models` order among all the models that permuting its domain
-gives. Permuting the domain changes neither whether a function-free
-formula is true at w0 nor whether evaluating it raises, since quantifiers
-only count and atoms and equations are preserved under the permutation.
-So the models that falsify a formula or raise on it are closed under domain
-permutations, and the first of them in the full order comes first in its
-own orbit: it is canonical, and the canonical search meets it after the same
-non-falsifying models, less their non-canonical ones. It returns the same
-countermodel, or raises the same error, as a search of every model.
+checking by exhaustive search over small signatures. Both read one search,
+`_models`, which keeps a single model for each size and updates it in
+place: depth first, it assigns each extension, then each constant, on the
+way down and puts it back on backtrack. `enumerate_models` yields a fresh
+copy of each model it reaches; `find_counterexample` evaluates the formula
+on the model itself and copies out only the countermodel it returns.
+
+The search visits only canonical models: a model is canonical when it
+comes first in `enumerate_models` order among all the models that
+permuting its domain gives. Permuting the domain changes neither whether a
+function-free formula is true at w0 nor whether evaluating it raises, since
+quantifiers only count and atoms and equations are preserved under the
+permutation. So the models that falsify a formula or raise on it are
+closed under domain permutations, and the first of them in the full order
+comes first in its own orbit: it is canonical, and the canonical search
+meets it after the same non-falsifying models, less their non-canonical
+ones. It returns the same countermodel, or raises the same error, as a
+search of every model.
 
 The search also skips each prefix of the canonical order whose every
 completion satisfies the formula, found by monotonicity. Each predicate
@@ -34,11 +41,13 @@ occurrence of P is renamed to a fresh P⁻ (P's name followed by ` -`,
 which the parser cannot produce). The renamed formula grows with
 each P and shrinks with each P⁻, so if it is true with each unassigned P
 read as ∅ and each unassigned P⁻ as every tuple, the formula is true in
-every completion. No prefix is skipped while a predicate with an unmarked
-occurrence is unassigned, nor for a formula that could raise (one with a
-constant, or a quantifier the registry cannot resolve). So only subtrees
-without a countermodel are skipped, in an unchanged order: the first
-countermodel, and every error, stay the same.
+every completion. The searched model holds each P⁻ beside its P, so the
+renamed formula is evaluated on it as it stands at the prefix. No prefix
+is skipped while a predicate with an unmarked occurrence is unassigned,
+nor for a formula that could raise (one with a constant, or a quantifier
+the registry cannot resolve). So only subtrees without a countermodel are
+skipped, in an unchanged order: the first countermodel, and every error,
+stay the same.
 
 `first_failure` checks each schema by compiling its body once, with the
 metavariables as slots (`Slots`), and running the closure for each binding
@@ -641,8 +650,6 @@ class EnumerationError(Exception):
 class SearchBounds:
     max_domain: int = 4
     max_worlds: int = 1
-    predicates: Optional[tuple] = None  # (name, arity) pairs; inferred if None
-    constants: Optional[tuple] = None
     ceiling: int = 2_000_000
 
 
@@ -680,10 +687,10 @@ def enumerate_models(
     settled=None,
 ):
     """Every model with exactly these sizes over the given predicate list,
-    in a fixed deterministic order; with canonical=True, only the models
-    that come first in that order among their images under permutations
-    of the domain, in the same order. The ceiling applies to the full count
-    in both modes.
+    in a fixed deterministic order, each a fresh object; with
+    canonical=True, only the models that come first in that order among
+    their images under permutations of the domain, in the same order. The
+    ceiling applies to the full count in both modes.
 
     The order is the lexicographic order of (accessibility, the extension
     of each (predicate, world) in predicate-list then world order, the
@@ -691,69 +698,115 @@ def enumerate_models(
     of its members in `product(domain, repeat=arity)` order, a constant as
     its individual's position in the domain.
 
-    settled, if given, is called at each prefix that leaves an extension
-    unassigned, as settled(m, open_keys): m holds the accessibility and
-    the extensions assigned so far, and open_keys lists the (predicate,
-    world) keys still unassigned. When it returns True, no model that
-    completes the prefix is yielded."""
+    settled, if given, is `_settled`'s answer for a formula over these
+    predicates: no model is yielded that completes a prefix at which the
+    formula holds in every completion by polarity."""
     predicates = tuple(predicates)
-    constants = tuple(constants)
+    for m in _models(
+        domain_size, world_count, predicates, tuple(constants), ceiling, canonical, settled
+    ):
+        yield _copy(m, predicates)
+
+
+def _copy(m: IntensionalModel, predicates: tuple) -> IntensionalModel:
+    """A fresh copy of `_models`' model, without the P + _NEGATIVE twins."""
+    return IntensionalModel(
+        worlds=m.worlds,
+        accessibility=m.accessibility,
+        domain=m.domain,
+        constants=dict(m.constants),
+        predicates={(name, w): m.predicates[name, w] for name, _ in predicates for w in m.worlds},
+    )
+
+
+def _models(domain_size, world_count, predicates, constants, ceiling, canonical, settled):
+    """Yield one model, updated in place, as each model enumerate_models
+    yields in turn.
+
+    Depth first over the positions, each (predicate, world) extension then
+    each constant, each holding a bit mask over the tuples of one arity: an
+    extension any subset, a constant a single individual (the mask 1 << i
+    for domain[i], so masks keep the domain's order). A prefix carries the
+    permutations that leave it unchanged (its stabilizer in the group). A
+    next value v is dropped, with every completion, as soon as one of them
+    maps v to a smaller value, since that permutation maps each completion
+    to an earlier model. An open extension P is empty, and with settled its
+    twin P + _NEGATIVE, assigned along with P, holds every tuple."""
     count = _checked_count(domain_size, world_count, predicates, constants, ceiling)
     worlds = tuple(f"w{i}" for i in range(world_count))
     domain = tuple(f"d{i}" for i in range(domain_size))
-    # every position after accessibility holds a bit mask over the tuples
-    # of one arity: an extension any subset, a constant a single individual
-    # (the mask 1 << i for domain[i], so masks keep the domain's order)
+    m = IntensionalModel(worlds=worlds, accessibility=frozenset(), domain=domain)
+    exts = m.predicates
+    # without settled every predicate counts as unmarked, so no prefix is tested
+    polar, unmarked = settled if settled is not None else (None, {p for p, _ in predicates})
     subsets = {}  # arity -> the frozenset of each mask's tuples, by mask
-    ext_keys, ext_subsets = [], []
-    values = []  # per position, its masks in increasing order
-    arities = []
+    slots = []  # per position: (arity, the dict and key it sets, the key's
+    # P + _NEGATIVE twin or None, its masks in increasing order, their values)
+    first_test = 0  # the shortest prefix that leaves only marked predicates open
     for name, arity in predicates:
         if arity not in subsets:
             subsets[arity] = _all_subsets(tuple(product(domain, repeat=arity)))
+        masks = range(len(subsets[arity]))
         for w in worlds:
-            ext_keys.append((name, w))
-            ext_subsets.append(subsets[arity])
-            values.append(range(len(subsets[arity])))
-            arities.append(arity)
+            exts[name, w] = _EMPTY
+            twin = None
+            if polar is not None:
+                twin = name + _NEGATIVE, w
+                exts[twin] = subsets[arity][-1]
+            if name in unmarked:
+                first_test = len(slots) + 1
+            slots.append((arity, exts, (name, w), twin, masks, subsets[arity]))
+    n_ext = len(slots)
+    tested = range(first_test, n_ext)  # the lengths of the prefixes tested
     singletons = [1 << i for i in range(domain_size)]
     individual = dict(zip(singletons, domain))
-    values += [singletons] * len(constants)
-    arities += [1] * len(constants)
+    slots += [(1, m.constants, c, None, singletons, individual) for c in constants]
     group = []
     # never build more permutations than there are models to save
     if canonical and factorial(domain_size) <= count:
         group = list(permutations(range(domain_size)))[1:]  # all but identity
-    tables = {a: _mask_images(group, domain_size, a) for a in set(arities)}
-    images = [tables[a] for a in arities]
-    n_ext = len(ext_keys)
+    images = {a: _mask_images(group, domain_size, a) for a in {s[0] for s in slots}}
+    n, w0 = len(slots), worlds[0]
     for acc in _all_subsets(tuple(product(worlds, repeat=2))):
-        prune = None
-        if settled is not None:
-            def prune(prefix, acc=acc):
-                return len(prefix) < n_ext and settled(
-                    IntensionalModel(
-                        worlds=worlds,
-                        accessibility=acc,
-                        domain=domain,
-                        predicates={
-                            k: s[m] for k, s, m in zip(ext_keys, ext_subsets, prefix)
-                        },
-                    ),
-                    ext_keys[len(prefix):],
-                )
-        for masks in _orderly(values, images, range(len(group)), prune):
-            yield IntensionalModel(
-                worlds=worlds,
-                accessibility=acc,
-                domain=domain,
-                constants=dict(
-                    zip(constants, [individual[m] for m in masks[n_ext:]])
-                ),
-                predicates={
-                    k: s[m] for k, s, m in zip(ext_keys, ext_subsets, masks)
-                },
-            )
+        m.accessibility = acc
+        if n == 0:
+            yield m
+            continue
+        if 0 in tested and polar(m, w0, {}):
+            continue
+        # per position on the path: its masks not yet tried, and the
+        # stabilizer of the prefix before it
+        stack = [(iter(slots[0][4]), range(len(group)))]
+        while stack:
+            i = len(stack) - 1
+            rest, stabilizer = stack[-1]
+            arity, table, key, twin, _, value = slots[i]
+            lo, hi, half = images[arity]
+            low = (1 << half) - 1
+            for v in rest:
+                a, b = v & low, v >> half
+                fixed = []
+                for p in stabilizer:
+                    u = lo[p][a] | hi[p][b]
+                    if u < v:
+                        break
+                    if u == v:
+                        fixed.append(p)
+                else:
+                    table[key] = value[v]
+                    if twin:
+                        exts[twin] = value[v]
+                    if i + 1 == n:
+                        yield m
+                    elif not (i + 1 in tested and polar(m, w0, {})):
+                        stack.append((iter(slots[i + 1][4]), fixed))
+                        break
+            else:
+                # the last mask, every tuple, is fixed by every permutation,
+                # so a twin ends its loop holding every tuple again
+                if i < n_ext:
+                    table[key] = _EMPTY
+                stack.pop()
 
 
 def _all_subsets(items: tuple) -> list:
@@ -790,40 +843,6 @@ def _bit_images(targets: list) -> list:
         bit = 1 << t
         table += [m | bit for m in table]
     return table
-
-
-def _orderly(values: list, images: list, group, prune=None, i: int = 0, prefix: tuple = ()):
-    """The tuples of product(*values) that no permutation in group (indices
-    into each images[i]) maps to a smaller tuple, in order; with prune,
-    less the completions of each shorter prefix for which prune(prefix) is
-    True.
-
-    Depth first: a prefix carries the permutations that leave it unchanged
-    (its stabilizer in group). A next value v is dropped, with every
-    completion, as soon as one of them maps v to a smaller value, since
-    that permutation maps each completion to an earlier tuple. Once no
-    permutation is left, and no prefix is left to prune, the rest is a
-    plain product."""
-    n = len(values)
-    if prune is not None and i < n and prune(prefix):
-        return
-    if i == n or not group and (prune is None or i == n - 1):
-        for rest in product(*values[i:]):
-            yield prefix + rest
-        return
-    lo, hi, half = images[i]
-    low = (1 << half) - 1
-    for v in values[i]:
-        a, b = v & low, v >> half
-        fixed = []
-        for p in group:
-            u = lo[p][a] | hi[p][b]
-            if u < v:
-                break
-            if u == v:
-                fixed.append(p)
-        else:
-            yield from _orderly(values, images, fixed, prune, i + 1, prefix + (v,))
 
 
 # nodes formula_vocabulary passes through to their children
@@ -882,12 +901,11 @@ def find_counterexample(
     settled = _settled(f, preds, consts, registry)
     for world_count in range(1, bounds.max_worlds + 1):
         for domain_size in range(1, bounds.max_domain + 1):
-            for m in enumerate_models(
-                domain_size, world_count, preds, consts, bounds.ceiling,
-                canonical=True, settled=settled,
+            for m in _models(
+                domain_size, world_count, preds, consts, bounds.ceiling, True, settled
             ):
                 if not holds(m, m.w0, {}):
-                    return m
+                    return _copy(m, preds)
     return None
 
 
@@ -939,10 +957,11 @@ def _polarize(f: Formula, registry) -> tuple:
 
 
 def _settled(f: Formula, preds: tuple, consts: tuple, registry):
-    """enumerate_models' settled test for a search for a countermodel to f,
-    or None where polarity cannot prune: f names a constant or could raise,
-    the search has constants or names a predicate twice, or every
-    predicate has an unmarked occurrence.
+    """enumerate_models' settled argument for a search for a countermodel
+    to f: (the polarized f compiled, the names of the predicates with an
+    unmarked occurrence); or None where polarity cannot prune: f names a
+    constant or could raise, the search has constants or names a predicate
+    twice, or every predicate has an unmarked occurrence.
 
     f, polarized, is increasing in each predicate P and decreasing in each
     P + _NEGATIVE. So at a prefix, with an unassigned P read as the empty
@@ -954,23 +973,7 @@ def _settled(f: Formula, preds: tuple, consts: tuple, registry):
     polar, unmarked = _polarize(f, registry)
     if arity.keys() <= unmarked:
         return None
-    holds = compile_formula(polar, registry)
-    full = {}  # (domain size, arity) -> every tuple
-
-    def settled(m, open_keys) -> bool:
-        if any(name in unmarked for name, _ in open_keys):
-            return False
-        exts = m.predicates
-        for (name, w), ext in list(exts.items()):
-            exts[name + _NEGATIVE, w] = ext
-        for name, w in open_keys:
-            key = len(m.domain), arity[name]
-            if key not in full:
-                full[key] = frozenset(product(m.domain, repeat=key[1]))
-            exts[name + _NEGATIVE, w] = full[key]
-        return holds(m, m.w0, {})
-
-    return settled
+    return compile_formula(polar, registry), unmarked
 
 
 def check_search_size(f: Formula, bounds: Optional[SearchBounds] = None) -> None:
@@ -995,13 +998,7 @@ def _search_vocabulary(f: Formula, bounds: SearchBounds) -> tuple:
     ):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    if bounds.predicates is None or bounds.constants is None:
-        preds, consts = formula_vocabulary(f)
-    if bounds.predicates is not None:
-        preds = tuple(bounds.predicates)
-    if bounds.constants is not None:
-        consts = tuple(bounds.constants)
-    return preds, consts
+    return formula_vocabulary(f)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ from .core import (
     subst_map,
 )
 from .kb import KnowledgeBase
-from .models import IntensionalModel, eval_term
 from .prover import ProveResult, ProverConfig, prove
 from .quantifiers import UnknownQuantifierError
 from .syntax import render
@@ -379,63 +378,6 @@ def reduce_kb(kb: KnowledgeBase, ctx: ReductionContext):
         tables.dropped_schemas.append(schema.name)
     out.signature = reduced_signature(kb.signature, ctx, tables)
     return out, tables
-
-
-# ---------------------------------------------------------------------------
-# Induced classical models (the faithfulness oracle's evaluation side)
-
-
-def induced_classical_model(
-    m: IntensionalModel, ctx: ReductionContext, tables: SideTables
-) -> IntensionalModel:
-    """Fold an intensional model's worlds into the domain so reduced formulas
-    can be evaluated classically: predicates gain a world column, `acc`
-    interprets the accessibility relation, and opaque constants denote what
-    their source terms denote."""
-    domain = tuple(m.domain) + tuple(m.worlds)
-    constants = dict(m.constants)
-    for w in m.worlds:
-        constants[w] = w
-    predicates: dict = {}
-    cw = "cw"
-    for (name, w), ext in m.predicates.items():
-        key = (name, cw)
-        predicates.setdefault(key, set())
-        predicates[key] |= {t + (w,) for t in ext}
-    predicates[(ACC, cw)] = set(m.accessibility)
-    for (mo, base, w), ext in m.modifiers.items():
-        name = tables.mod_preds.get((mo, base))
-        if name is None:
-            continue
-        key = (name, cw)
-        predicates.setdefault(key, set())
-        predicates[key] |= {t + (w,) for t in ext}
-    for (op, ind, w), ext in m.term_ops.items():
-        for (o, token), name in tables.op_preds.items():
-            if o != op:
-                continue
-            src = tables.reified_terms.get(token)
-            if src is not None:
-                denot = eval_term(m, {}, src)
-            elif token in m.constants:
-                denot = m.constants[token]
-            else:
-                continue
-            if denot != ind:
-                continue
-            key = (name, cw)
-            predicates.setdefault(key, set())
-            predicates[key] |= {t + (w,) for t in ext}
-    for name, term in tables.reified_terms.items():
-        constants[name] = eval_term(m, {}, term)
-    return IntensionalModel(
-        worlds=(cw,),
-        accessibility=frozenset(),
-        domain=domain,
-        constants=constants,
-        predicates={k: frozenset(v) for k, v in predicates.items()},
-        functions=dict(m.functions),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from elfol.reduction import (
     ReductionContext,
     SideTables,
     compare_effort,
-    induced_classical_model,
     reduce_formula,
 )
 from elfol.schemas import instantiate
@@ -30,6 +29,7 @@ from elfol.syntax import parse_formula, render
 
 import fuzz
 from gen import AstGen
+from oracle_reduction import induced_classical_model
 from test_schemas import conj_drop
 
 BUNDLE = load_bundle()

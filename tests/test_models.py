@@ -55,6 +55,7 @@ from elfol.quantifiers import DEFAULT_REGISTRY, UP
 from elfol.schemas import InstanceBounds, Schema, enumerate_instances
 from elfol.syntax import parse_formula, parse_term, render
 
+import oracle_models
 from gen import QUANTS, AstGen
 
 
@@ -378,6 +379,61 @@ class TestFindCounterexample:
         # no model is checked, so no answer may claim validity
         with pytest.raises(ValueError, match=name):
             find_counterexample(parse_formula("(implies (P a) (P a))"), bounds)
+
+    def test_the_search_ranges_over_the_formulas_vocabulary(self):
+        # bounds that listed the predicates left Q empty in every model, so
+        # this invalid formula was reported valid
+        f = parse_formula("(quant no ?x true (Q ?x))")
+        cx = find_counterexample(f, SearchBounds(max_domain=2))
+        assert cx is not None and eval_formula(cx, cx.w0, {}, f) is False
+        with pytest.raises(TypeError):
+            SearchBounds(max_domain=2, predicates=(("P", 1),))
+
+
+class TestSearchedModelsAreIndependent:
+    # the first is refuted only at two worlds, so the search backtracks over
+    # every one-world model first; the second has constants and a binary
+    # predicate; the downward conjunct drop is searched with pruning, which
+    # gives the searched model a P - twin of each extension
+    FORMULAS = [
+        "(implies (P a) (nec (P a)))",
+        "(implies (poss (R a b)) (quant some ?x (P ?x) (R ?x b)))",
+        "(implies (quant (fewer-than 2) ?x (A ?x) (and (B ?x) (C ?x)))"
+        " (quant (fewer-than 2) ?x (A ?x) (B ?x)))",
+    ]
+    BOUNDS = SearchBounds(max_domain=3, max_worlds=2)
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_a_countermodel_holds_exactly_the_searched_keys(self, text):
+        f = parse_formula(text)
+        preds, consts = formula_vocabulary(f)
+        cx = find_counterexample(f, self.BOUNDS)
+        assert list(cx.predicates) == [(name, w) for name, _ in preds for w in cx.worlds]
+        assert list(cx.constants) == list(consts)
+        assert dump_model(cx) == dump_model(oracle_models.find_counterexample(f, self.BOUNDS))
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_each_call_returns_its_own_model(self, text):
+        f = parse_formula(text)
+        first = find_counterexample(f, self.BOUNDS)
+        dump = dump_model(first)
+        for key in first.predicates:
+            first.predicates[key] = frozenset()
+        first.predicates["S", "w0"] = frozenset({("d0",)})
+        first.constants.clear()
+        second = find_counterexample(f, self.BOUNDS)
+        assert second is not first and second.predicates is not first.predicates
+        assert dump_model(second) == dump
+
+    @pytest.mark.parametrize("kw", [{}, {"canonical": True}], ids=["plain", "canonical"])
+    def test_enumerated_models_are_distinct_objects(self, kw):
+        args = 2, 2, (("P", 1), ("Q", 1)), ("a",)
+        ms = list(enumerate_models(*args, **kw))
+        for part in (lambda m: m, lambda m: m.predicates, lambda m: m.constants):
+            assert len({id(part(m)) for m in ms}) == len(ms)
+        assert [dump_model(m) for m in ms] == [
+            dump_model(m) for m in oracle_models.enumerate_models(*args, **kw)
+        ]
 
 
 def first_falsifier_of_every_model(f, bounds):

@@ -14,13 +14,13 @@ from elfol.reduction import (
     ReductionError,
     SideTables,
     compare_effort,
-    induced_classical_model,
     reduce_formula,
     reduce_kb,
 )
 from elfol.syntax import parse_formula, parse_term, render
 
 from gen import AstGen
+from oracle_reduction import induced_classical_model
 
 
 class TestReduceFormula:
