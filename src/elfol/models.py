@@ -69,6 +69,7 @@ since none of them can be its answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations, product
 from math import factorial
 from typing import Optional
@@ -184,7 +185,11 @@ def eval_formula(
 # the order a walk over the tree would meet it (arguments left to right and
 # before the predicate; `and`/`or`/`implies` short-circuit; the body of a
 # quantifier only where its restrictor holds). A quantifier is resolved in
-# the registry on its first evaluation and kept by its closure.
+# the registry on its first evaluation and kept by its closure. Outside a
+# schema's slots, a quantifier whose restrictor and body are each `true`, a
+# monadic atom (P ?x) over its own variable, or a conjunction of these,
+# cannot raise: it counts |A∩B| and |A\B| as intersections of the domain's
+# 1-tuples with the extensions, calling no closure per individual.
 #
 # A schema body compiles once, with its metavariables as slots that the
 # closures read from `Slots.values` as they run (see `Slots`).
@@ -391,7 +396,7 @@ def _compile_atom(pred, args, registry, slots=None):
                 val = env[x]
             except KeyError:
                 raise EvalError(f"unbound variable ?{x}") from None
-            return (val,) in m.extension(name, w)
+            return (val,) in m.predicates.get((name, w), _EMPTY)
 
         return monadic
     args = _compile_args(args)
@@ -400,7 +405,7 @@ def _compile_atom(pred, args, registry, slots=None):
         return lambda m, w, env: args(m, env) in m.extension(values[name].name, w)
     match pred:
         case PredConst(name):
-            return lambda m, w, env: args(m, env) in m.extension(name, w)
+            return lambda m, w, env: args(m, env) in m.predicates.get((name, w), _EMPTY)
         case Lambda(params, body):
             body = compile_formula(body, registry)
 
@@ -441,6 +446,7 @@ def _compile_atom(pred, args, registry, slots=None):
 
 
 def _compile_quant(qref, var, restrictor, body, registry, slots=None):
+    sorts = None if slots is not None else (_sorts(restrictor, var), _sorts(body, var))
     # members(m, w, env2) yields the individuals the restrictor admits, each
     # bound to var in env2 before the body runs; a restrictor `true` or
     # (P ?var) cannot fail, so those individuals are read off the domain or
@@ -464,7 +470,7 @@ def _compile_quant(qref, var, restrictor, body, registry, slots=None):
                 return [d for d in m.domain if (d,) in ext]
         else:
             def members(m, w, env2):
-                ext = m.extension(sort, w)
+                ext = m.predicates.get((sort, w), _EMPTY)
                 return [d for d in m.domain if (d,) in ext]
     else:
         restrictor = compile_formula(restrictor, registry, slots)
@@ -489,6 +495,27 @@ def _compile_quant(qref, var, restrictor, body, registry, slots=None):
                 n_anb += 1
         return truth(n_ab, n_anb)
 
+    if sorts is not None and None not in sorts:
+        loop, (restricting, holding) = count, sorts
+        seen = None, None  # the last domain counted (a tuple) and its 1-tuples
+
+        # no stray tuple meets the domain's 1-tuples; a domain that lists
+        # an individual twice is counted by the loop
+        def count(m, w, env, truth):
+            nonlocal seen
+            if seen[0] is not m.domain:
+                seen = m.domain, frozenset(zip(m.domain))
+            a = seen[1]
+            if len(a) != len(m.domain):
+                return loop(m, w, env, truth)
+            get = m.predicates.get
+            for p in restricting:
+                a = a.intersection(get((p, w), _EMPTY))
+            ab = a
+            for p in holding:
+                ab = ab.intersection(get((p, w), _EMPTY))
+            return truth(len(ab), len(a) - len(ab))
+
     if slots is not None and qref.name in slots.names:
         values, meta = slots.values, qref.name
         truths = {}  # truth condition by quantifier reference
@@ -510,6 +537,17 @@ def _compile_quant(qref, var, restrictor, body, registry, slots=None):
         return count(m, w, env, truth)
 
     return quant
+
+
+def _sorts(f, var) -> Optional[tuple]:
+    """The predicates of f if it is `true`, a monadic atom (P ?var) over a
+    predicate constant, or a conjunction of these; else None."""
+    if type(f) is And:
+        left, right = _sorts(f.left, var), _sorts(f.right, var)
+        return None if None in (left, right) else left + right
+    if type(f) is Atom and type(f.pred) is PredConst and f.args == (Var(var),):
+        return (f.pred.name,)
+    return () if type(f) is TrueF else None
 
 
 def _truth(registry, ref):
@@ -761,11 +799,10 @@ def _models(domain_size, world_count, predicates, constants, ceiling, canonical,
     singletons = [1 << i for i in range(domain_size)]
     individual = dict(zip(singletons, domain))
     slots += [(1, m.constants, c, None, singletons, individual) for c in constants]
-    group = []
-    # never build more permutations than there are models to save
-    if canonical and factorial(domain_size) <= count:
-        group = list(permutations(range(domain_size)))[1:]  # all but identity
-    images = {a: _mask_images(group, domain_size, a) for a in {s[0] for s in slots}}
+    # never use more permutations than there are models to save
+    used = canonical and factorial(domain_size) <= count
+    images = {a: _mask_images(domain_size, a, used) for a in {s[0] for s in slots}}
+    group = range(factorial(domain_size) - 1 if used else 0)  # all but identity
     n, w0 = len(slots), worlds[0]
     for acc in _all_subsets(tuple(product(worlds, repeat=2))):
         m.accessibility = acc
@@ -776,7 +813,7 @@ def _models(domain_size, world_count, predicates, constants, ceiling, canonical,
             continue
         # per position on the path: its masks not yet tried, and the
         # stabilizer of the prefix before it
-        stack = [(iter(slots[0][4]), range(len(group)))]
+        stack = [(iter(slots[0][4]), group)]
         while stack:
             i = len(stack) - 1
             rest, stabilizer = stack[-1]
@@ -818,31 +855,33 @@ def _all_subsets(items: tuple) -> list:
     return [frozenset(s) for s in subsets]
 
 
-def _mask_images(group, domain_size: int, arity: int) -> tuple:
-    """(lo, hi, half): the image of a mask over product(range(domain_size),
-    repeat=arity) under the permutation group[p] is
+@cache
+def _mask_images(domain_size: int, arity: int, used: bool) -> tuple:
+    """(lo, hi, half): with group the permutations of range(domain_size)
+    but the identity, or none unless used, the image of a mask over
+    product(range(domain_size), repeat=arity) under group[p] is
     lo[p][m & low] | hi[p][m >> half], with low = 2**half - 1. Two
     half-width tables per permutation stay small where one full table
-    (2**(n**arity) entries) would not."""
+    (2**(n**arity) entries) would not. Built once per key, and only read."""
     tuples = list(product(range(domain_size), repeat=arity))
     index = {t: i for i, t in enumerate(tuples)}
     half = (len(tuples) + 1) // 2
     lo, hi = [], []
-    for perm in group:
+    for perm in list(permutations(range(domain_size)))[1:] if used else ():
         targets = [index[tuple([perm[x] for x in t])] for t in tuples]
         lo.append(_bit_images(targets[:half]))
         hi.append(_bit_images(targets[half:]))
-    return lo, hi, half
+    return tuple(lo), tuple(hi), half
 
 
-def _bit_images(targets: list) -> list:
+def _bit_images(targets: list) -> tuple:
     """Per mask over len(targets) bits, the mask with bit i moved to bit
     targets[i]."""
     table = [0]
     for t in targets:
         bit = 1 << t
         table += [m | bit for m in table]
-    return table
+    return tuple(table)
 
 
 # nodes formula_vocabulary passes through to their children

@@ -87,7 +87,7 @@ def enumerate_models(
     # never build more permutations than there are models to save
     if canonical and factorial(domain_size) <= count:
         group = list(permutations(range(domain_size)))[1:]  # all but identity
-    tables = {a: _mask_images(group, domain_size, a) for a in set(arities)}
+    tables = {a: _mask_images(domain_size, a, bool(group)) for a in set(arities)}
     images = [tables[a] for a in arities]
     n_ext = len(ext_keys)
     for acc in _all_subsets(tuple(product(worlds, repeat=2))):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elfol.core import (
+    And,
     Atom,
     Const,
     Ka,
@@ -211,6 +212,116 @@ def test_witness_model_agrees_on_every_bundle_formula():
     assert len(formulas) > 29_000
     for f in formulas:
         same_everywhere(f, [m], {}, kb.registry)
+
+
+# ---------------------------------------------------------------------------
+# Quantifiers over `true`, monadic atoms and their conjunctions, which the
+# evaluator counts as set intersections
+
+QUANTS = st.sampled_from([
+    QuantRef("all"), QuantRef("some"), QuantRef("no"), QuantRef("most"),
+    QuantRef("at-least", 2), QuantRef("at-most", 1), QuantRef("exactly", 1),
+    QuantRef("fewer-than", 2), *BAD_QUANTS,
+])
+
+
+def conjunctions(var: str):
+    """`true`, (P ?var) for a few P and their conjunctions, which may
+    repeat a predicate."""
+    leaves = st.one_of(
+        st.just(TrueF()),
+        st.sampled_from("PQR").map(lambda p: Atom(PredConst(p), (Var(var),))),
+    )
+    return st.recursive(leaves, lambda parts: st.builds(And, parts, parts), max_leaves=4)
+
+
+@st.composite
+def counted_formulas(draw, depth: int = 2):
+    """A quantifier counted as sets, then possibly put in the restrictor or
+    the body of a quantifier that is not, binding the same name or not."""
+    var = draw(st.sampled_from("xy"))
+    f = RestrictedQuant(draw(QUANTS), var, draw(conjunctions(var)), draw(conjunctions(var)))
+    if depth and draw(st.booleans()):
+        outer = draw(st.sampled_from("xy"))
+        inner = draw(counted_formulas(depth - 1))
+        part = draw(st.sampled_from([inner, Not(inner), And(inner, f)]))
+        sort = Atom(PredConst(draw(st.sampled_from("PQR"))), (Var(outer),))
+        parts = draw(st.sampled_from([(sort, part), (part, sort), (TrueF(), And(sort, part))]))
+        f = RestrictedQuant(draw(QUANTS), outer, *parts)
+    return f
+
+
+@st.composite
+def monadic_models(draw):
+    """A model over P, Q and R with one or two worlds, whose extension keys
+    may be missing and whose tuples may lie outside the domain or have
+    another arity; the domain may list an individual twice."""
+    worlds = ("w0", "w1")[: draw(st.integers(1, 2))]
+    individuals = st.sampled_from(["d0", "d1", "d2", "d3"])
+    domain = tuple(draw(st.lists(individuals, min_size=1, max_size=3, unique=True)))
+    if draw(st.integers(0, 3)) == 0:
+        domain += (draw(st.sampled_from(domain)),)
+    tuples = [(d,) for d in domain] + [("d9",), ("d0", "d0"), ()]
+    predicates = {
+        (p, w): frozenset(draw(st.sets(st.sampled_from(tuples))))
+        for p in "PQR"
+        for w in worlds
+        if draw(st.integers(0, 5))  # else the key is missing
+    }
+    return IntensionalModel(
+        worlds=worlds, accessibility=frozenset(), domain=domain, predicates=predicates
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=counted_formulas(), ms=st.lists(monadic_models(), min_size=1, max_size=2),
+       bound=st.booleans())
+def test_quantifiers_counted_as_sets_agree_with_the_oracle(f, ms, bound):
+    # one closure runs on each model in turn, so it meets each domain
+    same_everywhere(f, ms, {"x": "d0"} if bound else {})
+
+
+@pytest.mark.parametrize("text, twice, once", [
+    # with d0 listed twice it is counted twice, as the oracle's loop counts it
+    ("(quant (exactly 2) ?x true (P ?x))", True, False),
+    ("(quant (exactly 2) ?x (P ?x) (and (Q ?x) (P ?x)))", True, False),
+    # (d9) names no individual and (d1 d1) and () have another arity
+    ("(quant (at-most 1) ?x (Q ?x) true)", False, True),
+    ("(quant all ?x (R ?x) (Q ?x))", True, True),
+    ("(quant some ?x true (and (R ?x) (R ?x)))", False, False),
+])
+def test_counted_quantifiers_count_each_listed_individual_and_no_stray_tuple(
+    text, twice, once
+):
+    models = [
+        IntensionalModel(
+            worlds=("w0",),
+            accessibility=frozenset(),
+            domain=domain,
+            predicates={
+                ("P", "w0"): frozenset({("d0",)}),
+                ("Q", "w0"): frozenset({("d0",), ("d9",), ("d1", "d1")}),
+                ("R", "w0"): frozenset({("d9",), ("d1", "d1"), ()}),
+            },
+        )
+        for domain in (("d0", "d1", "d0"), ("d0", "d1"))
+    ]
+    f = parse_formula(text)
+    holds = compile_formula(f)  # one closure for both domains
+    assert [holds(m, "w0", {}) for m in models] == [twice, once]
+    same_everywhere(f, models, {})
+
+
+def test_a_counted_quantifier_reads_the_domain_of_each_model_it_meets():
+    holds = compile_formula(parse_formula("(quant some ?x true (P ?x))"))
+    for d in ("d0", "d1", "d2", "d1"):
+        m = IntensionalModel(
+            worlds=("w0",),
+            accessibility=frozenset(),
+            domain=(d,),
+            predicates={("P", "w0"): frozenset({(d,)})},
+        )
+        assert holds(m, "w0", {}) is True
 
 
 # ---------------------------------------------------------------------------
