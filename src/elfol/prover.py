@@ -18,6 +18,16 @@ There are no modal inference rules: modal goals are provable only through
 axioms whose consequents are modal. Negative goals are provable only
 through facts or axioms with negated consequents. Failure at the
 configured bounds is reported distinctly from definitive failure.
+
+A closed subgoal whose search proved nothing is tabled for the rest of the
+search, and a later call that repeats it at no larger a budget is skipped
+(`_Search.solve`). A failure that an ancestor check (a subgoal repeating
+one on its own path) cut is not tabled, since it depends on the path, and
+neither is one below an or-elim case closed by a proof that took a lexical
+step. Outcomes and proofs are those of an untabled search. Only `explored`
+can differ, and so can the number in a fresh variable's name (v<N>) when
+the variable is renamed after a skip, which a trace shows only where it
+leaves such a variable unbound.
 """
 
 from __future__ import annotations
@@ -292,6 +302,59 @@ def _splits(facts, split) -> list:
     return [(f, parts) for f in facts if len(parts := split(f)) > 1]
 
 
+class _Hyps:
+    """The hypotheses (`extra`) a subgoal may use besides the kb facts:
+    impl-intro antecedents and or-elim cases, closed, in the order added.
+    What the search reads of them is built once, when one is added: the
+    sorted `alpha_key`s that key the ancestor check, the (hypothesis,
+    conjunct) pairs and-elim takes, and the disjunctive hypotheses or-elim
+    splits. The `alpha_key` indexes for closed goals, and each extension by
+    one more hypothesis, are built the first time they are asked for."""
+
+    __slots__ = ("formulas", "keys", "pairs", "splits", "_indexes", "_added")
+
+    def __init__(self, formulas=(), keys=(), pairs=(), splits=()):
+        self.formulas = formulas
+        self.keys = keys
+        self.pairs = pairs
+        self.splits = splits
+        self._indexes = None
+        self._added = {}
+
+    @staticmethod
+    def of(formulas) -> "_Hyps":
+        hyps = _Hyps()
+        for f in formulas:
+            hyps = hyps.add(f)
+        return hyps
+
+    def add(self, f: Formula) -> "_Hyps":
+        """These hypotheses followed by f."""
+        k = alpha_key(f)
+        hyps = self._added.get(k)
+        if hyps is None or (hyps.formulas[-1] is not f and hyps.formulas[-1] != f):
+            cs, ds = conjuncts(f), disjuncts(f)
+            hyps = self._added[k] = _Hyps(
+                self.formulas + (f,),
+                tuple(sorted(self.keys + (k,))),
+                self.pairs + (tuple((f, c) for c in cs) if len(cs) > 1 else ()),
+                self.splits + (((f, ds),) if len(ds) > 1 else ()),
+            )
+        return hyps
+
+    def positions(self):
+        """alpha_key -> positions in formulas, and alpha_key -> positions in
+        pairs of the conjunct."""
+        if self._indexes is None:
+            facts, conjs = {}, {}
+            for i, f in enumerate(self.formulas):
+                facts.setdefault(alpha_key(f), []).append(i)
+            for i, (_f, c) in enumerate(self.pairs):
+                conjs.setdefault(alpha_key(c), []).append(i)
+            self._indexes = facts, conjs
+        return self._indexes
+
+
 def _compile_axiom(axiom: Formula, label: str) -> tuple:
     """The clauses of an axiom: an implication's consequent with its
     antecedent's conjuncts, a bare matrix with none, or an equivalence's
@@ -321,6 +384,12 @@ class _Search:
         self.plans = {}  # (table, head) -> see _same_head
         self.fact_positions = {}  # head -> alpha_key -> positions in kb.facts
         self.fact_splits = _splits(kb.facts, disjuncts)
+        # (visited key, split_done) -> (lex_budget, depth, hit a bound) of a
+        # closed call that proved nothing; see solve
+        self.failures = {}
+        self.cuts = 0  # ancestor-check cuts so far
+        self.hits = 0  # depth and lexical bound cuts so far
+        self.commits = 0  # or-elim cases closed by a proof that took a lexical step
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -342,6 +411,22 @@ class _Search:
         for entry in entries:
             self.tick()
             yield entry
+
+    def _indexed(self, positions, entries):
+        """Yield the entries at positions, ascending, ticking the entries
+        skipped before each and after the last in bulk, so that explored
+        reads as if every entry had been visited."""
+        done = 0
+        for i in positions:
+            self.tick(i + 1 - done)
+            done = i + 1
+            yield entries[i]
+        self.tick(len(entries) - done)
+
+    def _bound_hit(self):
+        """The depth or lexical bound cut the search here."""
+        self.exhausted = True
+        self.hits += 1
 
     def _rows(self, table: str) -> list:
         """(head, fresh names its renaming takes, entry) for each entry of a
@@ -392,18 +477,56 @@ class _Search:
     # -- the solver ---------------------------------------------------------
 
     def solve(self, goal, env, depth, visited, extra, lex_budget, split_done):
-        """Yield (env, trace, lexical_used) for each way to prove goal."""
-        if depth > self.cfg.max_depth:
-            self.exhausted = True
-            return
-        goal = resolve_formula(goal, env)
-        closed = not free_vars(goal)
-        if closed:
-            key = (alpha_key(goal), tuple(sorted(alpha_key(f) for f in extra)))
-            if key in visited:
-                return
-            visited = visited | {key}
+        """Yield (env, trace, lexical_used) for each way to prove goal. extra
+        holds the hypotheses, as a `_Hyps` or a tuple.
 
+        A closed call that proves nothing is tabled under its ancestor-check
+        key and split_done (see the module docstring), unless an ancestor
+        check cut the search below it or an or-elim case below it was closed
+        by a proof that took a lexical step: or-elim keeps the first proof
+        of each case, and with other budgets another may come first."""
+        if depth > self.cfg.max_depth:
+            self._bound_hit()
+            return
+        if type(extra) is tuple:
+            extra = _Hyps.of(extra)
+        goal = resolve_formula(goal, env)
+        if free_vars(goal):
+            yield from self._rules(goal, env, depth, visited, extra, lex_budget, split_done, False)
+            return
+        key = (alpha_key(goal), extra.keys)
+        if key in visited:
+            self.cuts += 1
+            return
+        visited = visited | {key}
+        failed = self.failures.get((key, split_done))
+        if failed is not None and self._repeats(failed, lex_budget, depth):
+            return
+        cuts, hits, commits = self.cuts, self.hits, self.commits
+        proofs = self._rules(goal, env, depth, visited, extra, lex_budget, split_done, True)
+        for proof in proofs:
+            yield proof
+            yield from proofs
+            return
+        if self.cuts == cuts and self.commits == commits:
+            self.failures[key, split_done] = (lex_budget, depth, self.hits != hits)
+
+    def _repeats(self, failed, lex_budget, depth) -> bool:
+        """Whether a call at lex_budget and depth repeats the tabled failure
+        failed; if so, it has the effect on exhausted that the call would
+        have. A failure that hit no bound is only repeated at its own
+        budgets until a bound has been hit, since with less room the call
+        could hit one."""
+        budget, at_depth, hit = failed
+        if lex_budget > budget or depth < at_depth:
+            return False
+        if not (hit or self.exhausted) and (lex_budget, depth) != (budget, at_depth):
+            return False
+        if hit:
+            self._bound_hit()
+        return True
+
+    def _rules(self, goal, env, depth, visited, extra, lex_budget, split_done, closed):
         yield from self._reflexivity(goal, env)
         yield from self._facts(goal, env, extra, closed)
         yield from self._axioms(goal, env, depth, visited, extra, lex_budget, split_done)
@@ -431,16 +554,14 @@ class _Search:
                 for i, f in enumerate(self.kb.facts):
                     if _head(f) == head:
                         positions.setdefault(alpha_key(f), []).append(i)
-            done = 0
-            for i in positions.get(alpha_key(goal), ()):
-                self.tick(i + 1 - done)
-                done = i + 1
+            k = alpha_key(goal)
+            for _fact in chain(
+                self._indexed(positions.get(k, ()), self.kb.facts),
+                self._indexed(extra.positions()[0].get(k, ()), extra.formulas),
+            ):
                 yield dict(env), TraceNode("fact-match", goal), 0
-            self.tick(len(self.kb.facts) - done)
-            kb_facts = ()
-        else:
-            kb_facts = self._same_head("facts", _head(goal))
-        for fact in chain(kb_facts, self._each(extra)):
+            return
+        for fact in chain(self._same_head("facts", _head(goal)), self._each(extra.formulas)):
             e2 = unify(goal, fact, env)
             if e2 is not None:
                 yield e2, TraceNode("fact-match", resolve_formula(goal, e2)), 0
@@ -479,7 +600,7 @@ class _Search:
     def _axioms(self, goal, env, depth, visited, extra, lex_budget, split_done):
         if lex_budget < 1:
             if self.clauses:
-                self.exhausted = True
+                self._bound_hit()
             return
         for clause in self._same_head("axioms", _head(goal)):
             c = clause.renamed(self.renaming(clause.vars))
@@ -492,7 +613,7 @@ class _Search:
             return
         if lex_budget < 1:
             if self.kb.schemas:
-                self.exhausted = True
+                self._bound_hit()
             return
         for schema in self.kb.schemas:
             self.tick()
@@ -541,7 +662,7 @@ class _Search:
         variable, and restrictor; yields (env, trace, lex)."""
         q, x, restr = goal.quant, goal.var, goal.restrictor
         rigid = frozenset((x,))
-        for fact in list(self.kb.facts) + list(extra):
+        for fact in chain(self.kb.facts, extra.formulas):
             if not isinstance(fact, RestrictedQuant) or fact.quant != q:
                 continue
             self.tick()
@@ -661,11 +782,15 @@ class _Search:
                 yield e2, TraceNode(
                     "and-intro", resolve_formula(goal_r, e2), traces
                 ), lex
-        # and-elim from conjunctive facts; closed pairs unify iff alpha-equivalent
-        for fact, c in chain(
-            self._same_head("conjuncts", _head(goal_r)),
-            self._each((f, c) for f, cs in _splits(extra, conjuncts) for c in cs),
-        ):
+        # and-elim from conjunctive facts and hypotheses; closed pairs unify
+        # iff alpha-equivalent
+        if closed:
+            hyp_pairs = self._indexed(
+                extra.positions()[1].get(alpha_key(goal_r), ()), extra.pairs
+            )
+        else:
+            hyp_pairs = self._each(extra.pairs)
+        for fact, c in chain(self._same_head("conjuncts", _head(goal_r)), hyp_pairs):
             if closed and not free_vars(c):
                 e2 = dict(env) if alpha_key(c) == alpha_key(goal_r) else None
             else:
@@ -696,7 +821,7 @@ class _Search:
         if isinstance(goal_r, Implies) and not free_vars(goal_r.left):
             self.tick()
             for e2, t1, lex in self.solve(
-                goal_r.right, env, depth + 1, visited, extra + (goal_r.left,),
+                goal_r.right, env, depth + 1, visited, extra.add(goal_r.left),
                 lex_budget, split_done,
             ):
                 yield e2, TraceNode(
@@ -704,7 +829,7 @@ class _Search:
                 ), lex
         # case analysis on disjunctive facts, last resort
         if closed:
-            for fact, ds in chain(self.fact_splits, _splits(extra, disjuncts)):
+            for fact, ds in chain(self.fact_splits, extra.splits):
                 fkey = alpha_key(fact)
                 if fkey in split_done:
                     continue
@@ -715,11 +840,12 @@ class _Search:
                 for case in ds:
                     found = False
                     for _e2, t1, lex in self.solve(
-                        goal_r, env, depth + 1, visited, extra + (case,),
+                        goal_r, env, depth + 1, visited, extra.add(case),
                         lex_budget - total_lex, split_done | {fkey},
                     ):
                         case_traces.append(t1)
                         total_lex += lex
+                        self.commits += lex > 0
                         found = True
                         break
                     if not found:

@@ -349,15 +349,17 @@ class _Matcher:
 
     def _var(self, x: str, goal, st: _MatchState) -> list:
         """A template variable: a quantified one matches the goal variable
-        it is paired with, a stripped universal is bound to a term, and any
-        other matches only itself."""
+        it is paired with, a stripped universal is bound to a closed term,
+        and any other matches only itself. A universal lies outside every
+        quantifier of the template, so a goal term with a free variable,
+        even one the goal's own quantifier binds, would be captured."""
         paired = dict(st.pairs)
         if x in paired:
             return [st] if type(goal) is Var and goal.name == paired[x] else []
         if x in self.universals:
             if x in st.fo:
                 return [st] if alpha_equivalent(st.fo[x], goal) else []
-            if free_vars(goal) - {g for _, g in st.pairs}:
+            if free_vars(goal):
                 return []
             st2 = st.child()
             st2.fo[x] = goal

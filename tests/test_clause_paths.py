@@ -79,7 +79,7 @@ PINS = {
         "proved", 15, 9, "77e5a9f33ed34fa33bad42a6e9b0af12f5bbca1318554bb59d81af8be24e3b70"
     ),
     "schema-equivalence": (
-        "proved", 66, 32, "5833e6ab6980b9930f478887d24cc98cbf3a52ef9bd85e9ef68db8a5a319b36d"
+        "proved", 31, 32, "5833e6ab6980b9930f478887d24cc98cbf3a52ef9bd85e9ef68db8a5a319b36d"
     ),
 }
 

@@ -186,6 +186,19 @@ class TestMatchConclusion:
             for b in bindings
         )
 
+    def test_universal_is_not_bound_to_a_variable_the_goal_binds(self):
+        # ?y lies outside the quantifier, so binding it to the goal's ?x
+        # would capture: the premise instance (s ?x) would have ?x free
+        schema = Schema(
+            "capture",
+            (("P1", 1),),
+            (),
+            (("Q", "right-up"),),
+            parse_formula("(forall ?y (implies (s ?y) (quant Q ?z (P1 ?z) (s ?y))))"),
+        )
+        goal = parse_formula("(quant some ?x (r ?x) (s ?x))")
+        assert match_conclusion(schema, goal, REG) == []
+
     def test_match_is_sound_across_random_goals(self, rng):
         # every returned total binding instantiates to a formula whose
         # conclusion position, under the recorded universal instantiation,
