@@ -131,14 +131,8 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (ParseError, KbError, ReductionError, EnumerationError,
-            EnumerationCeiling, EvalError) as e:
+            EnumerationCeiling, EvalError, ValueError, UnknownQuantifierError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UnknownQuantifierError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
     except OSError as e:
         where = "" if e.filename is None else f"{e.filename}: "
@@ -176,7 +170,7 @@ def _check_quants(label: str, f, registry) -> None:
     try:
         _resolve_quants(f, registry)
     except UnknownQuantifierError as e:
-        raise ValueError(f"{label}: {e.args[0]}") from None
+        raise ValueError(f"{label}: {e}") from None
 
 
 def _resolve_quants(node, registry) -> None:

@@ -49,21 +49,13 @@ the registry cannot resolve). So only subtrees without a countermodel are
 skipped, in an unchanged order: the first countermodel, and every error,
 stay the same.
 
-`first_failure` checks each schema by compiling its body once, with the
-metavariables as slots (`Slots`), and running the closure for each binding
-in `enumerate_bindings` order. A slot holds the bound predicate constant or
-quantifier reference; a part of the body that mentions a metavariable in any
-other way (a formula metavariable, a reified or modified predicate) is
-substituted by `instantiate`'s own rules and compiled, once per value. So
-each binding runs the closures of the compiled instance, node for node: the
-same value, the same EvalError or ModelRejection with the same message, met
-at the same node, world and binding. The instance ceiling is still checked
-when the schema is reached, and the failing instance is built by
-`instantiate` only once it has failed. The instances of a
-`schemas.weakening_valid` schema, a conjunct dropped under a right-up
-quantifier, hold at every world of every model by monotonicity; when no
-instance can raise either, `first_failure` checks only the ceiling there,
-since none of them can be its answer.
+`first_failure` checks each schema by building each bounded instance with
+`instantiate`, in `enumerate_bindings` order, and compiling it as it would
+an axiom. The instance ceiling is checked when the schema is reached. The
+instances of a `schemas.weakening_valid` schema, a conjunct dropped under a
+right-up quantifier, hold at every world of every model by monotonicity;
+when no instance can raise either, `first_failure` checks only the ceiling
+there, since none of them can be its answer.
 """
 
 from __future__ import annotations
@@ -115,7 +107,6 @@ from .schemas import (
     Schema,
     _bindings,
     instantiate,
-    substitute,
     weakening_valid,
 )
 
@@ -185,14 +176,11 @@ def eval_formula(
 # the order a walk over the tree would meet it (arguments left to right and
 # before the predicate; `and`/`or`/`implies` short-circuit; the body of a
 # quantifier only where its restrictor holds). A quantifier is resolved in
-# the registry on its first evaluation and kept by its closure. Outside a
-# schema's slots, a quantifier whose restrictor and body are each `true`, a
-# monadic atom (P ?x) over its own variable, or a conjunction of these,
-# cannot raise: it counts |A∩B| and |A\B| as intersections of the domain's
-# 1-tuples with the extensions, calling no closure per individual.
-#
-# A schema body compiles once, with its metavariables as slots that the
-# closures read from `Slots.values` as they run (see `Slots`).
+# the registry on its first evaluation and kept by its closure. A
+# quantifier whose restrictor and body are each `true`, a monadic atom
+# (P ?x) over its own variable, or a conjunction of these, cannot raise: it
+# counts |A∩B| and |A\B| as intersections of the domain's 1-tuples with the
+# extensions, calling no closure per individual.
 
 
 def _raises(message: str):
@@ -258,84 +246,18 @@ def _compile_args(args):
     return lambda m, env: tuple([fn(m, env) for fn in fns])
 
 
-@dataclass
-class Slots:
-    """The metavariables of a schema and their current values.
-
-    `compile_formula(schema.body, registry, slots)` compiles the body once;
-    put a binding from `enumerate_bindings` into `values` and the closure
-    gives what the compiled instance `instantiate(schema, binding)` gives,
-    value or error. A part of the body that mentions no metavariable
-    compiles as it would alone. An atom (P ...) over a predicate
-    metavariable reads P's constant from `values`, and so does the
-    restrictor (P ?x) of a quantifier over ?x; a quantifier metavariable
-    reads its reference, whose truth condition is resolved on first use and
-    kept per reference (an unknown one is not kept, so it raises each
-    time). Any other part that mentions a metavariable, such as (PHI),
-    (that (PHI)) or ((do (ka P)) ?x), is substituted by instantiate's own
-    rules and compiled, once per distinct value of the metavariables it
-    mentions."""
-
-    schema: Schema
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.names = frozenset(self.schema.metavar_names())
-        self.preds = frozenset(self.schema.pred_arities)
-
-    def mentioned(self, node) -> tuple:
-        """The metavariables instantiate may replace in node, sorted."""
-        found = set()
-
-        def walk(n):
-            if type(n) is PredConst and n.name in self.names:
-                found.add(n.name)
-            elif type(n) is RestrictedQuant and n.quant.name in self.names:
-                found.add(n.quant.name)
-            for child in children(n):
-                walk(child)
-
-        walk(node)
-        return tuple(sorted(found))
-
-    def is_slot_atom(self, f) -> bool:
-        """f is (P t...) over a predicate metavariable P, with no metavariable
-        in its arguments."""
-        return (
-            type(f) is Atom
-            and type(f.pred) is PredConst
-            and f.pred.name in self.preds
-            and not any(self.mentioned(a) for a in f.args)
-        )
-
-
-# the nodes a schema body is compiled through with its slots
-_SLOTTED = (Not, And, Or, Implies, Equiv, RestrictedQuant, Modal)
-
-
-def compile_formula(
-    f: Formula,
-    registry: Optional[QuantRegistry] = None,
-    slots: Optional[Slots] = None,
-):
-    """fn(m, w, env) -> the truth of f at world w of m under env; with
-    slots, f is a part of slots.schema's body (see `Slots`)."""
+def compile_formula(f: Formula, registry: Optional[QuantRegistry] = None):
+    """fn(m, w, env) -> the truth of f at world w of m under env."""
     registry = registry if registry is not None else DEFAULT_REGISTRY
-    if slots is not None:
-        names = slots.mentioned(f)
-        if not names:
-            slots = None
-        elif not (isinstance(f, _SLOTTED) or slots.is_slot_atom(f)):
-            return _compile_substituted(f, names, slots, registry)
 
     def part(g):
-        return compile_formula(g, registry, slots)
+        return compile_formula(g, registry)
 
     match f:
         case TrueF():
             return lambda m, w, env: True
         case Atom(pred, args):
-            return _compile_atom(pred, args, registry, slots)
+            return _compile_atom(pred, args, registry)
         case Equal(l, r):
             l, r = compile_term(l), compile_term(r)
             return lambda m, w, env: l(m, env) == r(m, env)
@@ -355,7 +277,7 @@ def compile_formula(
             l, r = part(l), part(r)
             return lambda m, w, env: l(m, w, env) == r(m, w, env)
         case RestrictedQuant(qref, var, restrictor, body):
-            return _compile_quant(qref, var, restrictor, body, registry, slots)
+            return _compile_quant(qref, var, restrictor, body, registry)
         case Modal(flavor, body):
             body = part(body)
             if flavor == POSSIBLY:
@@ -372,24 +294,12 @@ def compile_formula(
     return _raises(f"not a formula: {f!r}")
 
 
-def _compile_atom(pred, args, registry, slots=None):
+def _compile_atom(pred, args, registry):
     # a monadic atom (P ?x), the most common atom in model checking, reads
     # ?x and P's extension without building its argument tuple through
-    # compiled terms; with slots, P is a predicate metavariable whose
-    # constant is read from them
+    # compiled terms
     if isinstance(pred, PredConst) and len(args) == 1 and isinstance(args[0], Var):
         name, x = pred.name, args[0].name
-        if slots is not None:
-            values = slots.values
-
-            def monadic(m, w, env):
-                try:
-                    val = env[x]
-                except KeyError:
-                    raise EvalError(f"unbound variable ?{x}") from None
-                return (val,) in m.extension(values[name].name, w)
-
-            return monadic
 
         def monadic(m, w, env):
             try:
@@ -400,9 +310,6 @@ def _compile_atom(pred, args, registry, slots=None):
 
         return monadic
     args = _compile_args(args)
-    if slots is not None:
-        values, name = slots.values, pred.name
-        return lambda m, w, env: args(m, env) in m.extension(values[name].name, w)
     match pred:
         case PredConst(name):
             return lambda m, w, env: args(m, env) in m.predicates.get((name, w), _EMPTY)
@@ -445,14 +352,13 @@ def _compile_atom(pred, args, registry, slots=None):
     return unknown
 
 
-def _compile_quant(qref, var, restrictor, body, registry, slots=None):
-    sorts = None if slots is not None else (_sorts(restrictor, var), _sorts(body, var))
+def _compile_quant(qref, var, restrictor, body, registry):
+    sorts = _sorts(restrictor, var), _sorts(body, var)
     # members(m, w, env2) yields the individuals the restrictor admits, each
     # bound to var in env2 before the body runs; a restrictor `true` or
     # (P ?var) cannot fail, so those individuals are read off the domain or
-    # P's extension (P's constant read from the slots when P is a
-    # predicate metavariable), while any other restrictor is evaluated
-    # lazily, one individual at a time, between evaluations of the body
+    # P's extension, while any other restrictor is evaluated lazily, one
+    # individual at a time, between evaluations of the body
     if isinstance(restrictor, TrueF):
         def members(m, w, env2):
             return m.domain
@@ -462,18 +368,12 @@ def _compile_quant(qref, var, restrictor, body, registry, slots=None):
         and restrictor.args == (Var(var),)
     ):
         sort = restrictor.pred.name
-        if slots is not None and sort in slots.preds:
-            values = slots.values
 
-            def members(m, w, env2):
-                ext = m.extension(values[sort].name, w)
-                return [d for d in m.domain if (d,) in ext]
-        else:
-            def members(m, w, env2):
-                ext = m.predicates.get((sort, w), _EMPTY)
-                return [d for d in m.domain if (d,) in ext]
+        def members(m, w, env2):
+            ext = m.predicates.get((sort, w), _EMPTY)
+            return [d for d in m.domain if (d,) in ext]
     else:
-        restrictor = compile_formula(restrictor, registry, slots)
+        restrictor = compile_formula(restrictor, registry)
 
         def members(m, w, env2):
             for d in m.domain:
@@ -481,7 +381,7 @@ def _compile_quant(qref, var, restrictor, body, registry, slots=None):
                 if restrictor(m, w, env2):
                     yield d
 
-    body = compile_formula(body, registry, slots)
+    body = compile_formula(body, registry)
 
     def count(m, w, env, truth):
         n_ab = 0
@@ -495,7 +395,7 @@ def _compile_quant(qref, var, restrictor, body, registry, slots=None):
                 n_anb += 1
         return truth(n_ab, n_anb)
 
-    if sorts is not None and None not in sorts:
+    if None not in sorts:
         loop, (restricting, holding) = count, sorts
         seen = None, None  # the last domain counted (a tuple) and its 1-tuples
 
@@ -516,18 +416,6 @@ def _compile_quant(qref, var, restrictor, body, registry, slots=None):
                 ab = ab.intersection(get((p, w), _EMPTY))
             return truth(len(ab), len(a) - len(ab))
 
-    if slots is not None and qref.name in slots.names:
-        values, meta = slots.values, qref.name
-        truths = {}  # truth condition by quantifier reference
-
-        def slot_quant(m, w, env):
-            ref = values[meta]
-            truth = truths.get(ref)
-            if truth is None:
-                truth = truths[ref] = _truth(registry, ref)
-            return count(m, w, env, truth)
-
-        return slot_quant
     truth = None  # the quantifier's truth condition, resolved on first use
 
     def quant(m, w, env):
@@ -557,23 +445,6 @@ def _truth(registry, ref):
         raise EvalError(str(e)) from None
 
 
-def _compile_substituted(f, names, slots, registry):
-    # any other part of a schema body that mentions metavariables is
-    # substituted and compiled once per distinct value of those names
-    values, compiled = slots.values, {}
-
-    def substituted(m, w, env):
-        key = tuple([values[n] for n in names])
-        holds = compiled.get(key)
-        if holds is None:
-            holds = compiled[key] = compile_formula(
-                substitute(slots.schema, f, values), registry
-            )
-        return holds(m, w, env)
-
-    return substituted
-
-
 # ---------------------------------------------------------------------------
 # Knowledge-base satisfaction
 
@@ -588,11 +459,10 @@ def first_failure(
     world) with kind "axiom", "schema-instance" or "fact"; None if m
     satisfies kb. Axioms come first, then each schema's bounded instances,
     then the facts; an axiom or instance is tried at every world in order,
-    a fact at the current world only. Each schema body is compiled once and
-    run for each binding in enumerate_bindings' order; only the failing
-    instance is built. A `weakening_valid` schema whose instances cannot
-    raise is only checked against the instance ceiling: each of its
-    instances holds at every world of every model.
+    a fact at the current world only. Each schema instance is built and
+    compiled in enumerate_bindings' order. A `weakening_valid` schema whose
+    instances cannot raise is only checked against the instance ceiling:
+    each of its instances holds at every world of every model.
 
     Raises EvalError, before anything is evaluated, if a predicate or
     function of kb's signature has a tuple or argument list in m whose
@@ -621,13 +491,11 @@ def first_failure(
         bindings = _bindings(schema, kb.signature, registry, bounds, None)
         if weakening_valid(schema, registry) and _total(schema.body, registry, schema):
             continue
-        slots = Slots(schema)
-        holds = compile_formula(schema.body, registry, slots)
         for binding in bindings:
-            slots.values.update(binding)
+            inst = instantiate(schema, binding, registry)
+            holds = compile_formula(inst, registry)
             for w in m.worlds:
                 if not holds(m, w, {}):
-                    inst = instantiate(schema, binding, registry)
                     return "schema-instance", inst, w
     for fact in kb.facts:
         if not compile_formula(fact, registry)(m, m.w0, {}):

@@ -149,7 +149,9 @@ PARAMETRIC_NAMES = ("at-least", "at-most", "exactly", "fewer-than")
 
 
 class UnknownQuantifierError(KeyError):
-    pass
+    def __str__(self) -> str:
+        # KeyError's own __str__ quotes its argument, as for a missing key
+        return self.args[0]
 
 
 class QuantRegistry:

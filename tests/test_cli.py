@@ -164,6 +164,14 @@ class TestEvalCommand:
         assert "m.elf" in err and "(= zz a)" in err
         assert "uninterpreted constant zz" in err
 
+    def test_unknown_quantifier_is_named_without_quotes(self, capsys, tmp_path):
+        model = tmp_path / "m.elf"
+        model.write_text("(model (worlds w0) (acc) (domain d0) (pred P (w0 (d0))))\n")
+        formula = "(quant umpteen ?x true (P ?x))"
+        code, out, err = run(capsys, "eval", "--model", str(model), "--formula", formula)
+        assert (code, out) == (2, "")
+        assert err == f"error: {model}: formula {formula}: unknown quantifier 'umpteen'\n"
+
     def test_model_parse_error_names_the_model_file(self, capsys, tmp_path):
         model = tmp_path / "bad.elf"
         model.write_text("(model (worlds w0 (domain d0))\n")
@@ -301,6 +309,9 @@ class TestCheckCommand:
         ("(pred contained-in (w0 (b1 f1))", "(pred contained-in (w0)", "axiom",
          "(quant all ?x true (quant all ?y true (implies (result-state (enter ?x ?y))"
          " (contained-in ?x ?y))))"),
+        # prop-1 is (that (action-type a1)), so a correct-iff-content instance fails
+        ("(pred correct (w0 (prop-1) (prop-2)", "(pred correct (w0 (prop-2)",
+         "schema-instance", "(equiv (correct (that (action-type a1))) (action-type a1))"),
     ])
     def test_a_removed_tuple_names_the_failure_and_its_world(
         self, capsys, witness, old, new, kind, formula

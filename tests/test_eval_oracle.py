@@ -4,9 +4,8 @@ Each check compiles a formula once and evaluates the closure at every world
 of one or more models; the oracle re-walks the tree for each. Both must give
 the same value, or raise the same exception type with the same message.
 
-A schema body compiled once with slots must agree with each instance
-compiled on its own, and `first_failure` with the oracle's
-instance-by-instance check.
+`first_failure` must agree with the oracle's instance-by-instance check on
+the bundle's witness model and on random models of the bundled schemas.
 """
 
 import random
@@ -44,7 +43,6 @@ from elfol.models import (
     EvalError,
     IntensionalModel,
     ModelRejection,
-    Slots,
     compile_formula,
     compile_term,
     _total,
@@ -56,10 +54,7 @@ from elfol.schemas import (
     EnumerationCeiling,
     InstanceBounds,
     Schema,
-    enumerate_bindings,
     enumerate_instances,
-    instantiate,
-    substitute,
     weakening_valid,
 )
 from elfol.syntax import parse_formula, parse_term, render
@@ -427,7 +422,7 @@ def test_reified_term_reads_free_variables_in_first_occurrence_order():
 
 
 # ---------------------------------------------------------------------------
-# Schemas compiled once, with their metavariables as slots
+# Schema instances checked by first_failure
 
 BUNDLE = load_bundle()
 SMALL = InstanceBounds(max_quant_param=2, max_formula_instances=4)
@@ -508,47 +503,18 @@ def schema_kb(sig: Signature, schemas=SCHEMAS) -> KnowledgeBase:
 
 @settings(max_examples=50, deadline=None)
 @given(sig=signatures, seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_a_compiled_schema_agrees_with_each_compiled_instance(sig, seed):
+def test_first_failure_agrees_with_the_oracle_on_random_schema_models(sig, seed):
     rng = random.Random(seed)
     reg = BUNDLE.registry
     instances = [
         inst for s in SCHEMAS for inst in enumerate_instances(s, sig, reg, SMALL)
     ]
     models = [schema_model(rng, sig, instances) for _ in range(2)]
-    for schema in SCHEMAS:
-        slots = Slots(schema)
-        holds = compile_formula(schema.body, reg, slots)  # one closure throughout
-        for m in models:
-            for binding in enumerate_bindings(schema, sig, reg, SMALL):
-                slots.values.update(binding)
-                want = compile_formula(instantiate(schema, binding, reg), reg)
-                for w in m.worlds:
-                    assert outcome(lambda: holds(m, w, {})) == outcome(
-                        lambda: want(m, w, {})
-                    ), (schema.name, binding, w)
-        kb = schema_kb(sig)
-        for m in models:
-            assert outcome(lambda: first_failure(m, kb, bounds=SMALL)) == outcome(
-                lambda: oracle_eval.first_failure(m, kb, bounds=SMALL)
-            )
-
-
-def test_a_quantifier_slot_keeps_each_resolved_reference_but_no_failure():
-    reg = CountingRegistry()
-    schema = Schema(
-        "q", (), (), (("Q", "any"),), parse_formula("(quant Q ?x true (P ?x))")
-    )
-    slots = Slots(schema)
-    holds = compile_formula(schema.body, reg, slots)
-    assert reg.resolved == []
-    refs = [QuantRef("umpteen"), QuantRef("some"), QuantRef("umpteen"), QuantRef("some")]
-    m = small_model()
-    for ref in refs:
-        slots.values["Q"] = ref
-        want = compile_formula(substitute(schema, schema.body, slots.values))
-        assert outcome(lambda: holds(m, "w0", {})) == outcome(lambda: want(m, "w0", {}))
-    # `some` once; `umpteen` on each evaluation, since its failure is not kept
-    assert reg.resolved == [QuantRef("umpteen"), QuantRef("some"), QuantRef("umpteen")]
+    kb = schema_kb(sig)
+    for m in models:
+        assert outcome(lambda: first_failure(m, kb, bounds=SMALL)) == outcome(
+            lambda: oracle_eval.first_failure(m, kb, bounds=SMALL)
+        )
 
 
 def bundle_failure(m, bounds=None):

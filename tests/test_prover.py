@@ -328,6 +328,23 @@ class TestProve:
         r = prove(kb, parse_formula("(S)"), ProverConfig(max_lexical_steps=2))
         assert not r.proved and r.outcome == EXHAUSTED
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "or-elim keeps the first proof of each case: with two steps, the case"
+        " (and (p c) (s c)) proves (s c) through (u c), which leaves no step"
+        " for (s c) <- (r c); the search proves (s c) with one step and with three"
+    ))
+    def test_or_elim_proves_at_every_budget_that_suffices(self):
+        kb = KnowledgeBase(
+            Signature(predicates={p: 1 for p in "prsu"}, constants={"c"}),
+            [parse_formula("(or (and (p c) (s c)) (r c))")],
+            [parse_formula(a) for a in (
+                "(implies (u c) (s c))",
+                "(implies (p c) (u c))",
+                "(implies (r c) (s c))",
+            )],
+        )
+        assert prove(kb, parse_formula("(s c)"), ProverConfig(max_lexical_steps=2)).proved
+
 
 class TestLexiconInferences:
     """The worked inferences from the bundled knowledge base."""
