@@ -137,9 +137,6 @@ class IntensionalModel:
     def w0(self):
         return self.worlds[0]
 
-    def extension(self, pred: str, world) -> set:
-        return self.predicates.get((pred, world), _EMPTY)
-
 
 _EMPTY: frozenset = frozenset()
 

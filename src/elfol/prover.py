@@ -14,6 +14,12 @@ each side once the consequent with the other as its one antecedent.
 `_Search._apply` proves a goal by any of them, and `forward_chain` derives
 facts by the same clauses read forward.
 
+Rules look entries up rather than scan them: a closed goal finds the
+facts, hypotheses and hypothesis conjuncts equal to it by `alpha_key`, and
+the facts, fact conjuncts and clauses a rule tries are those whose head
+(`_head`) is the goal's. `explored` counts the entries visited, and only a
+clause visited takes fresh variable names.
+
 There are no modal inference rules: modal goals are provable only through
 axioms whose consequents are modal. Negative goals are provable only
 through facts or axioms with negated consequents. Failure at the
@@ -302,6 +308,14 @@ def _splits(facts, split) -> list:
     return [(f, parts) for f in facts if len(parts := split(f)) > 1]
 
 
+def _by(key, entries) -> dict:
+    """key(entry) -> the entries with that key, in order."""
+    index = {}
+    for entry in entries:
+        index.setdefault(key(entry), []).append(entry)
+    return index
+
+
 class _Hyps:
     """The hypotheses (`extra`) a subgoal may use besides the kb facts:
     impl-intro antecedents and or-elim cases, closed, in the order added.
@@ -342,16 +356,12 @@ class _Hyps:
             )
         return hyps
 
-    def positions(self):
-        """alpha_key -> positions in formulas, and alpha_key -> positions in
+    def indexes(self):
+        """alpha_key -> hypotheses, and alpha_key -> (hypothesis, conjunct)
         pairs of the conjunct."""
         if self._indexes is None:
-            facts, conjs = {}, {}
-            for i, f in enumerate(self.formulas):
-                facts.setdefault(alpha_key(f), []).append(i)
-            for i, (_f, c) in enumerate(self.pairs):
-                conjs.setdefault(alpha_key(c), []).append(i)
-            self._indexes = facts, conjs
+            pairs = _by(lambda pair: alpha_key(pair[1]), self.pairs)
+            self._indexes = _by(alpha_key, self.formulas), pairs
         return self._indexes
 
 
@@ -381,8 +391,15 @@ class _Search:
         compiled = [_compile_axiom(ax, f"axiom-{i + 1}") for i, ax in enumerate(kb.axioms)]
         self.clauses = [c for cs in compiled for c in cs]
         self.equivalences = [cs for cs in compiled if cs[0].rewrite]
-        self.plans = {}  # (table, head) -> see _same_head
-        self.fact_positions = {}  # head -> alpha_key -> positions in kb.facts
+        conjunct_pairs = [(f, c) for f, cs in _splits(kb.facts, conjuncts) for c in cs]
+        # table -> head -> the entries with that head; see _same_head
+        self.heads = {
+            "facts": _by(_head, kb.facts),
+            "conjuncts": _by(lambda pair: _head(pair[1]), conjunct_pairs),
+            "axioms": _by(lambda c: c.head, [c for c in self.clauses if not c.rewrite]),
+            "rewrites": _by(lambda c: c.head, [c for c in self.clauses if c.rewrite]),
+        }
+        self.fact_keys = _by(alpha_key, kb.facts)
         self.fact_splits = _splits(kb.facts, disjuncts)
         # (visited key, split_done) -> (lex_budget, depth, hit a bound) of a
         # closed call that proved nothing; see solve
@@ -393,16 +410,13 @@ class _Search:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def tick(self, n=1):
-        """Count n entries visited; past max_explored, stop where ticking
-        one entry at a time would have stopped."""
-        self.explored += n
+    def tick(self):
+        """Count one entry visited; stop past max_explored or the deadline."""
+        self.explored += 1
         if self.explored > self.cfg.max_explored:
-            self.explored = self.cfg.max_explored + 1
             self.exhausted = True
             raise _Budget()
-        # (explored - n, explored] holds a multiple of 256
-        if self.explored % 256 < n and time.monotonic() > self.deadline:
+        if self.explored % 256 == 0 and time.monotonic() > self.deadline:
             self.exhausted = True
             raise _Budget()
 
@@ -412,59 +426,17 @@ class _Search:
             self.tick()
             yield entry
 
-    def _indexed(self, positions, entries):
-        """Yield the entries at positions, ascending, ticking the entries
-        skipped before each and after the last in bulk, so that explored
-        reads as if every entry had been visited."""
-        done = 0
-        for i in positions:
-            self.tick(i + 1 - done)
-            done = i + 1
-            yield entries[i]
-        self.tick(len(entries) - done)
-
     def _bound_hit(self):
         """The depth or lexical bound cut the search here."""
         self.exhausted = True
         self.hits += 1
 
-    def _rows(self, table: str) -> list:
-        """(head, fresh names its renaming takes, entry) for each entry of a
-        table that a rule walks in order: the facts, the conjuncts of the
-        conjunctive facts, the clauses that rewrite or those that do not."""
-        if table == "facts":
-            return [(_head(f), 0, f) for f in self.kb.facts]
-        if table == "conjuncts":
-            splits = _splits(self.kb.facts, conjuncts)
-            return [(_head(c), 0, (f, c)) for f, cs in splits for c in cs]
-        rewrite = table == "rewrites"
-        return [(c.head, len(c.vars), c) for c in self.clauses if c.rewrite == rewrite]
-
     def _same_head(self, table: str, head):
-        """Yield the entries of a table whose head is head, in order. The
-        entries skipped are ticked in bulk, and the fresh names their
-        renamings would take are spent, so that explored and fresh_counter
-        read as if every entry had been visited: formulas whose heads
-        differ never unify."""
-        plan = self.plans.get((table, head))
-        if plan is None:
-            # [(ticks, names skipped before entry, entry)], ticks, names after
-            entries, ticks, names = [], 0, 0
-            for h, n, entry in self._rows(table):
-                if h == head:
-                    entries.append((ticks, names, entry))
-                    ticks = names = 0
-                else:
-                    ticks += 1
-                    names += n
-            plan = self.plans[(table, head)] = (entries, ticks, names)
-        entries, ticks, names = plan
-        for skipped, skipped_names, entry in entries:
-            self.tick(skipped + 1)
-            self.fresh_counter += skipped_names
-            yield entry
-        self.tick(ticks)
-        self.fresh_counter += names
+        """Yield the entries of a table whose head is head, in order, ticking
+        each: formulas whose heads differ never unify. The tables are the
+        facts, the conjuncts of the conjunctive facts, and the clauses that
+        do not rewrite and those that do."""
+        return self._each(self.heads[table].get(head, ()))
 
     def renaming(self, vs) -> dict:
         """A fresh name v<N> for each of vs."""
@@ -547,18 +519,9 @@ class _Search:
     def _facts(self, goal, env, extra, closed):
         if closed:
             # two closed formulas unify exactly when they are alpha-equivalent
-            head = _head(goal)
-            positions = self.fact_positions.get(head)
-            if positions is None:
-                positions = self.fact_positions[head] = {}
-                for i, f in enumerate(self.kb.facts):
-                    if _head(f) == head:
-                        positions.setdefault(alpha_key(f), []).append(i)
             k = alpha_key(goal)
-            for _fact in chain(
-                self._indexed(positions.get(k, ()), self.kb.facts),
-                self._indexed(extra.positions()[0].get(k, ()), extra.formulas),
-            ):
+            facts = chain(self.fact_keys.get(k, ()), extra.indexes()[0].get(k, ()))
+            for _fact in self._each(facts):
                 yield dict(env), TraceNode("fact-match", goal), 0
             return
         for fact in chain(self._same_head("facts", _head(goal)), self._each(extra.formulas)):
@@ -784,13 +747,8 @@ class _Search:
                 ), lex
         # and-elim from conjunctive facts and hypotheses; closed pairs unify
         # iff alpha-equivalent
-        if closed:
-            hyp_pairs = self._indexed(
-                extra.positions()[1].get(alpha_key(goal_r), ()), extra.pairs
-            )
-        else:
-            hyp_pairs = self._each(extra.pairs)
-        for fact, c in chain(self._same_head("conjuncts", _head(goal_r)), hyp_pairs):
+        hyp_pairs = extra.indexes()[1].get(alpha_key(goal_r), ()) if closed else extra.pairs
+        for fact, c in chain(self._same_head("conjuncts", _head(goal_r)), self._each(hyp_pairs)):
             if closed and not free_vars(c):
                 e2 = dict(env) if alpha_key(c) == alpha_key(goal_r) else None
             else:

@@ -458,13 +458,8 @@ def compare_effort(
     cfg = cfg if cfg is not None else ProverConfig()
     reduced_cfg = reduced_cfg if reduced_cfg is not None else cfg
     extended = prove(kb, goal, cfg)
-    tables: Optional[SideTables]
-    try:
-        reduced_kb, tables = reduce_kb(kb, ctx)
-        reduced_goal = reduce_formula(goal, ctx, tables)
-    except ReductionError:
-        raise
-    reduced = prove(reduced_kb, reduced_goal, reduced_cfg)
+    reduced_kb, tables = reduce_kb(kb, ctx)
+    reduced = prove(reduced_kb, reduce_formula(goal, ctx, tables), reduced_cfg)
     ratio = None
     if extended.proved and reduced.proved:
         ext_len = extended.trace.length()

@@ -83,7 +83,7 @@ def eval_term(m: IntensionalModel, env: dict, term):
 def _atom_holds(m, w, env, pred, vals, registry) -> bool:
     match pred:
         case PredConst(name):
-            return vals in m.extension(name, w)
+            return vals in m.predicates.get((name, w), frozenset())
         case Lambda(params, body):
             if len(params) != len(vals):
                 raise EvalError("lambda arity mismatch")

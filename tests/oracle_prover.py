@@ -43,6 +43,7 @@ from elfol.prover import (
     ProverConfig,
     TraceNode,
     _Budget,
+    _by,
     _compile_axiom,
     _head,
     _resolve_trace,
@@ -71,22 +72,26 @@ class _Search:
         compiled = [_compile_axiom(ax, f"axiom-{i + 1}") for i, ax in enumerate(kb.axioms)]
         self.clauses = [c for cs in compiled for c in cs]
         self.equivalences = [cs for cs in compiled if cs[0].rewrite]
-        self.plans = {}  # (table, head) -> see _same_head
-        self.fact_positions = {}  # head -> alpha_key -> positions in kb.facts
+        conjunct_pairs = [(f, c) for f, cs in _splits(kb.facts, conjuncts) for c in cs]
+        # table -> head -> the entries with that head; see _same_head
+        self.heads = {
+            "facts": _by(_head, kb.facts),
+            "conjuncts": _by(lambda pair: _head(pair[1]), conjunct_pairs),
+            "axioms": _by(lambda c: c.head, [c for c in self.clauses if not c.rewrite]),
+            "rewrites": _by(lambda c: c.head, [c for c in self.clauses if c.rewrite]),
+        }
+        self.fact_keys = _by(alpha_key, kb.facts)
         self.fact_splits = _splits(kb.facts, disjuncts)
 
     # -- bookkeeping --------------------------------------------------------
 
-    def tick(self, n=1):
-        """Count n entries visited; past max_explored, stop where ticking
-        one entry at a time would have stopped."""
-        self.explored += n
+    def tick(self):
+        """Count one entry visited; stop past max_explored or the deadline."""
+        self.explored += 1
         if self.explored > self.cfg.max_explored:
-            self.explored = self.cfg.max_explored + 1
             self.exhausted = True
             raise _Budget()
-        # (explored - n, explored] holds a multiple of 256
-        if self.explored % 256 < n and time.monotonic() > self.deadline:
+        if self.explored % 256 == 0 and time.monotonic() > self.deadline:
             self.exhausted = True
             raise _Budget()
 
@@ -96,43 +101,10 @@ class _Search:
             self.tick()
             yield entry
 
-    def _rows(self, table: str) -> list:
-        """(head, fresh names its renaming takes, entry) for each entry of a
-        table that a rule walks in order: the facts, the conjuncts of the
-        conjunctive facts, the clauses that rewrite or those that do not."""
-        if table == "facts":
-            return [(_head(f), 0, f) for f in self.kb.facts]
-        if table == "conjuncts":
-            splits = _splits(self.kb.facts, conjuncts)
-            return [(_head(c), 0, (f, c)) for f, cs in splits for c in cs]
-        rewrite = table == "rewrites"
-        return [(c.head, len(c.vars), c) for c in self.clauses if c.rewrite == rewrite]
-
     def _same_head(self, table: str, head):
-        """Yield the entries of a table whose head is head, in order. The
-        entries skipped are ticked in bulk, and the fresh names their
-        renamings would take are spent, so that explored and fresh_counter
-        read as if every entry had been visited: formulas whose heads
-        differ never unify."""
-        plan = self.plans.get((table, head))
-        if plan is None:
-            # [(ticks, names skipped before entry, entry)], ticks, names after
-            entries, ticks, names = [], 0, 0
-            for h, n, entry in self._rows(table):
-                if h == head:
-                    entries.append((ticks, names, entry))
-                    ticks = names = 0
-                else:
-                    ticks += 1
-                    names += n
-            plan = self.plans[(table, head)] = (entries, ticks, names)
-        entries, ticks, names = plan
-        for skipped, skipped_names, entry in entries:
-            self.tick(skipped + 1)
-            self.fresh_counter += skipped_names
-            yield entry
-        self.tick(ticks)
-        self.fresh_counter += names
+        """Yield the entries of a table whose head is head, in order, ticking
+        each: formulas whose heads differ never unify."""
+        return self._each(self.heads[table].get(head, ()))
 
     def renaming(self, vs) -> dict:
         """A fresh name v<N> for each of vs."""
@@ -177,19 +149,8 @@ class _Search:
     def _facts(self, goal, env, extra, closed):
         if closed:
             # two closed formulas unify exactly when they are alpha-equivalent
-            head = _head(goal)
-            positions = self.fact_positions.get(head)
-            if positions is None:
-                positions = self.fact_positions[head] = {}
-                for i, f in enumerate(self.kb.facts):
-                    if _head(f) == head:
-                        positions.setdefault(alpha_key(f), []).append(i)
-            done = 0
-            for i in positions.get(alpha_key(goal), ()):
-                self.tick(i + 1 - done)
-                done = i + 1
+            for _fact in self._each(self.fact_keys.get(alpha_key(goal), ())):
                 yield dict(env), TraceNode("fact-match", goal), 0
-            self.tick(len(self.kb.facts) - done)
             kb_facts = ()
         else:
             kb_facts = self._same_head("facts", _head(goal))

@@ -70,16 +70,16 @@ CASES = {
 # name -> (outcome, explored, fresh_counter, sha256 of trace.to_json())
 PINS = {
     "bare-axiom": (
-        "proved", 3, 3, "ee7b9bb93fbb5e87f4e08949e50d941e70940b27c1c033558c4d483ca18c7676"
+        "proved", 2, 2, "ee7b9bb93fbb5e87f4e08949e50d941e70940b27c1c033558c4d483ca18c7676"
     ),
     "bare-schema": (
-        "proved", 4, 3, "bee76ed22c95e9b48dba599a2b507e37f2497fceaa55f4441f3193e07727ce3e"
+        "proved", 3, 2, "bee76ed22c95e9b48dba599a2b507e37f2497fceaa55f4441f3193e07727ce3e"
     ),
     "top-level-rewrite": (
-        "proved", 15, 9, "77e5a9f33ed34fa33bad42a6e9b0af12f5bbca1318554bb59d81af8be24e3b70"
+        "proved", 6, 5, "77e5a9f33ed34fa33bad42a6e9b0af12f5bbca1318554bb59d81af8be24e3b70"
     ),
     "schema-equivalence": (
-        "proved", 31, 32, "5833e6ab6980b9930f478887d24cc98cbf3a52ef9bd85e9ef68db8a5a319b36d"
+        "proved", 24, 32, "5833e6ab6980b9930f478887d24cc98cbf3a52ef9bd85e9ef68db8a5a319b36d"
     ),
 }
 

@@ -637,8 +637,7 @@ def test_head_prefilter_keeps_every_unifier_in_the_reduced_kb():
 # ---------------------------------------------------------------------------
 # Indexed retrieval: a closed goal looks facts up by alpha_key, which is
 # exact only if closed formulas unify exactly when alpha-equivalent; and the
-# entries a lookup skips are ticked in bulk, which must stop a bounded search
-# exactly where ticking one entry at a time stops it.
+# explored bound must stop a search one entry past it.
 
 
 ENV_NAMES = ("v", "v1", "v2", "v3", "z", "z1", "x")

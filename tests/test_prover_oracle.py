@@ -212,8 +212,9 @@ def test_a_failure_under_an_or_elim_case_closed_by_a_lexical_step_is_not_tabled(
 
 def test_a_failure_that_hit_no_bound_is_repeated_only_at_its_own_budgets():
     # with no bound hit yet, a call with less room could hit one where the
-    # tabled call did not, so it is searched again
-    search = _Search(CHAIN_KB, ProverConfig())
+    # tabled call did not, so it is searched again. (h c) <- (g c) gives the
+    # call an entry to visit, so that a search of it shows in explored.
+    search = _Search(_kb([], ["(implies (g c) (h c))"]), ProverConfig())
     assert _solve(search, "(h c)", 0, 2) is None
     assert not search.exhausted
     explored = search.explored
@@ -233,9 +234,9 @@ def test_a_failure_that_hit_no_bound_is_repeated_only_at_its_own_budgets():
 
 
 def test_a_skip_renumbers_only_the_fresh_variables_named_after_it():
-    # the second (g c) under the inner or is skipped, with the renamings
-    # its search would take, so the fresh variable that (R c ?w) leaves
-    # unbound in the trace is ?v17 here and ?v27 in the untabled search
+    # the second (g c) under the inner or is skipped, and with it the
+    # renaming its search would take, so the fresh variable that (R c ?w)
+    # leaves unbound in the trace is ?v3 here and ?v4 in the untabled search
     kb = KnowledgeBase(
         Signature(predicates={"P": 1, "R": 2, "g": 1, "k": 1}, constants={"c"}),
         [],
