@@ -17,8 +17,11 @@ facts by the same clauses read forward.
 Rules look entries up rather than scan them: a closed goal finds the
 facts, hypotheses and hypothesis conjuncts equal to it by `alpha_key`, and
 the facts, fact conjuncts and clauses a rule tries are those whose head
-(`_head`) is the goal's. `explored` counts the entries visited, and only a
-clause visited takes fresh variable names.
+(`_head`) is the goal's. A closed goal under and, or, implies or equiv also
+skips the ground clauses whose left spine key (`_spine`) differs from its
+own, since a closed goal and a ground consequent unify only when they are
+alpha-equivalent. `explored` counts the entries visited, and only a clause
+visited takes fresh variable names.
 
 There are no modal inference rules: modal goals are provable only through
 axioms whose consequents are modal. Negative goals are provable only
@@ -278,6 +281,19 @@ def _head(f: Formula):
     return type(f)
 
 
+_SPINE = (And, Or, Implies, Equiv)
+
+
+def _spine(f: Formula) -> tuple:
+    """The node types down f's left spine through _SPINE, which bind
+    nothing, and the `alpha_key` of the formula at its end: closed formulas
+    with different keys are not alpha-equivalent."""
+    types = ()
+    while type(f) in _SPINE:
+        types, f = types + (type(f),), f.left
+    return types, alpha_key(f)
+
+
 @dataclass
 class _Clause:
     """For all vars, the consequent holds where every antecedent does. A
@@ -399,6 +415,7 @@ class _Search:
             "axioms": _by(lambda c: c.head, [c for c in self.clauses if not c.rewrite]),
             "rewrites": _by(lambda c: c.head, [c for c in self.clauses if c.rewrite]),
         }
+        self.spines = {}  # (table, spine key) -> entries; see _same_head
         self.fact_keys = _by(alpha_key, kb.facts)
         self.fact_splits = _splits(kb.facts, disjuncts)
         # (visited key, split_done) -> (lex_budget, depth, hit a bound) of a
@@ -431,12 +448,23 @@ class _Search:
         self.exhausted = True
         self.hits += 1
 
-    def _same_head(self, table: str, head):
-        """Yield the entries of a table whose head is head, in order, ticking
-        each: formulas whose heads differ never unify. The tables are the
-        facts, the conjuncts of the conjunctive facts, and the clauses that
-        do not rewrite and those that do."""
-        return self._each(self.heads[table].get(head, ()))
+    def _same_head(self, table: str, goal, closed=False):
+        """Yield the entries of a table whose head is goal's, in order,
+        ticking each: formulas whose heads differ never unify. The tables are
+        the facts, the conjuncts of the conjunctive facts, and the clauses
+        that do not rewrite and those that do. A closed goal under a
+        connective skips the ground clauses whose `_spine` key differs too."""
+        head = _head(goal)
+        entries = self.heads[table].get(head, ())
+        if closed and head in _SPINE:
+            key = (table, _spine(goal))
+            kept = self.spines.get(key)
+            if kept is None:
+                kept = self.spines[key] = [
+                    c for c in entries if c.vars or _spine(c.consequent) == key[1]
+                ]
+            entries = kept
+        return self._each(entries)
 
     def renaming(self, vs) -> dict:
         """A fresh name v<N> for each of vs."""
@@ -501,10 +529,8 @@ class _Search:
     def _rules(self, goal, env, depth, visited, extra, lex_budget, split_done, closed):
         yield from self._reflexivity(goal, env)
         yield from self._facts(goal, env, extra, closed)
-        yield from self._axioms(goal, env, depth, visited, extra, lex_budget, split_done)
-        yield from self._schemas(goal, env, depth, visited, extra, lex_budget, split_done)
-        yield from self._monotone(goal, env, depth, visited, extra, lex_budget, split_done)
-        yield from self._structural(goal, env, depth, visited, extra, lex_budget, split_done)
+        for rule in (self._axioms, self._schemas, self._monotone, self._structural):
+            yield from rule(goal, env, depth, visited, extra, lex_budget, split_done, closed)
 
     def _reflexivity(self, goal, env):
         if isinstance(goal, Equal):
@@ -524,7 +550,7 @@ class _Search:
             for _fact in self._each(facts):
                 yield dict(env), TraceNode("fact-match", goal), 0
             return
-        for fact in chain(self._same_head("facts", _head(goal)), self._each(extra.formulas)):
+        for fact in chain(self._same_head("facts", goal), self._each(extra.formulas)):
             e2 = unify(goal, fact, env)
             if e2 is not None:
                 yield e2, TraceNode("fact-match", resolve_formula(goal, e2)), 0
@@ -560,30 +586,30 @@ class _Search:
         ):
             yield e3, TraceNode(rule, resolve_formula(goal, e3), traces, c.label), cost + lex
 
-    def _axioms(self, goal, env, depth, visited, extra, lex_budget, split_done):
+    def _axioms(self, goal, env, depth, visited, extra, lex_budget, split_done, closed):
         if lex_budget < 1:
             if self.clauses:
                 self._bound_hit()
             return
-        for clause in self._same_head("axioms", _head(goal)):
+        for clause in self._same_head("axioms", goal, closed):
             c = clause.renamed(self.renaming(clause.vars))
             yield from self._apply(
                 "axiom-match", c, goal, env, depth, visited, extra, lex_budget, split_done
             )
 
-    def _schemas(self, goal, env, depth, visited, extra, lex_budget, split_done):
-        if free_vars(goal):
+    def _schemas(self, goal, env, depth, visited, extra, lex_budget, split_done, closed):
+        if not closed:
             return
         if lex_budget < 1:
             if self.kb.schemas:
                 self._bound_hit()
             return
         for schema in self.kb.schemas:
+            if not schema.binds_backward:
+                continue
             self.tick()
             for binding in match_conclusion(schema, goal, self.registry):
-                meta = {
-                    k: v for k, v in binding.items() if not k.startswith("_")
-                }
+                meta = {k: v for k, v in binding.items() if not k.startswith("_")}
                 if not binding_total(schema, meta):
                     continue  # premise-only metavariables stay open; skip
                 self.tick()
@@ -601,9 +627,8 @@ class _Search:
 
     # -- monotone quantifier rule -------------------------------------------
 
-    def _monotone(self, goal, env, depth, visited, extra, lex_budget, split_done):
-        goal = resolve_formula(goal, env)
-        if not isinstance(goal, RestrictedQuant) or free_vars(goal):
+    def _monotone(self, goal, env, depth, visited, extra, lex_budget, split_done, closed):
+        if not isinstance(goal, RestrictedQuant) or not closed:
             return
         try:
             qdef = self.registry.resolve(goal.quant)
@@ -733,9 +758,7 @@ class _Search:
 
     # -- structural rules ----------------------------------------------------
 
-    def _structural(self, goal, env, depth, visited, extra, lex_budget, split_done):
-        goal_r = resolve_formula(goal, env)
-        closed = not free_vars(goal_r)
+    def _structural(self, goal_r, env, depth, visited, extra, lex_budget, split_done, closed):
         if isinstance(goal_r, And):
             self.tick()
             parts = conjuncts(goal_r)
@@ -748,7 +771,7 @@ class _Search:
         # and-elim from conjunctive facts and hypotheses; closed pairs unify
         # iff alpha-equivalent
         hyp_pairs = extra.indexes()[1].get(alpha_key(goal_r), ()) if closed else extra.pairs
-        for fact, c in chain(self._same_head("conjuncts", _head(goal_r)), self._each(hyp_pairs)):
+        for fact, c in chain(self._same_head("conjuncts", goal_r), self._each(hyp_pairs)):
             if closed and not free_vars(c):
                 e2 = dict(env) if alpha_key(c) == alpha_key(goal_r) else None
             else:
@@ -761,7 +784,7 @@ class _Search:
                 ), 0
         # top-level use of equivalence axioms
         if closed:
-            for clause in self._same_head("rewrites", _head(goal_r)):
+            for clause in self._same_head("rewrites", goal_r, closed):
                 c = clause.renamed(self.renaming(clause.vars))
                 yield from self._apply(
                     "equiv-rewrite", c, goal_r, env, depth, visited, extra,
@@ -1044,7 +1067,7 @@ def _replay_clause_use(clauses, node: TraceNode) -> bool:
 
 def _replay_schema(node: TraceNode, kb: KnowledgeBase) -> bool:
     for schema in kb.schemas:
-        if schema.name != node.detail:
+        if schema.name != node.detail or not schema.binds_backward:
             continue
         for binding in match_conclusion(schema, node.formula, kb.registry):
             meta = {k: v for k, v in binding.items() if not k.startswith("_")}

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -392,12 +392,7 @@ class RunStats:
     outcome: str
 
     def to_dict(self) -> dict:
-        return {
-            "encoding": self.encoding,
-            "explored": self.explored,
-            "proof_len": self.proof_len,
-            "outcome": self.outcome,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -409,14 +404,8 @@ class EffortReport:
     def render_table(self) -> str:
         rows = [("encoding", "explored", "proof_len", "outcome")]
         for s in (self.extended, self.reduced):
-            rows.append(
-                (
-                    s.encoding,
-                    str(s.explored),
-                    "-" if s.proof_len is None else str(s.proof_len),
-                    s.outcome,
-                )
-            )
+            length = "-" if s.proof_len is None else str(s.proof_len)
+            rows.append((s.encoding, str(s.explored), length, s.outcome))
         widths = [max(len(r[i]) for r in rows) for i in range(4)]
         lines = [
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
@@ -427,21 +416,13 @@ class EffortReport:
         return "\n".join(lines)
 
     def to_json_lines(self) -> str:
-        lines = [
-            json.dumps(self.extended.to_dict(), sort_keys=True),
-            json.dumps(self.reduced.to_dict(), sort_keys=True),
-        ]
-        lines.append(json.dumps({"length_ratio": self.ratio}, sort_keys=True))
-        return "\n".join(lines)
+        dicts = (self.extended.to_dict(), self.reduced.to_dict(), {"length_ratio": self.ratio})
+        return "\n".join(json.dumps(d, sort_keys=True) for d in dicts)
 
 
 def _stats(encoding: str, result: ProveResult) -> RunStats:
-    return RunStats(
-        encoding,
-        result.explored,
-        result.trace.length() if result.trace is not None else None,
-        result.outcome,
-    )
+    length = result.trace.length() if result.trace is not None else None
+    return RunStats(encoding, result.explored, length, result.outcome)
 
 
 def compare_effort(

@@ -13,6 +13,7 @@ distinct variables, by abstracting the goal over chosen argument terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
@@ -72,6 +73,13 @@ class Schema:
             | set(self.formula_metavars)
             | {n for n, _ in self.quant_metavars}
         )
+
+    @cached_property
+    def binds_backward(self) -> bool:
+        """Whether some side that `match_conclusion` matches mentions every
+        metavariable. If none does, no match is total (`binding_total`),
+        and backward search and replay skip the schema."""
+        return any(self.metavar_names() <= _mentioned(t) for _, t in _conclusions(self.body)[1])
 
 
 def validate_schema(s: Schema, sig: Signature) -> list:
@@ -412,29 +420,42 @@ class _Matcher:
         return solve(0, goal, st)
 
 
+def _conclusions(body: Formula) -> tuple:
+    """The universals stripped from a schema body, and its (label, side)
+    conclusion positions: the consequent of an implication, either side of
+    an equivalence, or else the whole matrix."""
+    universals, matrix = strip_universals(body)
+    if isinstance(matrix, Implies):
+        return universals, [("consequent", matrix.right)]
+    if isinstance(matrix, Equiv):
+        return universals, [("left", matrix.left), ("right", matrix.right)]
+    return universals, [("body", matrix)]
+
+
+def _mentioned(node) -> set:
+    """The predicate and quantifier names that node mentions."""
+    names = set().union(*map(_mentioned, children(node)))
+    if type(node) is PredConst:
+        names.add(node.name)
+    elif type(node) is RestrictedQuant:
+        names.add(node.quant.name)
+    return names
+
+
 def match_conclusion(
     s: Schema, goal: Formula, registry: QuantRegistry
 ) -> list:
-    """All metavariable bindings under which the schema's conclusion matches.
-
-    The conclusion position is the consequent of a top-level implication, or
-    either side of a top-level equivalence, after stripping outer universal
-    quantifiers. Bindings may be partial: metavariables occurring only in
-    premise positions are left unbound. Returns a list of dicts, each
-    augmented with a "_universals" entry mapping stripped universal
-    variables to the terms instantiating them (where determined).
+    """All metavariable bindings under which a conclusion side of the schema
+    (`_conclusions`) matches goal. Bindings may be partial: metavariables
+    occurring only in premise positions are left unbound. Each is a dict
+    with a "_universals" entry mapping stripped universal variables to the
+    terms instantiating them (where determined).
     """
-    universals, matrix = strip_universals(s.body)
-    if isinstance(matrix, Implies):
-        positions = [("consequent", matrix.right)]
-    elif isinstance(matrix, Equiv):
-        positions = [("left", matrix.left), ("right", matrix.right)]
-    else:
-        positions = [("body", matrix)]
+    universals, sides = _conclusions(s.body)
     matcher = _Matcher(s, registry, universals)
     out = []
     seen = set()
-    for label, template in positions:
+    for label, template in sides:
         for st in matcher.match(template, goal, _MatchState()):
             binding = dict(st.metas)
             binding["_universals"] = dict(st.fo)

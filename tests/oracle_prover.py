@@ -6,7 +6,10 @@ This `_Search` tries every closed subgoal in full each time it comes up,
 keeps `extra` as a plain tuple, re-splits it on every call and sorts its
 `alpha_key`s for every closed goal. `elfol.prover._Search` skips a call that
 repeats an earlier complete failure at no larger a budget, and reads the
-hypotheses through `_Hyps`. On every input both must give the same outcome
+hypotheses through `_Hyps`; it also skips the ground clauses whose spine
+key differs from a closed goal's, and the schemas that can never bind
+backward. This one tries every clause of the goal's head and ticks every
+schema. On every input both must give the same outcome
 and a byte-identical `trace.to_json()`, and `elfol.prover.prove` must
 explore no more entries than this one.
 """

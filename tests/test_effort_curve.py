@@ -24,12 +24,12 @@ DEEP_CFG = ProverConfig(
 
 # n -> ((outcome, proof length, explored) extended, the same reduced)
 CURVE = {
-    3: (("proved", 1, 63), ("proved", 7, 25)),
-    4: (("proved", 1, 63), ("proved", 33, 763)),
-    5: (("proved", 1, 63), ("proved", 81, 3_943)),
-    6: (("proved", 1, 63), ("proved", 161, 16_089)),
-    7: (("proved", 1, 63), ("proved", 281, 54_619)),
-    8: (("proved", 1, 63), ("proved", 449, 160_034)),
+    3: (("proved", 1, 54), ("proved", 7, 16)),
+    4: (("proved", 1, 54), ("proved", 33, 343)),
+    5: (("proved", 1, 54), ("proved", 81, 1_473)),
+    6: (("proved", 1, 54), ("proved", 161, 4_959)),
+    7: (("proved", 1, 54), ("proved", 281, 13_907)),
+    8: (("proved", 1, 54), ("proved", 449, 33_866)),
 }
 
 

@@ -28,16 +28,16 @@ BUNDLE = load_bundle()
 # name -> (outcome, explored, sha256 of trace.to_json(), or None without a trace)
 QUERIES = {
     "enter": ("proved", 2, "fa2ae4b065a3c6d1678e7571cf796f076bd7c763960eac538b60337e83a9b3a3"),
-    "conjunct-drop": ("proved", 63, "993fe6bb01e3ed05f50119f899e44dc37fe3e970d0585dae259432e0ec7402f6"),
-    "majority-most": ("proved", 151, "c9cc1e676b9de0e037999f7c7157e31ad28be2351bc0fcc87c10e85a4de8b72e"),
-    "correct-intro": ("proved", 5, "a0fdbc32fd308441022c5b8e95eba4db0b3acdd4cbf8df581304a82fa1ac7567"),
-    "correct-elim": ("proved", 4, "58ff70895a0649316998b448abaa8b8cf62ec683473ad1b5e509bf53985df0b8"),
+    "conjunct-drop": ("proved", 54, "993fe6bb01e3ed05f50119f899e44dc37fe3e970d0585dae259432e0ec7402f6"),
+    "majority-most": ("proved", 130, "c9cc1e676b9de0e037999f7c7157e31ad28be2351bc0fcc87c10e85a4de8b72e"),
+    "correct-intro": ("proved", 4, "a0fdbc32fd308441022c5b8e95eba4db0b3acdd4cbf8df581304a82fa1ac7567"),
+    "correct-elim": ("proved", 3, "58ff70895a0649316998b448abaa8b8cf62ec683473ad1b5e509bf53985df0b8"),
     "compatible-possible": ("proved", 4, "c83756444bdcc62ab59bb81df999394be6a93acdefa681856b89db54c02002d2"),
-    "sounds-reasonable": ("proved", 62, "307945920a1034e0b4614f318495c6f618a79233e5900e94e834d0c2187421a3"),
-    "do-implies-done": ("proved", 63, "8728c8694d4c0e8e21d663887708964951dfd52299aad36faa8104ae22697bde"),
+    "sounds-reasonable": ("proved", 53, "307945920a1034e0b4614f318495c6f618a79233e5900e94e834d0c2187421a3"),
+    "do-implies-done": ("proved", 54, "8728c8694d4c0e8e21d663887708964951dfd52299aad36faa8104ae22697bde"),
     "kind-facts": ("proved", 1, "36c81036f15964fdc618d1a3a13bcde5999c24c97984e72961fed03f2b6fcc6c"),
     "attitude-facts": ("proved", 1, "0b4dd4556f248ab45dae077baf64885985a9155eb5c4320b5111fa4fad07246d"),
-    "not-derivable": ("exhausted", 363, None),
+    "not-derivable": ("exhausted", 312, None),
 }
 
 # name -> fresh_counter of the search when prove returns: how many v<N>

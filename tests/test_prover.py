@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elfol.core import (
+    And,
     Const,
+    Equiv,
     FunApp,
+    Implies,
     Lambda,
+    Or,
     RestrictedQuant,
     Signature,
     Var,
@@ -31,13 +35,16 @@ from elfol.prover import (
     EXHAUSTED,
     FAILED,
     ProverConfig,
+    TraceNode,
     _compile_axiom,
     _head,
+    _spine,
     forward_chain,
     prove,
     replay,
     unify,
 )
+from elfol.models import SearchBounds, find_counterexample
 from elfol.quantifiers import DEFAULT_REGISTRY
 from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
 from elfol.schemas import InstanceBounds, Schema, weakening_valid
@@ -514,8 +521,6 @@ class TestReplay:
         kb = bundle.kb_for(case)
         r = prove(kb, case.goal)
         assert replay(r.trace, kb) == []
-        from elfol.prover import TraceNode
-
         tampered = TraceNode(
             r.trace.rule, parse_formula("(contained-in f1 b1)"), r.trace.children,
             r.trace.detail,
@@ -528,6 +533,43 @@ class TestReplay:
         r = prove(kb, case.goal)
         empty = kb.with_facts([])
         assert replay(r.trace, empty)
+
+
+# A trace that replay accepts though it is unsound: its equiv-rewrite
+# descends into the quantifier, so that ?x is free when (r c ?y) is unified
+# with (r ?x ?x), and the unifier binds ?x to c.
+CAPTURE_KB = KnowledgeBase(
+    Signature(predicates={"p": 1, "r": 2, "s": 1}, constants={"c"}),
+    [parse_formula("(quant (at-least 1) ?x (p ?x) (and (p ?x) (r ?x ?x)))")],
+    [parse_formula("(quant all ?y true (equiv (r c ?y) (s ?y)))")],
+    [],
+)
+CAPTURE_TRACE = TraceNode(
+    "monotone-quant",
+    parse_formula("(quant (at-least 1) ?x (p ?x) (s c))"),
+    (TraceNode(
+        "equiv-rewrite",
+        parse_formula("(quant (at-least 1) ?x (p ?x) (and (p ?x) (s c)))"),
+        (TraceNode("fact-match", CAPTURE_KB.facts[0]),),
+        "axiom-1",
+    ),),
+    "at-least 1",
+)
+
+
+def test_the_capture_trace_is_unsound():
+    premises = And(CAPTURE_KB.axioms[0], CAPTURE_KB.facts[0])
+    claim = Implies(premises, CAPTURE_TRACE.formula)
+    assert find_counterexample(claim, SearchBounds(max_domain=2)) is not None
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "replay checks an equiv-rewrite with the search's own unify, and"
+    " _replay_equiv's diff renames a quantifier's variable and descends, so"
+    " the variable is free where (r c ?y) is unified with (r ?x ?x)"
+))
+def test_replay_rejects_a_rewrite_that_binds_a_quantified_variable():
+    assert replay(CAPTURE_TRACE, CAPTURE_KB)
 
 
 def test_structural_rules_prove_only_validities(rng):
@@ -799,6 +841,53 @@ def test_fuzz_and_bundle_conjuncts_unify_exactly_when_alpha_equivalent():
     assert len(parts) > 100 and len(pool) < matches < len(pool) ** 2
 
 
+# A closed goal under and, or, implies or equiv skips each ground clause
+# whose consequent has another `_spine` key, which is exact only if closed
+# formulas with different keys never unify.
+
+
+def _regrow_right(f, g, rng):
+    """f with the right side of one node on its left spine drawn anew, so
+    that the spine key stays the same."""
+    if not isinstance(f, (And, Or, Implies, Equiv)):
+        return f
+    if rng.random() < 0.5:
+        return type(f)(f.left, g.closed_formula(depth=rng.randint(0, 2)))
+    return type(f)(_regrow_right(f.left, g, rng), f.right)
+
+
+def _spined(g, rng):
+    """A closed formula, often under one or two more spine connectives."""
+    f = g.closed_formula(depth=rng.randint(0, 3))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        ctor = rng.choice((And, Or, Implies, Equiv))
+        f = ctor(f, g.closed_formula(depth=rng.randint(0, 1)))
+    return f
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("variant", "pinned", "regrown", "other")),
+)
+def test_closed_formulas_with_different_spine_keys_never_unify(seed, kind):
+    rng = random.Random(seed)
+    g = AstGen(rng)
+    a = _spined(g, rng)
+    if kind == "other":
+        b = _spined(g, rng)
+    elif kind == "regrown":
+        b = _regrow_right(_variant(a, rng), g, rng)
+        assert _spine(a) == _spine(b)
+    else:
+        b = _variant(a, rng, pin=0.3 if kind == "pinned" else 0.0)
+    assert not free_vars(a) and not free_vars(b)
+    if alpha_equivalent(a, b):
+        assert _spine(a) == _spine(b)
+    if _spine(a) != _spine(b):
+        assert unify(a, b, {}) is None
+
+
 def _sweep_cases():
     """(kb, goal, cfg) for every bundled query and the goals of a few fuzz
     kbs."""
@@ -831,6 +920,8 @@ def test_explored_bound_stops_the_search_one_past_it(kb, goal, cfg):
         r = prove(kb, goal, replace(cfg, max_explored=k))
         assert (r.outcome, r.explored) == (EXHAUSTED, k + 1), k
     for k in (e, e + 1, 2 * e):
+        if k == 0:
+            continue  # a search that visits nothing; the bound must be positive
         assert _outcome(prove(kb, goal, replace(cfg, max_explored=k))) == _outcome(unbounded)
 
 

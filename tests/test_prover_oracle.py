@@ -4,6 +4,9 @@
 at no larger a budget, and reads the hypotheses through `_Hyps`. On every
 input here both must give the same outcome and a byte-identical
 `trace.to_json()`, and the tabled search must explore no more entries.
+It also skips the ground clauses whose spine key differs from a closed
+goal's, which only the reduced kbs and the ground connective axioms added
+to fuzz kbs here give it the chance to do.
 Each bound is set high enough that the oracle never reaches the explored or
 time bound, since the tabled search, exploring less, could go past where
 the oracle stopped.
@@ -14,7 +17,8 @@ import re
 
 import pytest
 
-from elfol.core import And, Implies, Or, Signature
+from elfol import prover
+from elfol.core import And, Equiv, Implies, Or, Signature
 from elfol.kb import KnowledgeBase
 from elfol.lexicon import load_bundle
 from elfol.prover import EXHAUSTED, FAILED, PROVED, ProverConfig, _Search, prove, replay
@@ -101,6 +105,61 @@ def test_fuzz_kbs():
             saved += bool(n)
     # the table is exercised, not only the searches it leaves alone
     assert runs > 1300 and saved > 600, (runs, saved)
+
+
+def _ground_axioms(rng, kb, gen) -> list:
+    """Ground implications and equivalences whose consequents are and, or,
+    implies or equiv of closed formulas, most of them kb facts, so that
+    closed goals under those connectives meet ground clauses of their
+    head, with the same spine key and with another."""
+    facts = list(kb.facts) or [gen.closed_formula(depth=1)]
+
+    def closed():
+        return rng.choice(facts) if rng.random() < 0.7 else gen.closed_formula(depth=1)
+
+    axioms = []
+    for _ in range(rng.randint(3, 8)):
+        consequent = rng.choice((And, Or, Implies, Equiv))(closed(), closed())
+        axioms.append(rng.choice((Implies, Equiv))(closed(), consequent))
+    return axioms
+
+
+def _unindexed_explored(kb, goal, cfg) -> int:
+    """explored by prove with the spine filter turned off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prover, "_SPINE", ())
+        return prove(kb, goal, cfg).explored
+
+
+def test_fuzz_kbs_with_ground_connective_axioms():
+    """tests/fuzz.py kbs with ground axioms added whose consequents are
+    connectives, and goals that are those consequents, their parts combined
+    anew, and the fuzz goals: the spine filter skips ground clauses on some
+    of them, and the search still gives the oracle's outcome and trace."""
+    runs = indexed = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        kb = fuzz.read_off_kb(rng, fuzz.random_model(rng))
+        gen = AstGen(rng, reified=False, functions=False, modifiers=False)
+        ground = _ground_axioms(rng, kb, gen)
+        kb = KnowledgeBase(
+            kb.signature, kb.facts, kb.axioms + ground,
+            kb.schemas if rng.random() < 0.5 else [], kb.registry,
+        )
+        cfg = ProverConfig(
+            max_depth=rng.randint(3, 8), max_lexical_steps=rng.randint(1, 4),
+            timeout_ms=120_000, max_explored=50_000,
+        )
+        heads = [a.right for a in ground]
+        goals = rng.sample(heads, min(3, len(heads))) + [
+            type(h)(h.left, rng.choice(heads).right) for h in rng.sample(heads, 2)
+        ] + fuzz.sample_goals(rng, kb, gen)
+        for goal in goals:
+            if compare(kb, goal, cfg) is None:
+                continue
+            runs += 1
+            indexed += _unindexed_explored(kb, goal, cfg) > prove(kb, goal, cfg).explored
+    assert runs > 800 and indexed > 300, (runs, indexed)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,47 @@ class TestMatchRoundTrip:
         }
 
 
+class TestBindsBackward:
+    """A schema none of whose conclusion sides mentions every metavariable
+    has no total match, so backward search and replay skip it."""
+
+    SYNTHETIC = [
+        # a quantifier metavariable only in the premise
+        Schema("q-premise", (("P", 1),), (), (("Q", "any"),),
+               parse_formula("(forall ?y (implies (quant Q ?x (P ?x) (P ?x)) (P ?y)))")),
+        # each side of an equivalence mentions one of two metavariables
+        Schema("split-equiv", (), ("PHI", "PSI"), (), parse_formula("(equiv (PHI) (PSI))")),
+        # the right side mentions both
+        Schema("right-equiv", (), ("PHI", "PSI"), (),
+               parse_formula("(equiv (PHI) (and (PHI) (PSI)))")),
+        # a bare body is its own conclusion
+        Schema("bare", (("P", 1),), (), (), parse_formula("(forall ?x (P ?x))")),
+    ]
+
+    def test_against_the_metavariables_each_side_mentions(self, bundle):
+        for schema in bundle.schemas + self.SYNTHETIC:
+            assert schema.binds_backward == any(
+                _metavars_in(schema, side) == schema.metavar_names()
+                for _, side in _conclusions(schema.body)
+            ), schema.name
+        assert [s.binds_backward for s in bundle.schemas] == [False, True, True, True]
+        assert [s.binds_backward for s in self.SYNTHETIC] == [False, False, True, True]
+
+    def test_a_schema_that_does_not_has_no_total_match_on_its_own_instances(self):
+        sig, bounds = TestMatchRoundTrip.SIG, TestMatchRoundTrip.BOUNDS
+        for schema in [conj_drop()] + self.SYNTHETIC[:2]:
+            assert not schema.binds_backward
+            matched = 0
+            ground = {v: Const("b") for v in strip_universals(schema.body)[0]}
+            for inst in enumerate_instances(schema, sig, REG, bounds):
+                for _, conclusion in _conclusions(inst):
+                    for b in match_conclusion(schema, subst_map(conclusion, ground), REG):
+                        matched += 1
+                        meta = {k: v for k, v in b.items() if not k.startswith("_")}
+                        assert not binding_total(schema, meta)
+            assert matched > 0, schema.name
+
+
 class TestEnumerateBindings:
     def test_every_bundled_schema_against_the_independent_enumeration(self, bundle):
         sig, bounds = TestMatchRoundTrip.SIG, TestMatchRoundTrip.BOUNDS
