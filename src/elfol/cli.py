@@ -108,7 +108,10 @@ def _config(args) -> ProverConfig:
     timeout = args.timeout_ms
     if timeout is None:
         env = os.environ.get("ELFOL_TIMEOUT_MS")
-        timeout = int(env) if env else None
+        if env:
+            if not (env.isdecimal() and int(env) > 0):
+                raise ValueError(f"ELFOL_TIMEOUT_MS: expected a positive integer, got {env!r}")
+            timeout = int(env)
     kwargs = {}
     if args.depth is not None:
         kwargs["max_depth"] = args.depth

@@ -31,9 +31,8 @@ configured bounds is reported distinctly from definitive failure.
 A closed subgoal whose search proved nothing is tabled for the rest of the
 search, and a later call that repeats it at no larger a budget is skipped
 (`_Search.solve`). A failure that an ancestor check (a subgoal repeating
-one on its own path) cut is not tabled, since it depends on the path, and
-neither is one below an or-elim case closed by a proof that took a lexical
-step. Outcomes and proofs are those of an untabled search. Only `explored`
+one on its own path) cut is not tabled, since it depends on the path.
+Outcomes and proofs are those of an untabled search. Only `explored`
 can differ, and so can the number in a fresh variable's name (v<N>) when
 the variable is renamed after a skip, which a trace shows only where it
 leaves such a variable unbound.
@@ -351,13 +350,6 @@ class _Hyps:
         self._indexes = None
         self._added = {}
 
-    @staticmethod
-    def of(formulas) -> "_Hyps":
-        hyps = _Hyps()
-        for f in formulas:
-            hyps = hyps.add(f)
-        return hyps
-
     def add(self, f: Formula) -> "_Hyps":
         """These hypotheses followed by f."""
         k = alpha_key(f)
@@ -423,7 +415,6 @@ class _Search:
         self.failures = {}
         self.cuts = 0  # ancestor-check cuts so far
         self.hits = 0  # depth and lexical bound cuts so far
-        self.commits = 0  # or-elim cases closed by a proof that took a lexical step
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -477,19 +468,18 @@ class _Search:
     # -- the solver ---------------------------------------------------------
 
     def solve(self, goal, env, depth, visited, extra, lex_budget, split_done):
-        """Yield (env, trace, lexical_used) for each way to prove goal. extra
-        holds the hypotheses, as a `_Hyps` or a tuple.
+        """Yield (env, trace, lexical_used) for each way to prove goal under
+        the hypotheses extra, a `_Hyps`.
 
-        A closed call that proves nothing is tabled under its ancestor-check
+        A closed goal yields a later proof only if it takes fewer lexical
+        steps than every proof before: its proofs bind only their own fresh
+        variables, so one that costs no less cannot help the caller. A
+        closed call that yields nothing is tabled under its ancestor-check
         key and split_done (see the module docstring), unless an ancestor
-        check cut the search below it or an or-elim case below it was closed
-        by a proof that took a lexical step: or-elim keeps the first proof
-        of each case, and with other budgets another may come first."""
+        check cut the search below it."""
         if depth > self.cfg.max_depth:
             self._bound_hit()
             return
-        if type(extra) is tuple:
-            extra = _Hyps.of(extra)
         goal = resolve_formula(goal, env)
         if free_vars(goal):
             yield from self._rules(goal, env, depth, visited, extra, lex_budget, split_done, False)
@@ -502,13 +492,12 @@ class _Search:
         failed = self.failures.get((key, split_done))
         if failed is not None and self._repeats(failed, lex_budget, depth):
             return
-        cuts, hits, commits = self.cuts, self.hits, self.commits
-        proofs = self._rules(goal, env, depth, visited, extra, lex_budget, split_done, True)
-        for proof in proofs:
-            yield proof
-            yield from proofs
-            return
-        if self.cuts == cuts and self.commits == commits:
+        cuts, hits, least = self.cuts, self.hits, None
+        for proof in self._rules(goal, env, depth, visited, extra, lex_budget, split_done, True):
+            if least is None or proof[2] < least:
+                least = proof[2]
+                yield proof
+        if least is None and self.cuts == cuts:
             self.failures[key, split_done] = (lex_budget, depth, self.hits != hits)
 
     def _repeats(self, failed, lex_budget, depth) -> bool:
@@ -815,30 +804,28 @@ class _Search:
                 if fkey in split_done:
                     continue
                 self.tick()
-                case_traces = []
-                total_lex = 0
-                ok = True
-                for case in ds:
-                    found = False
-                    for _e2, t1, lex in self.solve(
-                        goal_r, env, depth + 1, visited, extra.add(case),
-                        lex_budget - total_lex, split_done | {fkey},
-                    ):
-                        case_traces.append(t1)
-                        total_lex += lex
-                        self.commits += lex > 0
-                        found = True
-                        break
-                    if not found:
-                        ok = False
-                        break
-                if ok:
+                for traces, lex in self._cases(
+                    goal_r, ds, env, depth + 1, visited, extra, lex_budget, split_done | {fkey}
+                ):
                     yield env, TraceNode(
-                        "or-elim",
-                        goal_r,
-                        (TraceNode("fact-match", fact),) + tuple(case_traces),
+                        "or-elim", goal_r, (TraceNode("fact-match", fact),) + traces,
                         f"{len(ds)} cases",
-                    ), total_lex
+                    ), lex
+
+    def _cases(self, goal, cases, env, depth, visited, extra, lex_budget, split_done):
+        """Yield (traces tuple, lexical sum) proving the closed goal under
+        each case in turn as a hypothesis."""
+        if not cases:
+            yield (), 0
+            return
+        case, *rest = cases
+        for _e1, t1, l1 in self.solve(
+            goal, env, depth, visited, extra.add(case), lex_budget, split_done
+        ):
+            for ts, l2 in self._cases(
+                goal, rest, env, depth, visited, extra, lex_budget - l1, split_done
+            ):
+                yield (t1,) + ts, l1 + l2
 
 
 def _resolve_trace(node: TraceNode, env: dict) -> TraceNode:
@@ -859,7 +846,7 @@ def prove(kb: KnowledgeBase, goal: Formula, cfg: Optional[ProverConfig] = None) 
     start = time.monotonic()
     try:
         for env, trace, lex in search.solve(
-            goal, {}, 0, frozenset(), (), cfg.max_lexical_steps, frozenset()
+            goal, {}, 0, frozenset(), _Hyps(), cfg.max_lexical_steps, frozenset()
         ):
             elapsed = (time.monotonic() - start) * 1000
             return ProveResult(PROVED, _resolve_trace(trace, env), search.explored, elapsed)

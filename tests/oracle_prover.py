@@ -1,17 +1,20 @@
-"""The backward search as it was before it tabled failed closed subgoals
-and built each hypothesis's bookkeeping once, kept as the differential
+"""The backward search without its failure table, kept as the differential
 oracle for `elfol.prover.prove`.
 
-This `_Search` tries every closed subgoal in full each time it comes up,
-keeps `extra` as a plain tuple, re-splits it on every call and sorts its
-`alpha_key`s for every closed goal. `elfol.prover._Search` skips a call that
-repeats an earlier complete failure at no larger a budget, and reads the
-hypotheses through `_Hyps`; it also skips the ground clauses whose spine
-key differs from a closed goal's, and the schemas that can never bind
-backward. This one tries every clause of the goal's head and ticks every
-schema. On every input both must give the same outcome
-and a byte-identical `trace.to_json()`, and `elfol.prover.prove` must
-explore no more entries than this one.
+Its rules are the search's: the same rule order, the same or-elim, which
+backtracks into its cases, and the same cut, by which a closed goal yields
+a later proof only if it takes fewer lexical steps than every proof before.
+What it lacks is what only saves work. It tries every closed subgoal in
+full each time it comes up, where `elfol.prover._Search` skips a call that
+repeats an earlier complete failure at no larger a budget. It also keeps
+`extra` as a plain tuple, re-splits it on every call and sorts its
+`alpha_key`s for every closed goal, where the search reads the hypotheses
+through `_Hyps`; and it tries every clause of the goal's head and ticks
+every schema, where the search skips the ground clauses whose spine key
+differs from a closed goal's and the schemas that can never bind backward.
+On every input both must give the same outcome and a byte-identical
+`trace.to_json()`, and `elfol.prover.prove` must explore no more entries
+than this one.
 """
 
 from __future__ import annotations
@@ -120,18 +123,28 @@ class _Search:
     # -- the solver ---------------------------------------------------------
 
     def solve(self, goal, env, depth, visited, extra, lex_budget, split_done):
-        """Yield (env, trace, lexical_used) for each way to prove goal."""
+        """Yield (env, trace, lexical_used) for each way to prove goal; a
+        closed goal yields a later proof only if it takes fewer lexical
+        steps than every proof before."""
         if depth > self.cfg.max_depth:
             self.exhausted = True
             return
         goal = resolve_formula(goal, env)
-        closed = not free_vars(goal)
-        if closed:
-            key = (alpha_key(goal), tuple(sorted(alpha_key(f) for f in extra)))
-            if key in visited:
-                return
-            visited = visited | {key}
+        if free_vars(goal):
+            yield from self._rules(goal, env, depth, visited, extra, lex_budget, split_done)
+            return
+        key = (alpha_key(goal), tuple(sorted(alpha_key(f) for f in extra)))
+        if key in visited:
+            return
+        visited = visited | {key}
+        least = None
+        for proof in self._rules(goal, env, depth, visited, extra, lex_budget, split_done):
+            if least is None or proof[2] < least:
+                least = proof[2]
+                yield proof
 
+    def _rules(self, goal, env, depth, visited, extra, lex_budget, split_done):
+        closed = not free_vars(goal)
         yield from self._reflexivity(goal, env)
         yield from self._facts(goal, env, extra, closed)
         yield from self._axioms(goal, env, depth, visited, extra, lex_budget, split_done)
@@ -426,29 +439,28 @@ class _Search:
                 if fkey in split_done:
                     continue
                 self.tick()
-                case_traces = []
-                total_lex = 0
-                ok = True
-                for case in ds:
-                    found = False
-                    for _e2, t1, lex in self.solve(
-                        goal_r, env, depth + 1, visited, extra + (case,),
-                        lex_budget - total_lex, split_done | {fkey},
-                    ):
-                        case_traces.append(t1)
-                        total_lex += lex
-                        found = True
-                        break
-                    if not found:
-                        ok = False
-                        break
-                if ok:
+                for traces, lex in self._cases(
+                    goal_r, ds, env, depth + 1, visited, extra, lex_budget, split_done | {fkey}
+                ):
                     yield env, TraceNode(
-                        "or-elim",
-                        goal_r,
-                        (TraceNode("fact-match", fact),) + tuple(case_traces),
+                        "or-elim", goal_r, (TraceNode("fact-match", fact),) + traces,
                         f"{len(ds)} cases",
-                    ), total_lex
+                    ), lex
+
+    def _cases(self, goal, cases, env, depth, visited, extra, lex_budget, split_done):
+        """Yield (traces tuple, lexical sum) proving the closed goal under
+        each case in turn as a hypothesis."""
+        if not cases:
+            yield (), 0
+            return
+        case, *rest = cases
+        for _e1, t1, l1 in self.solve(
+            goal, env, depth, visited, extra + (case,), lex_budget, split_done
+        ):
+            for ts, l2 in self._cases(
+                goal, rest, env, depth, visited, extra, lex_budget - l1, split_done
+            ):
+                yield (t1,) + ts, l1 + l2
 
 
 

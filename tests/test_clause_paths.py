@@ -13,7 +13,7 @@ import pytest
 
 from elfol.core import Signature
 from elfol.kb import KnowledgeBase
-from elfol.prover import ProverConfig, _Budget, _Search, prove, replay
+from elfol.prover import ProverConfig, _Budget, _Hyps, _Search, prove, replay
 from elfol.schemas import Schema
 from elfol.syntax import parse_formula
 
@@ -96,7 +96,7 @@ def _kb(name: str) -> KnowledgeBase:
 
 def _fresh_counter(kb: KnowledgeBase, goal, cfg: ProverConfig) -> int:
     search = _Search(kb, cfg)
-    proofs = search.solve(goal, {}, 0, frozenset(), (), cfg.max_lexical_steps, frozenset())
+    proofs = search.solve(goal, {}, 0, frozenset(), _Hyps(), cfg.max_lexical_steps, frozenset())
     try:
         next(proofs, None)
     except _Budget:

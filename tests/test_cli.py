@@ -345,6 +345,17 @@ class TestCheckCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+    def test_env_timeout_that_is_not_a_positive_integer_exits_two(
+        self, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("ELFOL_TIMEOUT_MS", value)
+        code, out, err = run(capsys, "demo")
+        assert code == 2
+        assert err == (
+            f"error: ELFOL_TIMEOUT_MS: expected a positive integer, got '{value}'\n"
+        )
+
 
 class TestUnreadableInput:
     def test_prove_missing_file_exits_two(self, capsys, tmp_path):

@@ -25,11 +25,11 @@ DEEP_CFG = ProverConfig(
 # n -> ((outcome, proof length, explored) extended, the same reduced)
 CURVE = {
     3: (("proved", 1, 54), ("proved", 7, 16)),
-    4: (("proved", 1, 54), ("proved", 33, 343)),
-    5: (("proved", 1, 54), ("proved", 81, 1_473)),
-    6: (("proved", 1, 54), ("proved", 161, 4_959)),
-    7: (("proved", 1, 54), ("proved", 281, 13_907)),
-    8: (("proved", 1, 54), ("proved", 449, 33_866)),
+    4: (("proved", 1, 54), ("proved", 33, 244)),
+    5: (("proved", 1, 54), ("proved", 81, 990)),
+    6: (("proved", 1, 54), ("proved", 161, 3_208)),
+    7: (("proved", 1, 54), ("proved", 281, 8_763)),
+    8: (("proved", 1, 54), ("proved", 449, 20_955)),
 }
 
 

@@ -15,7 +15,7 @@ import pytest
 from elfol.core import Implies, Signature
 from elfol.lexicon import load_bundle, witness_model
 from elfol.models import EnumerationError, SearchBounds, dump_model, find_counterexample
-from elfol.prover import ProverConfig, _Budget, _Search, forward_chain, prove
+from elfol.prover import ProverConfig, _Budget, _Hyps, _Search, forward_chain, prove
 from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
 from elfol.quantifiers import DEFAULT_REGISTRY
 from elfol.schemas import InstanceBounds, enumerate_instances
@@ -160,7 +160,7 @@ def test_query_fresh_variable_numbering(case):
     cfg = ProverConfig()
     search = _Search(BUNDLE.kb_for(case), cfg)
     proofs = search.solve(
-        case.goal, {}, 0, frozenset(), (), cfg.max_lexical_steps, frozenset()
+        case.goal, {}, 0, frozenset(), _Hyps(), cfg.max_lexical_steps, frozenset()
     )
     try:
         next(proofs, None)

@@ -335,11 +335,6 @@ class TestProve:
         r = prove(kb, parse_formula("(S)"), ProverConfig(max_lexical_steps=2))
         assert not r.proved and r.outcome == EXHAUSTED
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "or-elim keeps the first proof of each case: with two steps, the case"
-        " (and (p c) (s c)) proves (s c) through (u c), which leaves no step"
-        " for (s c) <- (r c); the search proves (s c) with one step and with three"
-    ))
     def test_or_elim_proves_at_every_budget_that_suffices(self):
         kb = KnowledgeBase(
             Signature(predicates={p: 1 for p in "prsu"}, constants={"c"}),
@@ -351,6 +346,58 @@ class TestProve:
             )],
         )
         assert prove(kb, parse_formula("(s c)"), ProverConfig(max_lexical_steps=2)).proved
+
+
+@st.composite
+def case_split_kbs(draw):
+    """A kb and goal (s c), where a disjunctive fact's first case proves the
+    goal both by and-elim and through a chain of axioms from another of its
+    conjuncts, and each other case needs a chain of its own; the axioms come
+    in any order, some of them universal, with unrelated facts and axioms.
+    Where the first case's chain is the longer, a search that keeps that
+    case's first proof fails at budgets between the two chains' lengths."""
+    preds = {"s": 1, "t": 1, "w": 1}
+    axioms = []
+
+    def fresh():
+        preds[name := f"q{len(preds)}"] = 1
+        return name
+
+    def chain_to_s(length):
+        start = prev = fresh()
+        for i in range(length):
+            step = "s" if i == length - 1 else fresh()
+            axioms.append(
+                f"(forall ?x (implies ({prev} ?x) ({step} ?x)))" if draw(st.booleans())
+                else f"(implies ({prev} c) ({step} c))"
+            )
+            prev = step
+        return start
+
+    first = [f"({chain_to_s(draw(st.integers(1, 3)))} c)", "(s c)"]
+    split = f"({chain_to_s(draw(st.integers(1, 3)))} c)"
+    if draw(st.booleans()):
+        split = f"(or {split} ({chain_to_s(draw(st.integers(1, 3)))} c))"
+    split = f"(or (and {' '.join(draw(st.permutations(first)))}) {split})"
+    facts = [split] + ["(t c)"] * draw(st.integers(0, 1))
+    axioms += ["(implies (t c) (w c))"] * draw(st.integers(0, 1))
+    kb = KnowledgeBase(
+        Signature(predicates=preds, constants={"c"}),
+        [parse_formula(f) for f in facts],
+        [parse_formula(a) for a in draw(st.permutations(axioms))],
+    )
+    return kb, parse_formula("(s c)")
+
+
+@settings(max_examples=80, deadline=None)
+@given(case_split_kbs(), st.integers(4, 10))
+def test_a_goal_proved_at_a_lexical_budget_is_proved_at_the_next(kb_goal, depth):
+    kb, goal = kb_goal
+    proved = [
+        prove(kb, goal, ProverConfig(max_depth=depth, max_lexical_steps=k)).proved
+        for k in range(1, 9)
+    ]
+    assert proved == sorted(proved), proved
 
 
 class TestLexiconInferences:

@@ -21,7 +21,7 @@ from elfol import prover
 from elfol.core import And, Equiv, Implies, Or, Signature
 from elfol.kb import KnowledgeBase
 from elfol.lexicon import load_bundle
-from elfol.prover import EXHAUSTED, FAILED, PROVED, ProverConfig, _Search, prove, replay
+from elfol.prover import EXHAUSTED, FAILED, PROVED, ProverConfig, _Hyps, _Search, prove, replay
 from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
 from elfol.syntax import parse_formula
 
@@ -177,7 +177,9 @@ def _kb(facts, axioms) -> KnowledgeBase:
 
 def _solve(search, goal, depth, lex_budget):
     return next(
-        search.solve(parse_formula(goal), {}, depth, frozenset(), (), lex_budget, frozenset()),
+        search.solve(
+            parse_formula(goal), {}, depth, frozenset(), _Hyps(), lex_budget, frozenset()
+        ),
         None,
     )
 
@@ -243,13 +245,12 @@ def test_a_failure_at_a_smaller_budget_does_not_stop_a_larger_one():
     assert result.trace.to_json() == oracle_prover.prove(kb, goal, cfg).trace.to_json()
 
 
-def test_a_failure_under_an_or_elim_case_closed_by_a_lexical_step_is_not_tabled():
-    # or-elim keeps the first proof of each case. With two lexical steps,
-    # the case (and (p c) (s c)) first proves (s c) by (u c) <- (p c), which
-    # leaves none for (s c) <- (r c) in the case (r c): (s c) fails. With
-    # one step, the first proof of that case is the and-elim, which takes
-    # none, so (s c) proves. The or's second disjunct asks for (s c) again
-    # with one step left, and must not be skipped.
+def test_or_elim_backtracks_into_a_case_for_a_proof_that_leaves_a_step():
+    # with two lexical steps, the case (and (p c) (s c)) first proves (s c)
+    # by (u c) <- (p c), which leaves none for (s c) <- (r c) in the case
+    # (r c). Or-elim backtracks into the first case, whose and-elim takes
+    # no step, so (s c) proves with one step, and so does the goal's first
+    # disjunct.
     kb = KnowledgeBase(
         Signature(predicates={p: 1 for p in "pqrsuv"}, constants={"c"}),
         [parse_formula("(or (and (p c) (s c)) (r c))"), parse_formula("(q c)")],
@@ -263,9 +264,11 @@ def test_a_failure_under_an_or_elim_case_closed_by_a_lexical_step_is_not_tabled(
     )
     goal = parse_formula("(or (s c) (and (v c) (s c)))")
     cfg = ProverConfig(max_lexical_steps=2)
-    assert prove(kb, parse_formula("(s c)"), cfg).outcome == EXHAUSTED
     result = prove(kb, goal, cfg)
     assert result.outcome == PROVED
+    case_split = result.trace.children[0]
+    assert [c.rule for c in case_split.children] == ["fact-match", "and-elim", "axiom-match"]
+    assert result.trace.lexical_steps() == 1
     assert result.trace.to_json() == oracle_prover.prove(kb, goal, cfg).trace.to_json()
 
 
