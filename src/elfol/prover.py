@@ -28,6 +28,12 @@ axioms whose consequents are modal. Negative goals are provable only
 through facts or axioms with negated consequents. Failure at the
 configured bounds is reported distinctly from definitive failure.
 
+A closed goal yields a later proof only if it takes fewer lexical steps
+than every proof before it, and its search stops at a proof that takes
+none (`_Search.solve`). A bound that its remaining rules would hit past
+that proof could only cut proofs the search discards, so it does not make
+the outcome `exhausted`: a search that hits no other bound reads `failed`.
+
 A closed subgoal whose search proved nothing is tabled for the rest of the
 search, and a later call that repeats it at no larger a budget is skipped
 (`_Search.solve`). A failure that an ancestor check (a subgoal repeating
@@ -473,10 +479,12 @@ class _Search:
 
         A closed goal yields a later proof only if it takes fewer lexical
         steps than every proof before: its proofs bind only their own fresh
-        variables, so one that costs no less cannot help the caller. A
-        closed call that yields nothing is tabled under its ancestor-check
-        key and split_done (see the module docstring), unless an ancestor
-        check cut the search below it."""
+        variables, so one that costs no less cannot help the caller. For
+        the same reason its search stops after a proof that takes no
+        lexical step, and the bounds its remaining rules would hit are not
+        hit. A closed call that yields nothing is tabled under its
+        ancestor-check key and split_done (see the module docstring),
+        unless an ancestor check cut the search below it."""
         if depth > self.cfg.max_depth:
             self._bound_hit()
             return
@@ -497,6 +505,8 @@ class _Search:
             if least is None or proof[2] < least:
                 least = proof[2]
                 yield proof
+                if least == 0:
+                    return  # no later proof can take fewer steps
         if least is None and self.cuts == cuts:
             self.failures[key, split_done] = (lex_budget, depth, self.hits != hits)
 

@@ -69,7 +69,7 @@ from .core import (
 from .kb import KnowledgeBase
 from .prover import ProveResult, ProverConfig, prove
 from .quantifiers import UnknownQuantifierError
-from .syntax import render
+from .syntax import ParseError, parse_term, render
 
 ACC = "acc"
 RESERVED = re.compile(r"obj-k[0-9]+")  # the names `SideTables` gives reified terms
@@ -78,6 +78,14 @@ _NO_ENV = MappingProxyType({})
 
 class ReductionError(Exception):
     pass
+
+
+def _is_constant(name: str) -> bool:
+    """Whether name parses as the constant of that name."""
+    try:
+        return parse_term(name) == Const(name)
+    except ParseError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,12 @@ class ReductionContext:
             )
         if not self.worlds:
             raise ReductionError("reduction requires at least one world constant")
-        for name, items in (("domain", self.domain), ("worlds", self.worlds)):
+        for kind, items in (("domain", self.domain), ("world", self.worlds)):
             if len(set(items)) != len(items):
-                raise ReductionError(f"duplicate {name} constants")
+                raise ReductionError(f"duplicate {kind} constants")
             for c in items:
+                if not _is_constant(c):
+                    raise ReductionError(f"{kind} name {c!r} is not a constant")
                 if RESERVED.fullmatch(c):
                     raise ReductionError(
                         f"{c} has the form obj-k<N>, reserved for reified terms"

@@ -3,7 +3,9 @@ oracle for `elfol.prover.prove`.
 
 Its rules are the search's: the same rule order, the same or-elim, which
 backtracks into its cases, and the same cut, by which a closed goal yields
-a later proof only if it takes fewer lexical steps than every proof before.
+a later proof only if it takes fewer lexical steps than every proof before
+and stops after one that takes none. A bound past that stop is not hit, so
+it does not make the outcome `exhausted`.
 What it lacks is what only saves work. It tries every closed subgoal in
 full each time it comes up, where `elfol.prover._Search` skips a call that
 repeats an earlier complete failure at no larger a budget. It also keeps
@@ -125,7 +127,8 @@ class _Search:
     def solve(self, goal, env, depth, visited, extra, lex_budget, split_done):
         """Yield (env, trace, lexical_used) for each way to prove goal; a
         closed goal yields a later proof only if it takes fewer lexical
-        steps than every proof before."""
+        steps than every proof before, and none after one that takes no
+        lexical step."""
         if depth > self.cfg.max_depth:
             self.exhausted = True
             return
@@ -142,6 +145,8 @@ class _Search:
             if least is None or proof[2] < least:
                 least = proof[2]
                 yield proof
+                if least == 0:
+                    return
 
     def _rules(self, goal, env, depth, visited, extra, lex_budget, split_done):
         closed = not free_vars(goal)

@@ -219,6 +219,11 @@ class TestReduceCommand:
          "accessibility pair w0:w9 names w9, which is not a declared world"),
         ("b1,f1", "w0,w1,w2", "w0:w1:w2",
          "accessibility pair w0:w1:w2 names w1:w2, which is not a declared world"),
+        ("(,c2", "w)", "", "domain name '(' is not a constant"),
+        ("b1,f1", "w)", "", "world name 'w)' is not a constant"),
+        ("?x,b1", "w0", "", "domain name '?x' is not a constant"),
+        ("c 1,b1", "w0", "", "domain name 'c 1' is not a constant"),
+        ("b1,f1", "w0,42", "", "world name '42' is not a constant"),
     ])
     def test_ambiguous_context_exits_two(self, capsys, domain, worlds, acc, message):
         code, out, err = run(

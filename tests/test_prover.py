@@ -347,6 +347,55 @@ class TestProve:
         )
         assert prove(kb, parse_formula("(s c)"), ProverConfig(max_lexical_steps=2)).proved
 
+    @pytest.mark.parametrize("depth, lexical", [(6, 3), (8, 4)])
+    def test_no_bound_past_a_proof_without_lexical_steps_is_hit(self, depth, lexical):
+        # a closed subgoal's search stops at its first proof that takes no
+        # lexical step, so the bounds its later rules would hit cannot make
+        # the outcome exhausted; at 6/3 it read exhausted before the stop,
+        # and failed from 8/4 on
+        kb = KnowledgeBase(
+            Signature(predicates={"p": 1, "q": 1, "s": 1, "r": 2, "t": 2},
+                      constants={"a", "b", "c", "d"}),
+            [parse_formula(f) for f in (
+                "(p b)", "(not (p c))", "(p d)", "(q a)", "(s d)", "(r b a)",
+                "(not (r d a))", "(t b a)", "(not (t b b))", "(not (t c c))",
+                "(t c d)", "(t d a)", "(quant (fewer-than 2) ?x (q ?x) (s ?x))",
+                "(quant (at-most 1) ?x (p ?x) (t ?x ?x))",
+            )],
+            [parse_formula(a) for a in (
+                "(quant all ?y true (equiv (and (p ?y) (r ?y d)) (s ?y)))",
+                "(quant all ?x true (implies (s c) (p ?x)))",
+                "(quant all ?x true (implies (and (s ?x) (s d)) (t a ?x)))",
+                "(quant all ?x true (implies (p c) (p ?x)))",
+            )],
+        )
+        cfg = ProverConfig(max_depth=depth, max_lexical_steps=lexical)
+        assert prove(kb, parse_formula("(or (s b) (t d b))"), cfg).outcome == FAILED
+
+
+def test_a_failed_search_fails_alike_at_larger_bounds():
+    # a failed search hit no bound, so larger ones explore the same tree;
+    # on tests/fuzz.py kbs, some with disjunctive facts added
+    small = ProverConfig(max_depth=4, max_lexical_steps=1)
+    large = ProverConfig(max_depth=7, max_lexical_steps=3)
+    failed = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        kb = fuzz.read_off_kb(rng, fuzz.random_model(rng))
+        gen = AstGen(rng, reified=False, functions=False, modifiers=False)
+        facts = list(kb.facts)
+        for _ in range(rng.randint(0, 2)):
+            if facts:
+                facts.append(Or(rng.choice(facts), gen.closed_formula(depth=1)))
+        kb = KnowledgeBase(kb.signature, facts, kb.axioms, kb.schemas, kb.registry)
+        for goal in fuzz.sample_goals(rng, kb, gen):
+            r = prove(kb, goal, small)
+            if r.outcome == FAILED:
+                failed += 1
+                r2 = prove(kb, goal, large)
+                assert (r2.outcome, r2.explored) == (FAILED, r.explored), (seed, render(goal))
+    assert failed > 1500, failed
+
 
 @st.composite
 def case_split_kbs(draw):
