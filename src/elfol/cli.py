@@ -284,8 +284,8 @@ def _cmd_reduce(args) -> int:
                 raise ValueError(f"bad accessibility pair {pair!r}; use w:w'")
             acc.append((a, b))
     ctx = ReductionContext(
-        domain=tuple(s for s in args.domain.split(",") if s),
-        worlds=tuple(s for s in args.worlds.split(",") if s),
+        domain=tuple(args.domain.split(",")) if args.domain else (),
+        worlds=tuple(args.worlds.split(",")) if args.worlds else (),
         accessibility=tuple(acc),
     )
     cfg = _config(args)

@@ -12,13 +12,16 @@ predicates become fresh predicate symbols keyed by operator and base.
 The reducer never substitutes into a quantifier's scope: it passes an
 environment from each bound variable to its domain constant down through
 formulas and terms, and applies it with `subst_map` only to a reified term
-or a lambda atom, as substituting at every level gave. It builds each
-constant, each quantifier instance and each witness tuple's distinctness
-conjunction once and shares the node objects across the output. Sharing is
-safe because nodes are immutable and `core._cached` keeps only values that
-depend on the node alone. The names `obj-k<N>` of reified terms are
-reserved: a context may not use them, nor name one constant as both an
-individual and a world.
+or a lambda atom, as substituting at every level gave. Each constant is
+built once. A quantifier's instances, one (restrictor, body) pair per domain
+constant, are built once, in domain order, and only when `all` or a count
+needs them; its members and counterexamples are built from those pairs.
+Each witness tuple's distinctness conjunction is built once, and the
+tuple's members are folded onto it in place. The node objects are shared
+across the output. Sharing is safe because nodes are immutable and
+`core._cached` keeps only values that depend on the node alone. The names
+`obj-k<N>` of reified terms are reserved: a context may not use them, nor
+name one constant as both an individual and a world.
 
 The reduction deliberately loses the structure inside reified terms and
 schemas; measuring what that costs a prover is the point of
@@ -30,7 +33,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field
-from functools import cache
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
@@ -74,6 +76,7 @@ from .syntax import ParseError, parse_term, render
 ACC = "acc"
 RESERVED = re.compile(r"obj-k[0-9]+")  # the names `SideTables` gives reified terms
 _NO_ENV = MappingProxyType({})
+_BINARY = (And, Or, Implies, Equiv)
 
 
 class ReductionError(Exception):
@@ -156,25 +159,25 @@ class Reducer:
         self.ctx = ctx
         self.tables = tables if tables is not None else SideTables()
         self.consts = {c: Const(c) for c in (*ctx.domain, *ctx.worlds)}
-        self.distinct = {}  # witness tuple -> [conjunction of its distinctness]
+        self.distinct = {}  # witness tuple -> conjunction of its distinctness
 
     # -- terms ----------------------------------------------------------------
 
     def term(self, t, env: Mapping):
-        match t:
-            case Var(name):
-                return env.get(name, t)
-            case Const(_):
-                return t
-            case FunApp(fn, args):
-                return FunApp(fn, tuple(self.term(a, env) for a in args))
-            case Ka(_) | That(_):
-                t = _close(t, env)
-                if free_vars(t):
-                    raise ReductionError(
-                        f"reified term is open after expansion: {render(t)}"
-                    )
-                return Const(self.tables.reified_const(t))
+        kind = type(t)
+        if kind is Var:
+            return env.get(t.name, t)
+        if kind is Const:
+            return t
+        if kind is FunApp:
+            return FunApp(t.fn, tuple([self.term(a, env) for a in t.args]))
+        if kind is Ka or kind is That:
+            t = _close(t, env)
+            if free_vars(t):
+                raise ReductionError(
+                    f"reified term is open after expansion: {render(t)}"
+                )
+            return Const(self.tables.reified_const(t))
         raise ReductionError(f"cannot reduce term {t!r}")
 
     def _term_token(self, t, env: Mapping) -> str:
@@ -189,90 +192,81 @@ class Reducer:
     # -- formulas ---------------------------------------------------------------
 
     def formula(self, f: Formula, w: str, env: Mapping = _NO_ENV) -> Formula:
-        match f:
-            case TrueF():
-                return f
-            case Atom(pred, args):
-                return self.atom(pred, args, w, env)
-            case Equal(l, r):
-                return Equal(self.term(l, env), self.term(r, env))
-            case Not(b):
-                return Not(self.formula(b, w, env))
-            case And(l, r):
-                return And(self.formula(l, w, env), self.formula(r, w, env))
-            case Or(l, r):
-                return Or(self.formula(l, w, env), self.formula(r, w, env))
-            case Implies(l, r):
-                return Implies(self.formula(l, w, env), self.formula(r, w, env))
-            case Equiv(l, r):
-                return Equiv(self.formula(l, w, env), self.formula(r, w, env))
-            case Modal(flavor, body):
-                parts = []
-                for w2 in self.ctx.worlds:
-                    guard = Atom(PredConst(ACC), (self.consts[w], self.consts[w2]))
-                    inner = self.formula(body, w2, env)
-                    if flavor == POSSIBLY:
-                        parts.append(And(guard, inner))
-                    else:
-                        parts.append(Implies(guard, inner))
-                return disjoin(parts) if flavor == POSSIBLY else conjoin(parts)
-            case RestrictedQuant(_, _, _, _):
-                return self.quant(f, w, env)
+        kind = type(f)
+        if kind is Atom:
+            return self.atom(f.pred, f.args, w, env)
+        if kind in _BINARY:
+            return kind(self.formula(f.left, w, env), self.formula(f.right, w, env))
+        if kind is Not:
+            return Not(self.formula(f.body, w, env))
+        if kind is RestrictedQuant:
+            return self.quant(f, w, env)
+        if kind is TrueF:
+            return f
+        if kind is Equal:
+            return Equal(self.term(f.left, env), self.term(f.right, env))
+        if kind is Modal:
+            possibly = f.flavor == POSSIBLY
+            parts = [
+                (And if possibly else Implies)(
+                    Atom(PredConst(ACC), (self.consts[w], self.consts[w2])),
+                    self.formula(f.body, w2, env),
+                )
+                for w2 in self.ctx.worlds
+            ]
+            return disjoin(parts) if possibly else conjoin(parts)
         raise ReductionError(f"cannot reduce formula {f!r}")
 
     def atom(self, pred, args, w: str, env: Mapping) -> Formula:
-        new_args = tuple(self.term(a, env) for a in args)
-        world_arg = (self.consts[w],)
-        match pred:
-            case PredConst(name):
-                return Atom(pred, new_args + world_arg)
-            case Lambda(params, _):
-                if len(params) != len(args):
-                    raise ReductionError("lambda arity mismatch")
-                closed = _close(Atom(pred, args), env)
-                body = subst_map(closed.pred.body, dict(zip(params, closed.args)))
-                return self.formula(body, w)
-            case Modified(modifier, base):
-                if not isinstance(base, PredConst):
-                    raise ReductionError(
-                        "only modified predicate constants reduce"
-                    )
-                key = (modifier, base.name)
-                name = self.tables.mod_preds.setdefault(key, f"{modifier}%{base.name}")
-                return Atom(PredConst(name), new_args + world_arg)
-            case TermDerived(op, arg):
-                token = self._term_token(arg, env)
-                key = (op, token)
-                name = self.tables.op_preds.setdefault(key, f"{op}%{token}")
-                return Atom(PredConst(name), new_args + world_arg)
-        raise ReductionError(f"cannot reduce predicate {pred!r}")
+        new_args = (
+            *[env.get(a.name, a) if type(a) is Var else self.term(a, env) for a in args],
+            self.consts[w],
+        )
+        kind = type(pred)
+        if kind is PredConst:
+            return Atom(pred, new_args)
+        if kind is Lambda:
+            if len(pred.params) != len(args):
+                raise ReductionError("lambda arity mismatch")
+            closed = _close(Atom(pred, args), env)
+            return self.formula(
+                subst_map(closed.pred.body, dict(zip(pred.params, closed.args))), w
+            )
+        if kind is Modified:
+            if not isinstance(pred.base, PredConst):
+                raise ReductionError("only modified predicate constants reduce")
+            table, key = self.tables.mod_preds, (pred.modifier, pred.base.name)
+        elif kind is TermDerived:
+            table, key = self.tables.op_preds, (pred.op, self._term_token(pred.arg, env))
+        else:
+            raise ReductionError(f"cannot reduce predicate {pred!r}")
+        return Atom(PredConst(table.setdefault(key, "%".join(key))), new_args)
 
     def quant(self, f: RestrictedQuant, w: str, env: Mapping) -> Formula:
         q = f.quant
         domain = self.ctx.domain
-        plain = isinstance(f.restrictor, TrueF)
+        plain = type(f.restrictor) is TrueF
+        # Each instance's (restrictor, body) pair is built once, over the
+        # whole domain in order and restrictor first, when `all` or a count
+        # first needs one, so obj-kN numbering holds and a count that needs
+        # no instance (at-least 0) reduces none. The members, and for `most`
+        # the counterexamples, are built once from those pairs and shared.
+        pairs = {}
+        members = {}  # negated -> {constant: its member (counterexample) formula}
 
-        # Each instance is built once, on first use, and then shared. Every
-        # restrictor comes before its body, and `member` runs over the whole
-        # domain before `counter` does, so obj-kN numbering holds.
-        @cache
-        def restrictor(c: str) -> Formula:
-            return self.formula(f.restrictor, w, {**env, f.var: self.consts[c]})
+        def instances() -> dict:
+            if not pairs:
+                for c in domain:
+                    inner = {**env, f.var: self.consts[c]}
+                    pairs[c] = (
+                        self.formula(f.restrictor, w, inner),
+                        self.formula(f.body, w, inner),
+                    )
+            return pairs
 
-        @cache
-        def body(c: str) -> Formula:
-            return self.formula(f.body, w, {**env, f.var: self.consts[c]})
-
-        @cache
-        def member(c: str) -> Formula:
-            return body(c) if plain else And(restrictor(c), body(c))
-
-        @cache
-        def counter(c: str) -> Formula:
-            # member of the restrictor but not the body
-            return Not(body(c)) if plain else And(restrictor(c), Not(body(c)))
-
-        def at_least(n: int, make) -> Formula:
+        def at_least(n: int, negated: bool = False) -> Formula:
+            """At least n constants are members (counterexamples: in the
+            restrictor but not the body, if negated)."""
             if n == 0:
                 return TrueF()
             if n > len(domain):
@@ -282,56 +276,56 @@ class Reducer:
                     f"at-least {n} over {len(domain)} constants exceeds the "
                     f"expansion ceiling"
                 )
-            return disjoin(
-                [
-                    conjoin(self._distinct(combo) + [make(c) for c in combo])
-                    for combo in combinations(domain, n)
-                ]
-            )
+            member = members.get(negated)
+            if member is None:
+                member = members[negated] = {}
+                for c, (r, b) in instances().items():
+                    b = Not(b) if negated else b
+                    member[c] = b if plain else And(r, b)
+            options = []
+            for combo in combinations(domain, n):
+                out = self._distinct(combo)
+                for c in combo:
+                    out = member[c] if out is None else And(out, member[c])
+                options.append(out)
+            return disjoin(options)
 
         if q.name == "all":
             return conjoin(
-                [
-                    body(c) if plain else Implies(restrictor(c), body(c))
-                    for c in domain
-                ]
+                [b if plain else Implies(r, b) for r, b in instances().values()]
             )
         if q.name == "some":
-            return at_least(1, member)
+            return at_least(1)
         if q.name == "no":
-            return Not(at_least(1, member))
+            return Not(at_least(1))
         if q.name == "at-least":
-            return at_least(q.param, member)
+            return at_least(q.param)
         if q.name == "at-most":
-            return Not(at_least(q.param + 1, member))
+            return Not(at_least(q.param + 1))
         if q.name == "fewer-than":
-            return Not(at_least(q.param, member))
+            return Not(at_least(q.param))
         if q.name == "exactly":
-            return And(
-                at_least(q.param, member), Not(at_least(q.param + 1, member))
-            )
+            return And(at_least(q.param), Not(at_least(q.param + 1)))
         if q.name == "most":
-            options = []
-            for k in range(len(domain)):
-                options.append(
-                    And(
-                        at_least(k + 1, member),
-                        Not(at_least(k + 1, counter)),
-                    )
-                )
-            return disjoin(options)
+            return disjoin(
+                [
+                    And(at_least(k + 1), Not(at_least(k + 1, negated=True)))
+                    for k in range(len(domain))
+                ]
+            )
         raise UnknownQuantifierError(f"quantifier {q.name} is not reducible")
 
-    def _distinct(self, combo: tuple) -> list:
-        """[the conjunction of (not (= a b)) over the tuple's pairs], or [] for
-        one constant. `conjoin` folds to the left, so the conjunction is the
-        shared prefix of every option for the tuple."""
+    def _distinct(self, combo: tuple) -> Optional[Formula]:
+        """The conjunction of (not (= a b)) over the tuple's pairs, or None
+        for one constant. It is built once per tuple and shared: every
+        option for the tuple starts from it and folds the members onto it
+        in place, as `conjoin` folds to the left."""
         if combo not in self.distinct:
             pairs = [
                 Not(Equal(self.consts[a], self.consts[b]))
                 for a, b in combinations(combo, 2)
             ]
-            self.distinct[combo] = [conjoin(pairs)] if pairs else []
+            self.distinct[combo] = conjoin(pairs) if pairs else None
         return self.distinct[combo]
 
 
@@ -375,9 +369,7 @@ def reduce_kb(kb: KnowledgeBase, ctx: ReductionContext):
     out = KnowledgeBase(registry=kb.registry)
     for axiom in kb.axioms:
         for w in ctx.worlds:
-            translated = reducer.formula(axiom, w)
-            for part in conjuncts(translated):
-                out.axioms.append(part)
+            out.axioms.extend(conjuncts(reducer.formula(axiom, w)))
     for fact in kb.facts:
         out.facts.append(reducer.formula(fact, ctx.worlds[0]))
     for a, b in ctx.accessibility:

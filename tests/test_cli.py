@@ -224,6 +224,12 @@ class TestReduceCommand:
         ("?x,b1", "w0", "", "domain name '?x' is not a constant"),
         ("c 1,b1", "w0", "", "domain name 'c 1' is not a constant"),
         ("b1,f1", "w0,42", "", "world name '42' is not a constant"),
+        ("b1,,f1", "w0", "", "domain name '' is not a constant"),
+        ("b1,f1,", "w0", "", "domain name '' is not a constant"),
+        ("b1,f1", "w0,,w1", "", "world name '' is not a constant"),
+        ("", "w0", "",
+         "reduction requires domain closure: provide domain constants"),
+        ("b1,f1", "", "", "reduction requires at least one world constant"),
     ])
     def test_ambiguous_context_exits_two(self, capsys, domain, worlds, acc, message):
         code, out, err = run(

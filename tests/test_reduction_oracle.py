@@ -30,7 +30,7 @@ from elfol.core import (
 from elfol.kb import KnowledgeBase
 from elfol.lexicon import load_bundle
 from elfol.reduction import ReductionContext
-from elfol.syntax import render
+from elfol.syntax import parse_formula, render
 
 from gen import QUANTS, AstGen
 
@@ -209,3 +209,40 @@ def test_generated_formulas_cover_the_features():
         "term-derived predicate argument must reduce to a constant",
         "reified term is open after expansion",
     }
+
+
+@pytest.mark.parametrize("quant, reified", [
+    ("(at-least 0)", 1),
+    ("(exactly 0)", 7),
+    ("(at-most 0)", 7),
+    ("(fewer-than 0)", 1),
+    ("(at-least 7)", 1),
+    ("most", 7),
+])
+def test_counts_build_instances_only_when_needed(quant, reified):
+    """Counts `gen.QUANTS` never draws, over six constants. The `that` term
+    in the restrictor numbers one reified constant per instance built, and
+    the reified fact after it takes the next number: a count that needs no
+    instance (at-least 0, fewer-than 0, at-least 7) builds none, and one
+    that needs any builds all six."""
+    kb = KnowledgeBase(
+        axioms=[parse_formula(f"(quant {quant} ?x (P (that (Q ?x))) (Q ?x))")],
+        facts=[parse_formula("(P (that (R c1)))")],
+    )
+    ctx = BUNDLE_CONTEXTS["six-one-world"]
+    assert_same(kb, ctx)
+    _, tables = reduction.reduce_kb(kb, ctx)
+    assert len(tables.reified_terms) == reified
+
+
+def test_a_count_that_needs_no_instance_leaves_an_open_body_alone():
+    """At-least 0 is true without its body, so an open reified term in the
+    body is never reduced and raises nothing."""
+    kb = KnowledgeBase(
+        axioms=[parse_formula("(quant (at-least 0) ?x (Q ?x) (P (that (R ?y))))")]
+    )
+    ctx = BUNDLE_CONTEXTS["six-one-world"]
+    assert_same(kb, ctx)
+    reduced, tables = reduction.reduce_kb(kb, ctx)
+    assert reduced.axioms == [TrueF()]
+    assert not tables.reified_terms
