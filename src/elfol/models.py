@@ -49,6 +49,20 @@ the registry cannot resolve). So only subtrees without a countermodel are
 skipped, in an unchanged order: the first countermodel, and every error,
 stay the same.
 
+Where it can prune, `find_counterexample` searches each size with the
+predicates in a prune-first order: those with an unmarked occurrence, then
+those that occur with both marks, then those with one mark, each group in
+name order. With the predicates that decide the formula assigned first, the
+polarity test closes prefixes sooner than in name order, where a dropped
+conjunct's predicate may come before the kept one's. Where that search
+meets a countermodel and the two orders differ, the size is searched again
+in name order, for its first countermodel. The answer is unchanged: whether
+a countermodel of a size exists does not depend on the order, since in any
+order the canonical search keeps one model of each orbit and skips only
+prefixes without a countermodel, and a formula that can be pruned cannot
+raise. The ceiling is checked in name order before the search, so its error
+names the predicates in the same order as before.
+
 `first_failure` checks each schema by building each bounded instance with
 `instantiate`, in `enumerate_bindings` order, and compiling it as it would
 an axiom. The instance ceiling is checked when the schema is reached. The
@@ -641,7 +655,7 @@ def _models(domain_size, world_count, predicates, constants, ceiling, canonical,
     m = IntensionalModel(worlds=worlds, accessibility=frozenset(), domain=domain)
     exts = m.predicates
     # without settled every predicate counts as unmarked, so no prefix is tested
-    polar, unmarked = settled if settled is not None else (None, {p for p, _ in predicates})
+    polar, rank = settled if settled is not None else (None, {p: 0 for p, _ in predicates})
     subsets = {}  # arity -> the frozenset of each mask's tuples, by mask
     slots = []  # per position: (arity, the dict and key it sets, the key's
     # P + _NEGATIVE twin or None, its masks in increasing order, their values)
@@ -656,7 +670,7 @@ def _models(domain_size, world_count, predicates, constants, ceiling, canonical,
             if polar is not None:
                 twin = name + _NEGATIVE, w
                 exts[twin] = subsets[arity][-1]
-            if name in unmarked:
+            if not rank[name]:
                 first_test = len(slots) + 1
             slots.append((arity, exts, (name, w), twin, masks, subsets[arity]))
     n_ext = len(slots)
@@ -796,19 +810,30 @@ def find_counterexample(
     """First enumerated model falsifying the closed formula f at the current
     world, or None if f holds in every model within bounds. Only canonical
     models are visited, and a prefix whose every completion satisfies f by
-    polarity is not completed; the module docstring says why the answer is
-    the same as a search of every model's."""
+    polarity is not completed. Where polarity can prune, each size is
+    searched in `_settled`'s prune-first order, and again in name order only
+    if the two orders differ and the first search meets a countermodel. The
+    module docstring says why the answer is the same as a search of every
+    model's."""
     bounds = bounds if bounds is not None else SearchBounds()
     preds, consts = _search_vocabulary(f, bounds)
     registry = registry if registry is not None else DEFAULT_REGISTRY
     holds = compile_formula(f, registry)
     settled = _settled(f, preds, consts, registry)
+    order = preds if settled is None else tuple(sorted(preds, key=lambda p: settled[1][p[0]]))
     for world_count in range(1, bounds.max_worlds + 1):
         for domain_size in range(1, bounds.max_domain + 1):
-            for m in _models(
-                domain_size, world_count, preds, consts, bounds.ceiling, True, settled
-            ):
+            # the ceiling error names preds in name order
+            _checked_count(domain_size, world_count, preds, consts, bounds.ceiling)
+            size = domain_size, world_count
+            for m in _models(*size, order, consts, bounds.ceiling, True, settled):
                 if not holds(m, m.w0, {}):
+                    if order != preds:
+                        # a countermodel of this size exists in any order;
+                        # the name order's first is the answer
+                        m = next(m for m in _models(
+                            *size, preds, consts, bounds.ceiling, True, settled
+                        ) if not holds(m, m.w0, {}))
                     return _copy(m, preds)
     return None
 
@@ -822,19 +847,19 @@ _SIGN = {UP: 1, DOWN: -1}  # a profile entry's effect on a mark; none: 0
 def _polarize(f: Formula, registry) -> tuple:
     """(f with equivalences read as two implications and each negative
     occurrence of a predicate P renamed to P + _NEGATIVE, the names of the
-    predicates with an occurrence that has no mark). Negation and the left
+    predicates with an occurrence that has no mark, the names of those with
+    both a positive and a negative occurrence). Negation and the left
     side of an implication flip the mark; a quantifier's restrictor and
     body take it through the quantifier's left and right profile entries,
     `up` keeping it, `down` flipping it and `none` erasing it. f must be
     `_total`, so every quantifier resolves."""
-    unmarked = set()
+    marked = {0: set(), 1: set(), -1: set()}  # mark -> the names with an occurrence of it
 
     def walk(node, sign):
         kind = type(node)
         if kind is Atom:
-            if not sign:
-                unmarked.add(node.pred.name)
-            elif sign < 0:
+            marked[sign].add(node.pred.name)
+            if sign < 0:
                 return Atom(PredConst(node.pred.name + _NEGATIVE), node.args)
             return node
         if kind is Not:
@@ -857,15 +882,17 @@ def _polarize(f: Formula, registry) -> tuple:
             )
         return map_children(node, lambda child: walk(child, sign))
 
-    return walk(f, 1), unmarked
+    polar = walk(f, 1)
+    return polar, marked[0], marked[1] & marked[-1]
 
 
 def _settled(f: Formula, preds: tuple, consts: tuple, registry):
     """enumerate_models' settled argument for a search for a countermodel
-    to f: (the polarized f compiled, the names of the predicates with an
-    unmarked occurrence); or None where polarity cannot prune: f names a
-    constant or could raise, the search has constants or names a predicate
-    twice, or every predicate has an unmarked occurrence.
+    to f: (the polarized f compiled, each predicate's rank: 0 with an
+    unmarked occurrence, else 1 with both marks, else 2); or None where
+    polarity cannot prune: f names a constant or could raise, the search
+    has constants or names a predicate twice, or every predicate has an
+    unmarked occurrence. Sorted by rank, preds are in prune-first order.
 
     f, polarized, is increasing in each predicate P and decreasing in each
     P + _NEGATIVE. So at a prefix, with an unassigned P read as the empty
@@ -874,10 +901,11 @@ def _settled(f: Formula, preds: tuple, consts: tuple, registry):
     arity = dict(preds)
     if consts or len(arity) != len(preds) or not _total(f, registry):
         return None
-    polar, unmarked = _polarize(f, registry)
+    polar, unmarked, mixed = _polarize(f, registry)
     if arity.keys() <= unmarked:
         return None
-    return compile_formula(polar, registry), unmarked
+    rank = {p: 0 if p in unmarked else 1 if p in mixed else 2 for p in arity}
+    return compile_formula(polar, registry), rank
 
 
 def check_search_size(f: Formula, bounds: Optional[SearchBounds] = None) -> None:

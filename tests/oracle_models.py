@@ -192,7 +192,7 @@ def _settled(f: Formula, preds: tuple, consts: tuple, registry):
     arity = dict(preds)
     if consts or len(arity) != len(preds) or not _total(f, registry):
         return None
-    polar, unmarked = _polarize(f, registry)
+    polar, unmarked, _ = _polarize(f, registry)
     if arity.keys() <= unmarked:
         return None
     holds = compile_formula(polar, registry)

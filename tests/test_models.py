@@ -5,7 +5,7 @@ import time
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import elfol.models
@@ -39,6 +39,7 @@ from elfol.models import (
     SearchBounds,
     _polarize,
     _settled,
+    check_search_size,
     compile_formula,
     dump_model,
     enumerate_models,
@@ -499,6 +500,9 @@ SEARCH_CASES = ["implication", "monotone", "conjunct-drop", "equiv", "constant",
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     case=st.sampled_from(SEARCH_CASES),
 )
+# a size over the ceiling, where the prune-first predicate order is not the
+# name order the ceiling error is written in
+@example(seed=36, case="monotone")
 def test_canonical_search_finds_the_first_countermodel(seed, case):
     f, bounds = search_case(random.Random(seed), case)
     try:
@@ -518,13 +522,14 @@ class TestPolarityPruning:
             "(implies (quant all ?x (A ?x) (not (B ?x)))"
             " (equiv (quant most ?y (C ?y) (D ?y)) (nec (E))))"
         )
-        polar, unmarked = _polarize(f, DEFAULT_REGISTRY)
+        polar, unmarked, mixed = _polarize(f, DEFAULT_REGISTRY)
         assert render(polar) == (
             "(implies (quant all ?x (A ?x) (not (B ?x)))"
             " (and (implies (quant most ?y (C ?y) (D - ?y)) (nec (E)))"
             " (implies (nec (E -)) (quant most ?y (C ?y) (D ?y)))))"
         )
         assert unmarked == {"C"}
+        assert mixed == {"D", "E"}
 
     @pytest.mark.parametrize("text", [
         "(implies (P a) (quant some ?x (P ?x) (Q ?x)))",
@@ -540,6 +545,28 @@ class TestPolarityPruning:
     def test_no_pruning_when_every_predicate_is_unmarked(self):
         f = parse_formula("(quant (exactly 1) ?x (P ?x) (Q ?x))")
         assert _settled(f, (("P", 1), ("Q", 1)), (), DEFAULT_REGISTRY) is None
+
+    def test_prune_order_puts_unmarked_then_mixed_predicates_first(self):
+        # `most` leaves its restrictor B unmarked; A occurs with both marks
+        # and C only in the premise, so with one mark
+        f = parse_formula(
+            "(implies (quant most ?x (B ?x) (and (C ?x) (A ?x ?x)))"
+            " (quant most ?x (B ?x) (A ?x ?x)))"
+        )
+        preds, _ = formula_vocabulary(f)
+        assert preds == (("A", 2), ("B", 1), ("C", 1))
+        assert _settled(f, preds, (), DEFAULT_REGISTRY)[1] == {"A": 1, "B": 0, "C": 2}
+        # valid, so the search reaches size 3, whose count is over the
+        # ceiling; the error names the predicates in name order
+        message = (
+            "model count 2^1 * 2^(3^2*1) * 2^(3^1*1) * 2^(3^1*1) = 65536"
+            " exceeds ceiling 1000"
+        )
+        bounds = SearchBounds(max_domain=3, ceiling=1_000)
+        for search in (find_counterexample, check_search_size):
+            with pytest.raises(EnumerationError) as e:
+                search(f, bounds)
+            assert str(e.value) == message
 
     def skipped_models_hold(self, f, max_domain, max_worlds):
         """Check that every canonical model the settled test skips satisfies

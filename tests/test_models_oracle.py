@@ -58,16 +58,21 @@ def sequence(enumerate, *args, **kw):
 
 def validate_formulas() -> list:
     """The 162 instances `elfol validate --schema monotone-conj-drop`
-    checks, then the conjunct drop under three downward quantifiers."""
+    checks, then the conjunct drop under three downward quantifiers: as
+    `validate` would build it, then with the dropped conjunct's predicate
+    sorting before the kept one's, with the restrictor first or last, so
+    the prune-first predicate order is not the name order."""
     schema = next(s for s in BUNDLE.schemas if s.name == "monotone-conj-drop")
     sig = Signature(predicates={"p1": 1, "p2": 1, "p3": 1})
     instances = enumerate_instances(
         schema, sig, BUNDLE.registry, InstanceBounds(max_formula_instances=2)
     )
     assert len(instances) == 162
-    drop = "(implies (quant Q ?x (p1 ?x) (and (p2 ?x) (p3 ?x))) (quant Q ?x (p1 ?x) (p2 ?x)))"
+    drop = "(implies (quant {q} ?x ({r} ?x) (and ({b} ?x) ({c} ?x))) (quant {q} ?x ({r} ?x) ({b} ?x)))"
     return instances + [
-        parse_formula(drop.replace("Q", q)) for q in ("no", "(fewer-than 2)", "(at-most 1)")
+        parse_formula(drop.format(q=q, r=r, b=b, c=c))
+        for r, b, c in [("p1", "p2", "p3"), ("p1", "p3", "p2"), ("p3", "p2", "p1")]
+        for q in ("no", "(fewer-than 2)", "(at-most 1)")
     ]
 
 
@@ -78,6 +83,37 @@ def test_every_validate_instance_and_downward_drop_gives_the_oracle_answer():
     assert found == [answer(oracle.find_counterexample, f, bounds, BUNDLE.registry) for f in formulas]
     assert found[:162] == [("model", None)] * 162
     assert all(kind == "model" and dump is not None for kind, dump in found[162:])
+
+
+def test_validate_builds_the_pinned_number_of_models(monkeypatch):
+    # each size is searched with the unmarked and mixed predicates first,
+    # so polarity closes prefixes early; a search of each size in name
+    # order alone builds 19,666 models
+    built = []
+    search = models._models
+
+    def counted(*args):
+        built.append(0)
+        for m in search(*args):
+            built[-1] += 1
+            yield m
+
+    monkeypatch.setattr(models, "_models", counted)
+    bounds = SearchBounds(max_domain=4, max_worlds=1)
+    formulas = validate_formulas()
+    for f in formulas[:162]:
+        assert find_counterexample(f, bounds, BUNDLE.registry) is None
+    assert sum(built) == 6_990
+    # the models each search builds, size by size: a drop as `validate`
+    # builds it has the prune-first order as its name order, so each size is
+    # searched once; in the other role orders the countermodel's size is
+    # searched again in name order
+    searches = [[1], [0, 1], [0, 1]] + [[1, 2], [0, 1, 3], [0, 1, 3]] * 2
+    assert len(formulas) == 162 + len(searches)
+    for f, expected in zip(formulas[162:], searches):
+        built.clear()
+        assert find_counterexample(f, bounds, BUNDLE.registry) is not None
+        assert built == expected
 
 
 @settings(max_examples=150, deadline=None)
