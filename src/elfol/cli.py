@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import lexicon
-from .core import RestrictedQuant, Signature, children, free_vars
+from .core import Atom, PredConst, RestrictedQuant, Signature, children, free_vars
 from .kb import KbError, check_entry, load_files
 from .models import (
     EnumerationError,
@@ -215,12 +215,25 @@ def _cmd_eval(args) -> int:
     f = parse_formula(args.formula)
     if free_vars(f):
         raise ValueError("formula must be closed")
+    lengths = {name: len(t) for (name, _), ext in model.predicates.items() for t in ext}
+    for name, n in _applications(f):
+        if lengths.get(name, n) != n:
+            raise ValueError(f"{args.model}: formula applies predicate {name} to "
+                             f"{n} arguments, but its tuples have length {lengths[name]}")
     try:
         value = eval_formula(model, model.w0, {}, f)
     except EvalError as e:
         raise EvalError(f"{args.model}: formula {render(f)}: {e}") from None
     _emit(args, {"value": value}, "true" if value else "false")
     return 0
+
+
+def _applications(node):
+    """(name, argument count) of each predicate-constant atom in node."""
+    if isinstance(node, Atom) and isinstance(node.pred, PredConst):
+        yield node.pred.name, len(node.args)
+    for child in children(node):
+        yield from _applications(child)
 
 
 def _cmd_validate(args) -> int:

@@ -105,6 +105,7 @@ from .core import (
     Var,
     alpha_key,
     children,
+    conjuncts,
     free_vars,
     free_vars_ordered,
     map_children,
@@ -163,10 +164,6 @@ def reified_key(term, env: dict, names: Optional[list] = None) -> tuple:
     return (alpha_key(term), tuple([env[n] for n in names]))
 
 
-def eval_term(m: IntensionalModel, env: dict, term):
-    return compile_term(term)(m, env)
-
-
 def eval_formula(
     m: IntensionalModel,
     w,
@@ -191,7 +188,9 @@ def eval_formula(
 # quantifier whose restrictor and body are each `true`, a monadic atom
 # (P ?x) over its own variable, or a conjunction of these, cannot raise: it
 # counts |A∩B| and |A\B| as intersections of the domain's 1-tuples with the
-# extensions, calling no closure per individual.
+# extensions, calling no closure per individual. Any other quantifier reads
+# the guard (`_guard`) of its restrictor, or of its `implies` body's left
+# side, once per evaluation, and skips that part at each individual it excludes.
 
 
 def _raises(message: str):
@@ -366,44 +365,42 @@ def _compile_atom(pred, args, registry):
 def _compile_quant(qref, var, restrictor, body, registry):
     sorts = _sorts(restrictor, var), _sorts(body, var)
     # members(m, w, env2) yields the individuals the restrictor admits, each
-    # bound to var in env2 before the body runs; a restrictor `true` or
-    # (P ?var) cannot fail, so those individuals are read off the domain or
-    # P's extension, while any other restrictor is evaluated lazily, one
-    # individual at a time, between evaluations of the body
-    if isinstance(restrictor, TrueF):
+    # bound to var in env2 before the body runs; a restrictor of the shapes
+    # counted as sets cannot raise, so they are read off the extensions, and
+    # any other is evaluated lazily, between body evaluations, where its guard admits
+    if sorts[0] is not None:
         def members(m, w, env2):
-            return m.domain
-    elif (
-        type(restrictor) is Atom
-        and type(restrictor.pred) is PredConst
-        and restrictor.args == (Var(var),)
-    ):
-        sort = restrictor.pred.name
-
-        def members(m, w, env2):
-            ext = m.predicates.get((sort, w), _EMPTY)
-            return [d for d in m.domain if (d,) in ext]
+            a = m.domain
+            for p in sorts[0]:
+                ext = m.predicates.get((p, w), _EMPTY)
+                a = [d for d in a if (d,) in ext]
+            return a
     else:
+        admits = _guard(restrictor, var)
         restrictor = compile_formula(restrictor, registry)
 
         def members(m, w, env2):
-            for d in m.domain:
+            cands = admits(m, w, env2) if admits else None
+            for d in m.domain if cands is None else [d for d in m.domain if d in cands]:
                 env2[var] = d
                 if restrictor(m, w, env2):
                     yield d
 
+    # an individual the body's guard does not admit makes the body true
+    guarded = _guard(body.left, var) if type(body) is Implies else None
     body = compile_formula(body, registry)
 
     def count(m, w, env, truth):
-        n_ab = 0
-        n_anb = 0
+        n_ab = n_anb = 0
         env2 = dict(env)
+        cands = guarded(m, w, env) if guarded else None
         for d in members(m, w, env2):
-            env2[var] = d
-            if body(m, w, env2):
-                n_ab += 1
-            else:
-                n_anb += 1
+            if cands is None or d in cands:
+                env2[var] = d
+                if not body(m, w, env2):
+                    n_anb += 1
+                    continue
+            n_ab += 1
         return truth(n_ab, n_anb)
 
     if None not in sorts:
@@ -447,6 +444,41 @@ def _sorts(f, var) -> Optional[tuple]:
     if type(f) is Atom and type(f.pred) is PredConst and f.args == (Var(var),):
         return (f.pred.name,)
     return () if type(f) is TrueF else None
+
+
+def _guard(f, var):
+    """fn(m, w, env) -> the set of individuals d at which f may hold with var
+    bound to d, or None for all; None if f has no guard, its first conjunct
+    that mentions var, where it and each conjunct before it apply a predicate
+    constant to variables. Bound, these cannot raise, and f is false at each
+    d they exclude. fn reads the guard's extension at w once, as `in` does:
+    ∅ if an earlier conjunct is false, None if env lacks one of their variables."""
+    leading = []
+    for c in conjuncts(f):
+        if not (type(c) is Atom and type(c.pred) is PredConst
+                and all(type(a) is Var for a in c.args)):
+            return None
+        names = tuple(a.name for a in c.args)
+        if var in names:
+            break
+        leading.append((c.pred.name, names))
+    else:
+        return None
+    pred, n, k = c.pred.name, len(names), names.index(var)
+    at = [i for i, x in enumerate(names) if x == var]
+
+    def admits(m, w, env):
+        get = m.predicates.get
+        try:
+            fixed = [(i, env[x]) for i, x in enumerate(names) if x != var]
+            if not all(tuple([env[x] for x in xs]) in get((p, w), _EMPTY) for p, xs in leading):
+                return _EMPTY
+        except KeyError:
+            return None
+        return {t[k] for t in get((pred, w), _EMPTY) if len(t) == n
+                and all(t[i] == v for i, v in fixed) and all(t[i] == t[k] for i in at)}
+
+    return admits
 
 
 def _truth(registry, ref):

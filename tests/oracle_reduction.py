@@ -50,7 +50,7 @@ from elfol.core import (
     subst_map,
 )
 from elfol.kb import KnowledgeBase
-from elfol.models import IntensionalModel, eval_term
+from elfol.models import IntensionalModel, compile_term
 from elfol.quantifiers import UnknownQuantifierError
 from elfol.reduction import (
     ACC,
@@ -294,7 +294,7 @@ def induced_classical_model(
                 continue
             src = tables.reified_terms.get(token)
             if src is not None:
-                denot = eval_term(m, {}, src)
+                denot = compile_term(src)(m, {})
             elif token in m.constants:
                 denot = m.constants[token]
             else:
@@ -305,7 +305,7 @@ def induced_classical_model(
             predicates.setdefault(key, set())
             predicates[key] |= {t + (w,) for t in ext}
     for name, term in tables.reified_terms.items():
-        constants[name] = eval_term(m, {}, term)
+        constants[name] = compile_term(term)(m, {})
     return IntensionalModel(
         worlds=(cw,),
         accessibility=frozenset(),

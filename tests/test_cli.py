@@ -172,6 +172,30 @@ class TestEvalCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {model}: formula {formula}: unknown quantifier 'umpteen'\n"
 
+    @pytest.mark.parametrize("formula, n", [
+        ("(quant all ?x true (implies (R ?x) (P ?x)))", 1),
+        ("(not (R a a a))", 3),
+    ])
+    def test_a_predicate_applied_at_another_arity_than_its_tuples_exits_two(
+        self, capsys, tmp_path, formula, n
+    ):
+        # R's tuples are pairs; Q has none, so (Q a) is not checked
+        model = tmp_path / "m.elf"
+        model.write_text(
+            "(model (worlds w0) (acc) (domain d0 d1) (const a d0)\n"
+            "  (pred R (w0 (d0 d1))) (pred P (w0)) (pred Q (w0)))\n"
+        )
+        code, out, err = run(capsys, "eval", "--model", str(model), "--formula", formula)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {model}: formula applies predicate R to {n} arguments,"
+            " but its tuples have length 2\n"
+        )
+        code, out, err = run(
+            capsys, "eval", "--model", str(model), "--formula", "(or (R a a) (Q a a a))"
+        )
+        assert (code, out) == (0, "false\n")
+
     def test_model_parse_error_names_the_model_file(self, capsys, tmp_path):
         model = tmp_path / "bad.elf"
         model.write_text("(model (worlds w0 (domain d0))\n")
@@ -335,6 +359,24 @@ class TestCheckCommand:
         assert json.loads(out)["model"] == {
             "outcome": "fails", "kind": kind, "formula": formula, "world": "w0",
         }
+
+    def test_a_reached_guarded_body_without_a_denotation_exits_two(self, capsys, tmp_path):
+        # i1 is a person at w0 who considers p1 over t1, so each
+        # sounds-as-considered instance reaches (that (P ?x)) at x = p1, an
+        # open term no model file can give a denotation
+        text = dump_model(witness_model(load_bundle()))
+        for old, new in (("(pred person (w0)", "(pred person (w0 (i1))"),
+                         ("(pred consider (w0)", "(pred consider (w0 (i1 p1 t1))")):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "considering.elf"
+        path.write_text(text)
+        code, out, err = run(capsys, "--structured", "check", *BUNDLE_FILES, "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: no denotation for reified term class"
+            " (that;(atom;p:action-type;?!x;))\n"
+        )
 
     @pytest.mark.parametrize("old, new, message", [
         ("(pred big (w0 (i1) (i2) (i3)) (w1 (i1) (i2) (i3)))", "(pred big (w0 (i1 i2)))",

@@ -21,6 +21,7 @@ from elfol.core import (
     And,
     Atom,
     Const,
+    Implies,
     Ka,
     Lambda,
     Modal,
@@ -48,6 +49,7 @@ from elfol.models import (
     _total,
     eval_formula,
     first_failure,
+    reified_key,
 )
 from elfol.quantifiers import DEFAULT_REGISTRY, QuantRegistry
 from elfol.schemas import (
@@ -274,6 +276,157 @@ def monadic_models(draw):
 def test_quantifiers_counted_as_sets_agree_with_the_oracle(f, ms, bound):
     # one closure runs on each model in turn, so it meets each domain
     same_everywhere(f, ms, {"x": "d0"} if bound else {})
+
+
+# ---------------------------------------------------------------------------
+# Guarded quantifiers: a restrictor, or an `implies` body's left side, whose
+# conjuncts up to the first that mentions the bound variable apply a
+# predicate constant to variables, which the evaluator reads off that
+# conjunct's extension
+
+GUARD_VARS = "xyz"
+
+
+def var_atom(names):
+    """An atom over P, Q or R applying to one to three of names."""
+    args = st.lists(st.sampled_from(names), min_size=1, max_size=3)
+    return st.builds(
+        lambda p, xs: Atom(PredConst(p), tuple(Var(x) for x in xs)),
+        st.sampled_from("PQR"), args,
+    )
+
+
+def raising_atom(var: str):
+    """An atom that raises in every model below, or in some: `zz` is never
+    interpreted, `a` now and then, and `(that (Q ?var))` denotes at random."""
+    return st.sampled_from([
+        Atom(PredConst("P"), (Const("zz"),)),
+        Atom(PredConst("Q"), (Var(var), Const("a"))),
+        Atom(PredConst("R"), (That(Atom(PredConst("Q"), (Var(var),))),)),
+    ])
+
+
+def conjoin_shape(draw, parts):
+    """parts conjoined in left-to-right order, in a drawn association."""
+    if len(parts) == 1:
+        return parts[0]
+    cut = draw(st.integers(1, len(parts) - 1))
+    return And(conjoin_shape(draw, parts[:cut]), conjoin_shape(draw, parts[cut:]))
+
+
+@st.composite
+def guarded_conjunctions(draw, var: str):
+    """Leading atoms over the other variables or with the constant `a` (which
+    is no guard), then an atom that mentions var, possibly more than once,
+    then atoms that may mention anything or raise."""
+    others = [v for v in GUARD_VARS if v != var]
+    lead = draw(st.lists(st.one_of(
+        var_atom(others),
+        st.just(Atom(PredConst("P"), (Const("a"),))),
+    ), max_size=2))
+    guard = draw(var_atom(GUARD_VARS))
+    args = list(guard.args)
+    for i in draw(st.sets(st.integers(0, len(args) - 1), min_size=1)):
+        args[i] = Var(var)
+    guard = replace(guard, args=tuple(args))
+    tail = draw(st.lists(st.one_of(var_atom(GUARD_VARS), raising_atom(var)), max_size=2))
+    return conjoin_shape(draw, lead + [guard] + tail)
+
+
+@st.composite
+def guarded_formulas(draw, depth: int = 2):
+    """(quant Q ?v R (implies G B)) or (quant Q ?v G B), G guarded, R from
+    `true`, a monadic atom, a conjunction of those (which alone would be
+    counted as sets), a guarded conjunction or a raising atom; B an atom, a
+    raising atom or another such quantifier, which may bind the same name."""
+    var = draw(st.sampled_from(GUARD_VARS))
+    inner = draw(guarded_formulas(depth - 1)) if depth and draw(st.booleans()) else None
+    body = draw(st.one_of(var_atom(GUARD_VARS), raising_atom(var)))
+    if inner is not None:
+        body = draw(st.sampled_from([inner, And(body, inner), Not(inner)]))
+    if draw(st.booleans()):
+        restrictor = draw(st.one_of(
+            conjunctions(var), guarded_conjunctions(var), raising_atom(var),
+        ))
+        body = Implies(draw(guarded_conjunctions(var)), body)
+    else:
+        restrictor = draw(guarded_conjunctions(var))
+    return RestrictedQuant(draw(QUANTS), var, restrictor, body)
+
+
+@st.composite
+def guarded_models(draw, f):
+    """A model over P, Q and R whose tuples have one to three places, may
+    hold `d9`, which is not in the domain, and whose keys may be missing; the
+    domain may list an individual twice, `a` may be uninterpreted and
+    `(that (Q ?v))` may have no denotation for a value of ?v."""
+    worlds = ("w0", "w1")[: draw(st.integers(1, 2))]
+    individuals = st.sampled_from(["d0", "d1", "d2"])
+    domain = tuple(draw(st.lists(individuals, min_size=1, max_size=3, unique=True)))
+    if draw(st.integers(0, 3)) == 0:
+        domain += (draw(st.sampled_from(domain)),)
+    values = st.sampled_from(domain + ("d9",))
+    tuples = st.lists(values, min_size=1, max_size=3).map(tuple)
+    predicates = {
+        (p, w): frozenset(draw(st.lists(tuples, max_size=8)))
+        for p in "PQR"
+        for w in worlds
+        if draw(st.integers(0, 5))  # else the key is missing
+    }
+    reified = {}
+    for t in dict.fromkeys(reified_terms(f)):
+        for d in domain:
+            if draw(st.integers(0, 3)):
+                reified[(alpha_key(t), (d,))] = draw(st.sampled_from(domain))
+    constants = {"a": draw(st.sampled_from(domain))} if draw(st.booleans()) else {}
+    return IntensionalModel(
+        worlds=worlds, accessibility=frozenset(), domain=domain,
+        constants=constants, predicates=predicates, reified=reified,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_guarded_quantifiers_agree_with_the_oracle(data):
+    f = data.draw(guarded_formulas())
+    ms = data.draw(st.lists(guarded_models(f), min_size=1, max_size=2))
+    # ?y and ?z may each be left unbound, and ?x bound outside
+    env = data.draw(st.fixed_dictionaries({}, optional={
+        v: st.sampled_from(["d0", "d1", "d2", "d9"]) for v in GUARD_VARS
+    }))
+    same_everywhere(f, ms, env)
+
+
+@pytest.mark.parametrize("text, env, value", [
+    # d1 is the only candidate; the body's `zz` is reached there
+    ("(quant all ?x true (implies (R ?x ?x) (P zz)))", {}, "uninterpreted constant zz"),
+    # (d2 d9) names no individual of the domain: the body is never reached
+    ("(quant all ?x true (implies (R ?y ?x) (P zz)))", {"y": "d2"}, True),
+    # ?y unbound: the body raises at the first individual, as the loop does
+    ("(quant all ?x true (implies (and (P ?y) (R ?x ?x)) (P ?x)))", {},
+     "unbound variable ?y"),
+    # (P ?y) is false at d0: nothing is admitted
+    ("(quant some ?x (and (P ?y) (R ?x ?x)) true)", {"y": "d0"}, False),
+    # d1, listed twice, is counted twice, as the oracle's loop counts it
+    ("(quant (exactly 2) ?x (and (P ?y) (R ?x ?x)) true)", {"y": "d1"}, True),
+])
+def test_a_guard_reads_its_extension_with_the_semantics_of_in(text, env, value):
+    m = IntensionalModel(
+        worlds=("w0",),
+        accessibility=frozenset(),
+        domain=("d0", "d1", "d1"),
+        predicates={
+            ("P", "w0"): frozenset({("d1",)}),
+            ("R", "w0"): frozenset({("d1", "d1"), ("d0",), ("d0", "d1", "d0"), ("d2", "d9")}),
+        },
+    )
+    f = parse_formula(text)
+    if isinstance(value, str):
+        with pytest.raises(EvalError, match=re.escape(value)):
+            compile_formula(f)(m, "w0", dict(env))
+    else:
+        assert compile_formula(f)(m, "w0", dict(env)) is value
+    same_everywhere(f, [m], env)
 
 
 @pytest.mark.parametrize("text, twice, once", [
@@ -551,6 +704,34 @@ def test_first_failure_matches_the_oracle_when_do_reified_action_fails():
         "(quant all ?x true (implies ((do (ka beer)) ?x) (beer ?x)))",
         "w0",
     )
+
+
+# i1 is a person at w0 who considers p1 over t1: the sounds-as-considered
+# instances reach their innermost body through the guards (person ?s) and
+# (consider ?s ?x ?t) at x = p1, s = i1, t = t1
+CONSIDERING = {("person", "w0"): {("i1",)}, ("consider", "w0"): {("i1", "p1", "t1")}}
+
+
+def considering_witness():
+    m = witness_model(BUNDLE)
+    for key, tuples in CONSIDERING.items():
+        m.predicates[key] = m.predicates[key] | tuples
+    return m
+
+
+def test_first_failure_matches_the_oracle_when_a_guarded_body_is_reached():
+    # the instance's `(that (P ?x))` at x = p1 has no denotation: the witness
+    # model reifies closed terms only, as a model file must
+    assert bundle_failure(considering_witness()) == (
+        "raised", ModelRejection,
+        "no denotation for reified term class (that;(atom;p:action-type;?!x;))",
+    )
+    # given one, i1 does not feel that p1 is an action type at the end of t1
+    m = considering_witness()
+    m.reified[reified_key(parse_term("(that (action-type ?x))"), {"x": "p1"})] = "prop-1"
+    _, (kind, f, w) = bundle_failure(m)
+    assert (kind, w) == ("schema-instance", "w0")
+    assert render(f).startswith("(quant all ?x true (equiv ((mod sounds action-type) ?x)")
 
 
 def test_first_failure_matches_the_oracle_on_a_schema_that_is_not_valid():
