@@ -12,7 +12,10 @@ wherever its antecedents do. An implication gives one clause, a bare
 formula one without antecedents, and an equivalence two rewrite clauses,
 each side once the consequent with the other as its one antecedent.
 `_Search._apply` proves a goal by any of them, and `forward_chain` derives
-facts by the same clauses read forward.
+facts by the same clauses read forward. It is semi-naive: each round
+matches an antecedent only against the facts of its head, and enumerates
+only the joins that use a fact added since the round before. Every other
+join was matched, to the same fact, in an earlier round.
 
 Rules look entries up rather than scan them: a closed goal finds the
 facts, hypotheses and hypothesis conjuncts equal to it by `alpha_key`, and
@@ -414,7 +417,7 @@ class _Search:
             "rewrites": _by(lambda c: c.head, [c for c in self.clauses if c.rewrite]),
         }
         self.spines = {}  # (table, spine key) -> entries; see _same_head
-        self.fact_keys = _by(alpha_key, kb.facts)
+        self.fact_keys = {}  # alpha_key -> the facts with it, each built when first read
         self.fact_splits = _splits(kb.facts, disjuncts)
         # (visited key, split_done) -> (lex_budget, depth, hit a bound) of a
         # closed call that proved nothing; see solve
@@ -545,8 +548,11 @@ class _Search:
         if closed:
             # two closed formulas unify exactly when they are alpha-equivalent
             k = alpha_key(goal)
-            facts = chain(self.fact_keys.get(k, ()), extra.indexes()[0].get(k, ()))
-            for _fact in self._each(facts):
+            same = self.fact_keys.get(k)
+            if same is None:  # alpha-equivalent formulas share a head
+                facts = self.heads["facts"].get(_head(goal), ())
+                same = self.fact_keys[k] = [f for f in facts if alpha_key(f) == k]
+            for _fact in self._each(chain(same, extra.indexes()[0].get(k, ()))):
                 yield dict(env), TraceNode("fact-match", goal), 0
             return
         for fact in chain(self._same_head("facts", goal), self._each(extra.formulas)):
@@ -881,15 +887,21 @@ class ForwardResult:
     skipped_schemas: list = field(default_factory=list)
 
 
-def _match_conjuncts(ants, env, facts):
+def _match_new(ants, env, facts, new, fresh):
+    """The envs, in naive order, under which ants unify with facts of their
+    heads: those that use a new fact, or all of them if fresh. facts and
+    new map a head to the round's facts and to the new ones, which end it."""
     if not ants:
-        yield env
+        if fresh:
+            yield env
         return
-    head, *rest = ants
-    for fact in facts:
-        e2 = unify(head, fact, env)
+    head = _head(ants[0])
+    fs = facts.get(head, ())
+    old = len(fs) - len(new.get(head, ()))
+    for i in range(0 if fresh or len(ants) > 1 else old, len(fs)):
+        e2 = unify(ants[0], fs[i], env)
         if e2 is not None:
-            yield from _match_conjuncts(rest, e2, facts)
+            yield from _match_new(ants[1:], e2, facts, new, fresh or i >= old)
 
 
 def forward_chain(
@@ -902,7 +914,12 @@ def forward_chain(
     `schemas.weakening_valid` schema, each (closed) fact an instance's
     premise unifies with is one the rule splits, in the same round. A schema
     whose enumeration fails at the bounds is named in `skipped_schemas`, and
-    the result is exhausted."""
+    the result is exhausted.
+
+    Matching is head-indexed and semi-naive (`_match_new`), and the
+    monotone rule reads only new facts. What is left out uses only facts of
+    the round before, and no clause is renamed, so it gave the same fact
+    there and `add` would reject it: the output is the naive loop's."""
     from .schemas import InstanceBounds, enumerate_instances
 
     cfg = cfg if cfg is not None else ProverConfig()
@@ -942,19 +959,21 @@ def forward_chain(
         steps.append((f, rule, detail))
         return True
 
+    seen = 0  # facts matched in an earlier round
     for _round in range(cfg.max_depth):
         if len(facts) > cfg.max_explored:
             exhausted = True
             break
-        snapshot = list(facts)
+        new, seen = facts[seen:], len(facts)
+        heads, new_heads = _by(_head, facts), _by(_head, new)
         changed = False
         for clause in clauses:
             rule = "equiv-rewrite" if clause.rewrite else "axiom-match"
-            for env in _match_conjuncts(clause.antecedents, {}, snapshot):
+            for env in _match_new(clause.antecedents, {}, heads, new_heads, not _round):
                 derived = resolve_formula(clause.consequent, env)
                 if not free_vars(derived):
                     changed |= add(derived, rule, clause.label)
-        for fact in snapshot:
+        for fact in new:
             if isinstance(fact, RestrictedQuant) and not free_vars(fact):
                 try:
                     qdef = kb.registry.resolve(fact.quant)

@@ -1,7 +1,9 @@
 """Reference forward chaining: `prover.forward_chain` as it was before it
-skipped the schemas that its monotone rule subsumes. It builds every
-bounded instance of every schema and tries each as a clause, so the
-differential tests can check that skipping changes no derived fact."""
+skipped the schemas that its monotone rule subsumes, and before it matched
+by head and only joins that use a new fact. It builds every bounded
+instance of every schema, tries each as a clause, and matches every
+antecedent against every fact of every round, so the differential tests
+can check that skipping and semi-naive matching change no derived fact."""
 
 from __future__ import annotations
 
@@ -13,11 +15,23 @@ from elfol.prover import (
     ForwardResult,
     ProverConfig,
     _compile_axiom,
-    _match_conjuncts,
     resolve_formula,
     unify,
 )
 from elfol.quantifiers import UP, UnknownQuantifierError
+
+
+def match_conjuncts(ants, env, facts):
+    """Every env under which ants unify, in order, with facts: each
+    antecedent is tried against the whole snapshot, in its order."""
+    if not ants:
+        yield env
+        return
+    head, *rest = ants
+    for fact in facts:
+        e2 = unify(head, fact, env)
+        if e2 is not None:
+            yield from match_conjuncts(rest, e2, facts)
 
 
 def forward_chain(
@@ -68,7 +82,7 @@ def forward_chain(
                     changed |= add(clause.consequent, "axiom-match", clause.label)
                 continue
             if not clause.rewrite:
-                for env in _match_conjuncts(list(clause.antecedents), {}, snapshot):
+                for env in match_conjuncts(list(clause.antecedents), {}, snapshot):
                     derived = resolve_formula(clause.consequent, env)
                     if not free_vars(derived):
                         changed |= add(derived, "axiom-match", clause.label)

@@ -17,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elfol.schemas
-from elfol.core import And, Atom, Const, PredConst, QuantRef, RestrictedQuant, Var, alpha_key
+from elfol.core import (
+    And, Atom, Const, Implies, PredConst, QuantRef, RestrictedQuant, Signature, Var,
+    alpha_key, conjoin, forall,
+)
 from elfol.kb import KnowledgeBase
 from elfol.lexicon import load_bundle
-from elfol.prover import forward_chain
+from elfol.prover import ProverConfig, forward_chain
 from elfol.schemas import weakening_valid
 from elfol.syntax import parse_formula, render
 
@@ -30,11 +33,11 @@ import oracle_forward
 BUNDLE = load_bundle()
 
 
-def compare(kb) -> bool:
+def compare(kb, cfg=None) -> bool:
     """Check forward_chain against the reference on kb; whether a step of
     the reference cites a subsumed schema."""
-    ref = oracle_forward.forward_chain(kb)
-    new = forward_chain(kb)
+    ref = oracle_forward.forward_chain(kb, cfg)
+    new = forward_chain(kb, cfg)
     assert {alpha_key(f) for f in new.derived} == {alpha_key(f) for f in ref.derived}
     assert new.exhausted == ref.exhausted
     subsumed = {s.name for s in kb.schemas if weakening_valid(s, kb.registry)}
@@ -132,3 +135,69 @@ def test_fuzz_kbs_with_conjunctive_quantified_facts(seed):
     facts = kb.facts + [conjunctive_fact(rng) for _ in range(rng.randint(1, 4))]
     rng.shuffle(facts)
     compare(KnowledgeBase(kb.signature, facts, kb.axioms, list(BUNDLE.schemas)))
+
+
+# Semi-naive matching: a join is enumerated only in the rounds where it
+# uses a fact new to that round. Each axiom below is read in a round where
+# its antecedents meet facts of different ages.
+ROUNDS_SIG = Signature(predicates={
+    "P": 1, "Q": 1, "R": 2, "S": 1, "T": 1, "T2": 1, "U": 2, "V": 1,
+})
+ROUNDS_AXIOMS = [
+    "(forall ?x (implies (P ?x) (Q ?x)))",  # round 0: (Q a)
+    "(forall ?x (forall ?y (implies (R ?x ?y) (S ?y))))",  # round 0: (S b)
+    # round 1: the round-0 fact (R a b) first, then the new (Q a)
+    "(forall ?x (forall ?y (implies (and (R ?x ?y) (Q ?x)) (T ?y))))",
+    # round 1: the new (Q a) first, then the round-0 fact (R a b)
+    "(forall ?x (forall ?y (implies (and (Q ?x) (R ?x ?y)) (T2 ?y))))",
+    # round 1: two new facts, (Q a) and (S b)
+    "(forall ?x (forall ?y (implies (and (Q ?x) (S ?y)) (U ?x ?y))))",
+    # round 2: (U a b) and (T b) from round 1, with (P a) from round 0
+    "(forall ?x (forall ?y (implies (and (U ?x ?y) (and (P ?x) (T ?y))) (V ?x))))",
+]
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+def test_joins_of_old_and_new_facts_match_the_reference(max_depth):
+    kb = KnowledgeBase(
+        ROUNDS_SIG,
+        [parse_formula("(P a)"), parse_formula("(R a b)"), parse_formula("(R c c)")],
+        [parse_formula(ax) for ax in ROUNDS_AXIOMS],
+    )
+    cfg = ProverConfig(max_depth=max_depth)
+    ref = oracle_forward.forward_chain(kb, cfg)
+    new = forward_chain(kb, cfg)
+    assert [render(f) for f in new.derived] == [render(f) for f in ref.derived]
+    assert new.steps == ref.steps
+    assert new.exhausted == ref.exhausted
+    # rounds 0-2 derive, round 3 derives nothing: fewer rounds stop short
+    assert [render(f) for f in new.derived] == [
+        "(Q a)", "(S b)", "(S c)", "(T b)", "(T2 b)", "(U a b)", "(U a c)", "(V a)",
+    ][:[0, 3, 7, 8, 8][max_depth]]
+    assert new.exhausted == (max_depth < 4)
+
+
+def chain_axiom(rng: random.Random):
+    """A universal over ?x and ?y whose antecedent joins two or three atoms
+    of the fuzz signature and whose consequent is one more."""
+
+    def atom():
+        v, w = (Var(n) for n in rng.sample("xy", 2))
+        roll = rng.random()
+        if roll < 0.6:
+            return Atom(PredConst(rng.choice("PQ")), (v,))
+        return Atom(PredConst("R"), (v, w if roll < 0.9 else Const(rng.choice(fuzz.CONSTS))))
+
+    body = Implies(conjoin([atom() for _ in range(rng.randint(2, 3))]), atom())
+    return forall("x", forall("y", body))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_fuzz_kbs_with_conjunctive_chain_axioms(seed):
+    rng = random.Random(seed)
+    kb = fuzz.read_off_kb(rng, fuzz.random_model(rng))
+    axioms = kb.axioms + [chain_axiom(rng) for _ in range(rng.randint(1, 4))]
+    rng.shuffle(axioms)
+    cfg = ProverConfig(max_depth=rng.randint(1, 6))
+    compare(KnowledgeBase(kb.signature, kb.facts, axioms, kb.schemas), cfg)
