@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import lexicon
-from .core import Atom, PredConst, RestrictedQuant, Signature, children, free_vars
+from .core import Atom, PredConst, Signature, children, free_vars
 from .kb import KbError, check_entry, load_files
 from .models import (
     EnumerationError,
@@ -161,26 +161,8 @@ def _dispatch(args) -> int:
 
 def _read_goal(text: str, kb):
     """The goal text parsed, closed and well-formed over kb's signature,
-    naming only quantifiers that kb's registry resolves."""
-    goal = check_entry("goal", parse_formula(text), kb.signature)
-    _check_quants("goal", goal, kb.registry)
-    return goal
-
-
-def _check_quants(label: str, f, registry) -> None:
-    """Raise a ValueError led by label unless registry resolves every
-    quantifier f names."""
-    try:
-        _resolve_quants(f, registry)
-    except UnknownQuantifierError as e:
-        raise ValueError(f"{label}: {e}") from None
-
-
-def _resolve_quants(node, registry) -> None:
-    if isinstance(node, RestrictedQuant):
-        registry.resolve(node.quant)
-    for child in children(node):
-        _resolve_quants(child, registry)
+    naming only quantifiers that resolve."""
+    return check_entry("goal", parse_formula(text), kb.signature)
 
 
 def _cmd_prove(args) -> int:
@@ -318,9 +300,6 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_check(args) -> int:
     kb, queries = load_files(args.files)
-    for kind, entries in (("axiom", kb.axioms), ("fact", kb.facts)):
-        for f in entries:
-            _check_quants(f"{kind} {render(f)}", f, kb.registry)
     record = {
         "axioms": len(kb.axioms),
         "facts": len(kb.facts),

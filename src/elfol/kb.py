@@ -12,8 +12,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import syntax
-from .core import Formula, Signature, free_vars, well_formed
-from .quantifiers import DEFAULT_REGISTRY, QuantRegistry
+from .core import Formula, RestrictedQuant, Signature, children, free_vars, well_formed
+from .quantifiers import DEFAULT_REGISTRY, QuantRegistry, UnknownQuantifierError
 from .schemas import Schema, validate_schema
 
 
@@ -60,13 +60,26 @@ def parse_file(path, sig: Signature) -> syntax.KbSource:
 
 
 def check_entry(kind: str, f: Formula, sig: Signature, file=None, span=None) -> Formula:
-    """f, if it is a closed formula well-formed over sig; else a located KbError."""
+    """f, if it is a closed formula well-formed over sig whose quantifiers
+    all resolve; else a located KbError. Every registry resolves the same
+    quantifiers, so the default one answers for all."""
     if loose := ", ".join(sorted(free_vars(f))):
         raise KbError(f"{kind} has free variables: {loose}", file, span)
     diags = well_formed(f, sig)
     if diags:
         raise KbError(f"ill-formed {kind}: {diags[0]}", file, span)
+    try:
+        _resolve_quants(f)
+    except UnknownQuantifierError as e:
+        raise KbError(f"{kind}: {e}", file, span) from None
     return f
+
+
+def _resolve_quants(node) -> None:
+    if type(node) is RestrictedQuant:
+        DEFAULT_REGISTRY.resolve(node.quant)
+    for child in children(node):
+        _resolve_quants(child)
 
 
 def make_schema(form: syntax.SchemaForm, sig: Signature, file) -> Schema:
@@ -80,7 +93,7 @@ def make_schema(form: syntax.SchemaForm, sig: Signature, file) -> Schema:
     return schema
 
 
-def load_files(paths, registry: Optional[QuantRegistry] = None):
+def load_files(paths):
     """Parse and validate a list of kb files.
 
     Returns (KnowledgeBase, queries) where queries are the QueryForm entries
@@ -90,8 +103,7 @@ def load_files(paths, registry: Optional[QuantRegistry] = None):
     """
     sig = Signature()
     sources = [(str(path), parse_file(path, sig)) for path in paths]
-    registry = registry if registry is not None else DEFAULT_REGISTRY
-    kb = KnowledgeBase(signature=sig, registry=registry)
+    kb = KnowledgeBase(signature=sig)
     for file, src in sources:
         kb.axioms += [check_entry("axiom", f, sig, file, span) for f, span in src.axioms]
     for file, src in sources:

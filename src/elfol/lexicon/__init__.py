@@ -60,9 +60,8 @@ class Bundle:
         )
 
 
-def load_bundle(registry: Optional[QuantRegistry] = None) -> Bundle:
+def load_bundle() -> Bundle:
     """Parse and validate the shipped knowledge base and query suite."""
-    registry = registry if registry is not None else DEFAULT_REGISTRY
     sig = Signature()
     core = parse_file(DATA_DIR / "core.elf", sig)
     if core.axioms or core.facts or core.schemas:
@@ -93,7 +92,7 @@ def load_bundle(registry: Optional[QuantRegistry] = None) -> Bundle:
                 )
     if len(queries) < 6:
         raise KbError("query suite must hold at least six entries")
-    return Bundle(sig, registry, axioms, schemas, scenarios, queries)
+    return Bundle(sig, DEFAULT_REGISTRY, axioms, schemas, scenarios, queries)
 
 
 # ---------------------------------------------------------------------------

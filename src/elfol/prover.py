@@ -3,8 +3,11 @@
 Search is depth-first over a fixed rule order: facts, axioms, schemas, the
 monotone-quantifier rule, then structural rules. Every successful proof is
 a tree of steps whose rule applications can be re-validated against the
-knowledge base (`replay`). The lexical-step count of a trace is the number
-of axiom and schema applications in it.
+knowledge base (`replay`). Replay matches one way, reading the trace's
+formulas as given, and shares no unifier with the search: a search bug
+that binds a variable it should not shows as a step that does not
+re-derive. The lexical-step count of a trace is the number of axiom and
+schema applications in it.
 
 Axioms and schema instances compile to clauses of one shape
 (`_compile_axiom`): for all its variables, a clause's consequent holds
@@ -89,7 +92,10 @@ from .kb import KnowledgeBase
 from .quantifiers import DOWN, UP, UnknownQuantifierError
 from .schemas import (
     EnumerationCeiling,
+    Schema,
     SchemaError,
+    _Matcher,
+    _MatchState,
     binding_total,
     instantiate,
     match_conclusion,
@@ -100,6 +106,7 @@ from .syntax import render
 PROVED = "proved"
 FAILED = "failed"
 EXHAUSTED = "exhausted"
+REWRITE_STEPS = 3  # equivalence rewrites tried inside one monotone-quant rule
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,6 @@ class ProverConfig:
     max_lexical_steps: int = 4
     timeout_ms: int = 10_000
     max_explored: int = 200_000
-    rewrite_steps: int = 3  # equivalence rewrites tried inside one rule
 
     def __post_init__(self):
         for name in ("max_depth", "max_lexical_steps", "timeout_ms", "max_explored"):
@@ -131,9 +137,6 @@ class TraceNode:
         """Proof length: rule applications, not counting leaf fact matches."""
         own = 0 if self.rule == "fact-match" else 1
         return own + sum(c.length() for c in self.children)
-
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
 
     def to_dict(self) -> dict:
         return {
@@ -705,7 +708,7 @@ class _Search:
 
         frontier = [stmt_trace]
         seen = {alpha_key(stmt_trace.formula)}
-        for _ in range(self.cfg.rewrite_steps + 1):
+        for _ in range(REWRITE_STEPS + 1):
             next_frontier = []
             for trace in frontier:
                 stmt = trace.formula
@@ -1000,7 +1003,11 @@ def forward_chain(
 
 
 def replay(trace: TraceNode, kb: KnowledgeBase, extra=()) -> list:
-    """Re-validate every step of a trace against kb; returns problems."""
+    """Re-validate every step of a trace against kb; returns problems.
+
+    A clause, schema or rewrite step is checked by one-way matching
+    (`_instance`), with the trace's own free variables read as constants,
+    so replay shares no unifier with the search."""
     problems: list = []
     clauses = [c for ax in kb.axioms for c in _compile_axiom(ax, "")]
     _replay(trace, kb, clauses, tuple(extra), problems)
@@ -1012,6 +1019,7 @@ def _replay(
 ) -> None:
     rule = node.rule
     f = node.formula
+    premises = [c.formula for c in node.children]
     ok = False
     if rule == "fact-match":
         ok = isinstance(f, TrueF) or any(
@@ -1020,34 +1028,36 @@ def _replay(
     elif rule == "reflexivity":
         ok = isinstance(f, Equal) and alpha_equivalent(f.left, f.right)
     elif rule == "axiom-match":
-        ok = _replay_clause_use([c for c in clauses if not c.rewrite], node)
+        axioms = [c for c in clauses if not c.rewrite]
+        ok = _instance(_NO_METAVARS, axioms, kb.registry, f, premises)
     elif rule == "schema-apply":
-        ok = _replay_schema(node, kb)
+        ok = any(
+            _instance(s, _compile_axiom(s.body, ""), kb.registry, f, premises)
+            for s in kb.schemas if s.name == node.detail
+        )
     elif rule == "equiv-rewrite":
-        ok = len(node.children) == 1 and _replay_equiv(
-            node.children[0].formula, f, [c for c in clauses if c.rewrite]
+        ok = len(premises) == 1 and _replay_equiv(
+            premises[0], f, [c for c in clauses if c.rewrite], kb.registry
         )
     elif rule == "monotone-quant":
         ok = _replay_monotone(node, kb)
     elif rule == "and-intro":
         ok = isinstance(f, And) and [
             alpha_key(c) for c in conjuncts(f)
-        ] == [alpha_key(c.formula) for c in node.children]
+        ] == [alpha_key(p) for p in premises]
     elif rule == "and-elim":
-        ok = len(node.children) == 1 and any(
-            alpha_equivalent(f, c) for c in conjuncts(node.children[0].formula)
+        ok = len(premises) == 1 and any(
+            alpha_equivalent(f, c) for c in conjuncts(premises[0])
         )
     elif rule == "or-intro":
         ok = (
             isinstance(f, Or)
-            and len(node.children) == 1
-            and any(
-                alpha_equivalent(node.children[0].formula, d) for d in disjuncts(f)
-            )
+            and len(premises) == 1
+            and any(alpha_equivalent(premises[0], d) for d in disjuncts(f))
         )
     elif rule == "impl-intro":
-        ok = isinstance(f, Implies) and len(node.children) == 1 and alpha_equivalent(
-            node.children[0].formula, f.right
+        ok = isinstance(f, Implies) and len(premises) == 1 and alpha_equivalent(
+            premises[0], f.right
         )
     elif rule == "or-elim":
         ok = _replay_or_elim(node, kb, clauses, extra, problems)
@@ -1065,36 +1075,24 @@ def _replay(
         _replay(child, kb, clauses, child_extra, problems)
 
 
-def _replay_clause_use(clauses, node: TraceNode) -> bool:
-    """Some clause's consequent unifies with the node's formula and its
-    antecedents, under the same unifier, with the children's formulas."""
-    for clause in clauses:
-        if len(clause.antecedents) != len(node.children):
+# axioms and rewrites are matched as the body of a schema without metavariables
+_NO_METAVARS = Schema("", (), (), (), TrueF())
+
+
+def _instance(schema: Schema, clauses, registry, formula, premises) -> bool:
+    """Some clause of schema's body is matched one way: its consequent by
+    formula, then each antecedent by the premise in its place, under one
+    `_Matcher` state. The state binds the clause's variables and schema's
+    metavariables, and the premises' free variables are read as constants."""
+    for c in clauses:
+        if len(c.antecedents) != len(premises):
             continue
-        env = unify(clause.consequent, node.formula, {})
-        for a, child in zip(clause.antecedents, node.children):
-            if env is None:
-                break
-            env = unify(a, child.formula, env)
-        if env is not None:
+        matcher = _Matcher(schema, registry, c.vars)
+        states = matcher.match(c.consequent, formula, _MatchState())
+        for a, p in zip(c.antecedents, premises):
+            states = [s2 for s in states for s2 in matcher.match(a, p, s)]
+        if states:
             return True
-    return False
-
-
-def _replay_schema(node: TraceNode, kb: KnowledgeBase) -> bool:
-    for schema in kb.schemas:
-        if schema.name != node.detail or not schema.binds_backward:
-            continue
-        for binding in match_conclusion(schema, node.formula, kb.registry):
-            meta = {k: v for k, v in binding.items() if not k.startswith("_")}
-            if not binding_total(schema, meta):
-                continue
-            try:
-                inst = instantiate(schema, meta, kb.registry)
-            except SchemaError:
-                continue
-            if _replay_clause_use(_compile_axiom(inst, schema.name), node):
-                return True
     return False
 
 
@@ -1102,23 +1100,17 @@ def _replay_schema(node: TraceNode, kb: KnowledgeBase) -> bool:
 _REWRITE_INSIDE = (And, Or, Implies, Equiv, Not, Modal, RestrictedQuant)
 
 
-def _replay_equiv(source: Formula, target: Formula, rewrites: list) -> bool:
+def _replay_equiv(source: Formula, target: Formula, rewrites: list, registry) -> bool:
     """target is source with one subformula rewritten by one of the rewrite
-    clauses of the kb's equivalences."""
-
-    def instance_ok(x, y) -> bool:
-        for c in rewrites:
-            env = unify(c.consequent, x, {})
-            if env is not None and alpha_equivalent(
-                resolve_formula(c.antecedents[0], env), y
-            ):
-                return True
-        return False
+    clauses of the kb's equivalences: its consequent matches the part of
+    source and its antecedent the part of target. A variable that a
+    quantifier binds above the part is free in it, and so is read as a
+    constant."""
 
     def diff(a, b) -> bool:
         if alpha_equivalent(a, b):
             return False
-        if instance_ok(a, b):
+        if _instance(_NO_METAVARS, rewrites, registry, a, (b,)):
             return True
         if type(a) not in _REWRITE_INSIDE or not same_shape(a, b):
             return False

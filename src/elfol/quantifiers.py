@@ -146,6 +146,7 @@ def _parametric(name: str, n: int) -> QuantDef:
 
 
 PARAMETRIC_NAMES = ("at-least", "at-most", "exactly", "fewer-than")
+VERIFY_BOUND = 4  # the universe size up to which a profile is verified
 
 
 class UnknownQuantifierError(KeyError):
@@ -158,17 +159,16 @@ class QuantRegistry:
     """Built-in quantifiers, each verified against its stored profile.
 
     `all` and `some` are always present; parametric families are
-    instantiated on demand and verified (then cached) at `verify_bound`.
+    instantiated on demand and verified (then cached) at `VERIFY_BOUND`.
     """
 
-    def __init__(self, verify_bound: int = 4):
-        self.verify_bound = verify_bound
+    def __init__(self):
         self._cache: dict = {}
         for q in _SIMPLE.values():
             self._admit(q)
 
     def _admit(self, q: QuantDef) -> QuantDef:
-        bound = self.verify_bound
+        bound = VERIFY_BOUND
         if NONE in (q.left, q.right):
             # a `none` claim needs counterexamples to both directions; the
             # universe must leave room to grow past the parameter

@@ -78,7 +78,7 @@ class Schema:
     def binds_backward(self) -> bool:
         """Whether some side that `match_conclusion` matches mentions every
         metavariable. If none does, no match is total (`binding_total`),
-        and backward search and replay skip the schema."""
+        and backward search skips the schema."""
         return any(self.metavar_names() <= _mentioned(t) for _, t in _conclusions(self.body)[1])
 
 
@@ -357,17 +357,22 @@ class _Matcher:
 
     def _var(self, x: str, goal, st: _MatchState) -> list:
         """A template variable: a quantified one matches the goal variable
-        it is paired with, a stripped universal is bound to a closed term,
-        and any other matches only itself. A universal lies outside every
-        quantifier of the template, so a goal term with a free variable,
-        even one the goal's own quantifier binds, would be captured."""
+        it is paired with, a stripped universal is bound to a goal term, and
+        any other matches only itself. A universal lies outside every
+        quantifier of the template, so it is not bound to a term in which a
+        goal binder the match has entered binds a variable: that variable
+        would be captured. The goal's other free variables are read as
+        constants. Matching is one way, so replay, which matches a trace's
+        formulas with it, shares no unifier with the search; on a closed
+        goal every enclosing binder has been entered, so a universal is
+        bound only to a closed term."""
         paired = dict(st.pairs)
         if x in paired:
             return [st] if type(goal) is Var and goal.name == paired[x] else []
         if x in self.universals:
             if x in st.fo:
                 return [st] if alpha_equivalent(st.fo[x], goal) else []
-            if free_vars(goal):
+            if not free_vars(goal).isdisjoint(g for _, g in st.pairs):
                 return []
             st2 = st.child()
             st2.fo[x] = goal
@@ -375,10 +380,15 @@ class _Matcher:
         return [st] if type(goal) is Var and goal.name == x else []
 
     def _solve_pred_application(self, name, args, goal, st: _MatchState) -> list:
-        """Match M(x1..xk) against a goal formula by abstraction."""
+        """Match M(x1..xk) against a goal formula by abstraction, or, once M
+        is bound, match M's binding applied to x1..xk: abstracting again
+        would also abstract the constants of the binding."""
         arity = self.pred_arities[name]
         if len(args) != arity:
             return []
+        if name in st.metas:
+            applied = substitute(self.schema, Atom(PredConst(name), args), st.metas)
+            return self.match(applied, goal, st)
         argnames = []
         for a in args:
             if not isinstance(a, Var):

@@ -1,6 +1,7 @@
 """Soundness fuzzing harness: sample a model, read off a true knowledge
 base, sample a goal; any proof of a goal false in the model is a soundness
-violation."""
+violation. `cited_premises` gives the stronger check: a proved goal must
+follow, in every small model, from the premises its trace cites."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 from itertools import product
 
 from elfol.core import (
+    And,
     Atom,
     Const,
     Equiv,
@@ -16,6 +18,8 @@ from elfol.core import (
     PredConst,
     RestrictedQuant,
     Signature,
+    Var,
+    alpha_key,
     forall,
     free_vars,
 )
@@ -26,7 +30,7 @@ from elfol.quantifiers import DEFAULT_REGISTRY
 from elfol.schemas import Schema
 from elfol.syntax import parse_formula
 
-from gen import AstGen
+from gen import QUANTS, AstGen
 
 PREDS = (("P", 1), ("Q", 1), ("R", 2))
 CONSTS = ("a", "b", "c")
@@ -113,6 +117,32 @@ def read_off_kb(rng: random.Random, m: IntensionalModel) -> KnowledgeBase:
     return KnowledgeBase(FUZZ_SIG, facts, axioms, [CONJ_DROP], DEFAULT_REGISTRY)
 
 
+def _atom(rng: random.Random, terms: list) -> Atom:
+    name, arity = rng.choice(PREDS)
+    return Atom(PredConst(name), tuple(rng.choice(terms) for _ in range(arity)))
+
+
+def _capture_shape(rng: random.Random, m, facts: list, axioms: list) -> None:
+    """Add the true ones of a few equivalences between a binary atom with a
+    constant and another atom, such as (forall ?y (equiv (R c ?y) (Q ?y))),
+    and of a few quantified facts whose body repeats the bound variable,
+    such as (quant some ?x (P ?x) (and (Q ?x) (R ?x ?x))). Rewriting such a
+    body by such an equivalence is sound only if ?x is not bound to c."""
+    x, y = Var("x"), Var("y")
+    consts = [Const(c) for c in CONSTS]
+    for _ in range(3):
+        c = rng.choice(consts)
+        left = Atom(PredConst("R"), (c, y) if rng.random() < 0.5 else (y, c))
+        candidate = forall("y", Equiv(left, _atom(rng, [y, y] + consts)))
+        if holds_everywhere(m, candidate):
+            axioms.append(candidate)
+    for _ in range(2):
+        body = And(_atom(rng, [x]), Atom(PredConst("R"), (x, x)))
+        fact = RestrictedQuant(rng.choice(QUANTS), "x", _atom(rng, [x]), body)
+        if eval_formula(m, m.w0, {}, fact):
+            facts.append(fact)
+
+
 def sample_goals(rng: random.Random, kb: KnowledgeBase, gen: AstGen) -> list:
     """A mix of arbitrary formulas (may be false: these are the soundness
     probes) and formulas built over kb facts (usually provable: these keep
@@ -121,7 +151,7 @@ def sample_goals(rng: random.Random, kb: KnowledgeBase, gen: AstGen) -> list:
     if kb.facts:
         f1 = kb.facts[rng.randrange(len(kb.facts))]
         f2 = kb.facts[rng.randrange(len(kb.facts))]
-        from elfol.core import And, Or
+        from elfol.core import Or
 
         goals.append(
             rng.choice(
@@ -136,16 +166,32 @@ def sample_goals(rng: random.Random, kb: KnowledgeBase, gen: AstGen) -> list:
     return goals
 
 
-def soundness_trial(rng: random.Random):
-    """Sample one model and kb, then several goals. Returns
-    (violations, proved, replay_problems, goals_sampled)."""
+def sample_trial(rng: random.Random) -> tuple:
+    """(model, kb, goals): a kb read off the model with the capture shape
+    added (`_capture_shape`), `sample_goals`' goals, and one goal that
+    keeps a quantified fact's quantifier and restrictor over a new atom as
+    its body, which only the monotone rule proves, after rewriting the
+    fact's body."""
     m = random_model(rng)
     kb = read_off_kb(rng, m)
+    _capture_shape(rng, m, kb.facts, kb.axioms)
     gen = AstGen(rng, reified=False, functions=False, modifiers=False)
+    goals = sample_goals(rng, kb, gen)
+    quantified = [f for f in kb.facts if isinstance(f, RestrictedQuant)]
+    if quantified:
+        f = rng.choice(quantified)
+        body = _atom(rng, [Var(f.var)] + [Const(c) for c in CONSTS])
+        goals.append(RestrictedQuant(f.quant, f.var, f.restrictor, body))
+    return m, kb, goals
+
+
+def soundness_trial(rng: random.Random):
+    """Sample one model, kb and several goals (`sample_trial`). Returns
+    (violations, proved, replay_problems, goals_sampled)."""
+    m, kb, goals = sample_trial(rng)
     violations = []
     proved = 0
     replay_problems = []
-    goals = sample_goals(rng, kb, gen)
     for goal in goals:
         result = prove(kb, goal, FUZZ_CFG)
         if result.proved:
@@ -154,3 +200,24 @@ def soundness_trial(rng: random.Random):
                 violations.append((m, kb, goal, result.trace))
             replay_problems.extend(replay(result.trace, kb))
     return violations, proved, replay_problems, len(goals)
+
+
+def cited_premises(trace, kb: KnowledgeBase) -> list:
+    """The kb facts that trace's fact-match leaves match and the axioms that
+    its axiom-N labels name, each once, in kb order. A schema-apply or
+    monotone-quant step cites nothing: the fuzz kbs' one schema and the
+    monotone rule are valid in every model."""
+    fact_keys = {alpha_key(f) for f in kb.facts}
+    cited_facts, cited_axioms = set(), set()
+
+    def walk(node):
+        if node.rule == "fact-match" and alpha_key(node.formula) in fact_keys:
+            cited_facts.add(alpha_key(node.formula))
+        if node.detail.startswith("axiom-"):
+            cited_axioms.add(int(node.detail[len("axiom-"):]) - 1)
+        for child in node.children:
+            walk(child)
+
+    walk(trace)
+    facts = [f for f in kb.facts if alpha_key(f) in cited_facts]
+    return facts + [a for i, a in enumerate(kb.axioms) if i in cited_axioms]

@@ -47,6 +47,7 @@ from elfol.prover import (
     EXHAUSTED,
     FAILED,
     PROVED,
+    REWRITE_STEPS,
     ProveResult,
     ProverConfig,
     TraceNode,
@@ -326,7 +327,7 @@ class _Search:
 
         frontier = [stmt_trace]
         seen = {alpha_key(stmt_trace.formula)}
-        for _ in range(self.cfg.rewrite_steps + 1):
+        for _ in range(REWRITE_STEPS + 1):
             next_frontier = []
             for trace in frontier:
                 stmt = trace.formula

@@ -294,20 +294,27 @@ class TestUnknownQuantifier:
             "--goal", "(big a1)", "--domain", "a1", "--worlds", "w0",
         )
         assert (code, out) == (2, "")
-        assert err.strip() == "error: quantifier bogus is not reducible"
+        assert err.strip() == f"error: {facts}:1:1: fact: unknown quantifier 'bogus'"
 
     @pytest.mark.parametrize("entry, message", [
         ("(fact (quant bogus ?x (big ?x) (big ?x)))",
-         "fact (quant bogus ?x (big ?x) (big ?x)): unknown quantifier 'bogus'"),
+         "1:1: fact: unknown quantifier 'bogus'"),
         ("(axiom (not (quant (all 3) ?x (big ?x) (big ?x))))",
-         "axiom (not (quant (all 3) ?x (big ?x) (big ?x))): all takes no parameter"),
+         "1:1: axiom: all takes no parameter"),
     ])
     def test_check_kb_entry_exits_two(self, capsys, tmp_path, entry, message):
         kb = tmp_path / "kb.elf"
         kb.write_text(entry)
         code, out, err = run(capsys, "check", CORE, str(kb))
         assert (code, out) == (2, "")
-        assert err.strip() == f"error: {message}"
+        assert err.strip() == f"error: {kb}:{message}"
+
+    def test_prove_kb_axiom_exits_two(self, capsys, tmp_path):
+        kb = tmp_path / "kb.elf"
+        kb.write_text("(fact (big a1))\n  (axiom (quant bogus ?x (big ?x) (big ?x)))")
+        code, out, err = run(capsys, "prove", CORE, str(kb), "--goal", "(big a1)")
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: {kb}:2:3: axiom: unknown quantifier 'bogus'"
 
 
 class TestCheckCommand:
