@@ -331,6 +331,8 @@ class _Matcher:
             states = [st]
         for x, y in zip(children(template), children(goal)):
             states = [s2 for s in states for s2 in self.match(x, y, s)]
+        if kind is RestrictedQuant or kind is Lambda:  # pairs hold in scope only
+            states = [s.child(pairs=st.pairs) for s in states]
         return states
 
     def _bind_meta(self, name: str, value, st: _MatchState) -> list:
@@ -359,21 +361,21 @@ class _Matcher:
         """A template variable: a quantified one matches the goal variable
         it is paired with, a stripped universal is bound to a goal term, and
         any other matches only itself. A universal lies outside every
-        quantifier of the template, so it is not bound to a term in which a
-        goal binder the match has entered binds a variable: that variable
-        would be captured. The goal's other free variables are read as
-        constants. Matching is one way, so replay, which matches a trace's
-        formulas with it, shares no unifier with the search; on a closed
-        goal every enclosing binder has been entered, so a universal is
-        bound only to a closed term."""
+        quantifier of the template, so it is neither bound to nor compared
+        with a term in which a goal binder the match is in binds a variable:
+        that variable would be captured. The goal's other free variables
+        are read as constants. Matching is one way, so replay, which matches
+        a trace's formulas with it, shares no unifier with the search; on a
+        closed goal every enclosing binder has been entered, so a universal
+        is bound only to a closed term."""
         paired = dict(st.pairs)
         if x in paired:
             return [st] if type(goal) is Var and goal.name == paired[x] else []
         if x in self.universals:
-            if x in st.fo:
-                return [st] if alpha_equivalent(st.fo[x], goal) else []
             if not free_vars(goal).isdisjoint(g for _, g in st.pairs):
                 return []
+            if x in st.fo:
+                return [st] if alpha_equivalent(st.fo[x], goal) else []
             st2 = st.child()
             st2.fo[x] = goal
             return [st2]
@@ -416,6 +418,8 @@ class _Matcher:
             if x in self.universals:
                 if x in st2.fo:
                     t = st2.fo[x]
+                    if not free_vars(t).isdisjoint(g for _, g in st2.pairs):
+                        return []  # a binder here would capture t's variable
                     return solve(i + 1, _replace_term(current, t, u), st2)
                 out = []
                 candidates: list = []

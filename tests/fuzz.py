@@ -125,15 +125,24 @@ def _atom(rng: random.Random, terms: list) -> Atom:
 def _capture_shape(rng: random.Random, m, facts: list, axioms: list) -> None:
     """Add the true ones of a few equivalences between a binary atom with a
     constant and another atom, such as (forall ?y (equiv (R c ?y) (Q ?y))),
-    and of a few quantified facts whose body repeats the bound variable,
-    such as (quant some ?x (P ?x) (and (Q ?x) (R ?x ?x))). Rewriting such a
-    body by such an equivalence is sound only if ?x is not bound to c."""
+    or between an atom and a quantifier over ?x whose body mentions ?y, such
+    as (forall ?y (equiv (Q ?y) (quant some ?x (P ?x) (R ?x ?y)))), and of a
+    few quantified facts whose body repeats the bound variable, such as
+    (quant some ?x (P ?x) (and (Q ?x) (R ?x ?x))). Rewriting such a body by
+    the first kind is sound only if ?x is not bound to c, and by the second
+    only if ?y is not bound to a variable that the new quantifier binds."""
     x, y = Var("x"), Var("y")
     consts = [Const(c) for c in CONSTS]
     for _ in range(3):
         c = rng.choice(consts)
-        left = Atom(PredConst("R"), (c, y) if rng.random() < 0.5 else (y, c))
-        candidate = forall("y", Equiv(left, _atom(rng, [y, y] + consts)))
+        if rng.random() < 0.5:
+            left = Atom(PredConst("R"), (c, y) if rng.random() < 0.5 else (y, c))
+            right = _atom(rng, [y, y] + consts)
+        else:
+            left = _atom(rng, [y, c])
+            body = Atom(PredConst("R"), (x, y) if rng.random() < 0.5 else (y, x))
+            right = RestrictedQuant(rng.choice(QUANTS), "x", _atom(rng, [x]), body)
+        candidate = forall("y", Equiv(left, right))
         if holds_everywhere(m, candidate):
             axioms.append(candidate)
     for _ in range(2):

@@ -664,6 +664,46 @@ def test_replay_rejects_a_rewrite_that_binds_a_quantified_variable():
     assert replay(CAPTURE_TRACE, CAPTURE_KB)
 
 
+def _one_rewrite(fact: str, axiom: str, claim: str, preds: dict):
+    kb = KnowledgeBase(
+        Signature(predicates=preds, constants={"c"}),
+        [parse_formula(fact)], [parse_formula(axiom)], [],
+    )
+    step = TraceNode(
+        "equiv-rewrite", parse_formula(claim),
+        (TraceNode("fact-match", kb.facts[0]),), "axiom-1",
+    )
+    return kb, step
+
+
+# Unsound equiv-rewrite steps inside a quantifier over ?z or ?g. In the
+# first, ?y is bound to the free ?z outside the new (quant some ?z ...) and
+# then compared with the ?z it binds. In the second, the consequent's
+# (quant some ?y ...) must not pair the axiom's universal ?y with ?g in the
+# antecedent, which lies outside that quantifier.
+UNSOUND_REWRITES = [
+    _one_rewrite(
+        "(quant all ?z (p ?z) (s ?z))",
+        "(quant all ?y true (equiv (s ?y) (quant some ?w (p ?w) (r ?w ?y))))",
+        "(quant all ?z (p ?z) (quant some ?z (p ?z) (r ?z ?z)))",
+        {"p": 1, "r": 2, "s": 1},
+    ),
+    _one_rewrite(
+        "(quant all ?g (p ?g) (and (s c) (quant some ?g (p ?g) (q ?g))))",
+        "(quant all ?y true (equiv (and (s ?y) (quant some ?y (p ?y) (q ?y))) (r ?y)))",
+        "(quant all ?g (p ?g) (r ?g))",
+        {"p": 1, "q": 1, "r": 1, "s": 1},
+    ),
+]
+
+
+@pytest.mark.parametrize("kb, step", UNSOUND_REWRITES)
+def test_replay_rejects_a_rewrite_whose_variable_leaves_its_binder(kb, step):
+    claim = Implies(And(kb.axioms[0], kb.facts[0]), step.formula)
+    assert find_counterexample(claim, SearchBounds(max_domain=2)) is not None
+    assert replay(step, kb) == [f"equiv-rewrite does not re-derive {render(step.formula)}"]
+
+
 def test_structural_rules_prove_only_validities(rng):
     """Implication/conjunction/disjunction introductions from an empty kb can
     only ever establish valid formulas; spot-check against the evaluator."""
