@@ -2,7 +2,8 @@
 
 Ships as `.elf` files under `data/`: signature declarations, the lexical
 axioms, the four axiom schemas, per-scenario fact sets, and the canonical
-query suite. `load_bundle` parses and validates everything;
+query suite. `load_bundle` reads them all through `kb.load_parts`, the
+loader every kb file goes through, and checks only the bundle's own rules;
 `witness_model` builds a finite intensional model satisfying the whole
 bundle, used to certify joint satisfiability.
 """
@@ -24,17 +25,13 @@ from ..core import (
     Var,
     children,
 )
-from ..kb import KbError, KnowledgeBase, check_entry, make_schema, parse_file
+from ..kb import KbError, KnowledgeBase, load_parts
 from ..models import IntensionalModel, eval_formula, reified_key
 from ..quantifiers import DEFAULT_REGISTRY, QuantRegistry
 from ..schemas import InstanceBounds, ground_atoms
 from ..syntax import QueryForm
 
 DATA_DIR = Path(__file__).parent / "data"
-
-
-# the bundle's queries are the parsed query forms, spans kept
-QueryCase = QueryForm
 
 
 @dataclass
@@ -44,9 +41,9 @@ class Bundle:
     axioms: list
     schemas: list
     scenarios: dict  # name -> list of facts
-    queries: list  # QueryCase
+    queries: list  # QueryForm, spans kept
 
-    def kb_for(self, case: QueryCase) -> KnowledgeBase:
+    def kb_for(self, case: QueryForm) -> KnowledgeBase:
         return self._kb(case.scenarios)
 
     def full_kb(self) -> KnowledgeBase:
@@ -61,38 +58,26 @@ class Bundle:
 
 
 def load_bundle() -> Bundle:
-    """Parse and validate the shipped knowledge base and query suite."""
-    sig = Signature()
-    core = parse_file(DATA_DIR / "core.elf", sig)
-    if core.axioms or core.facts or core.schemas:
-        raise KbError("core.elf must contain declarations only")
-    apath, spath = DATA_DIR / "axioms.elf", DATA_DIR / "schemas.elf"
-    axioms_src = parse_file(apath, sig)
-    schemas_src = parse_file(spath, sig)
-    axioms = [
-        check_entry("axiom", f, sig, str(apath), span) for f, span in axioms_src.axioms
-    ]
-    schemas = [make_schema(form, sig, str(spath)) for form in schemas_src.schemas]
-    scenarios = {}
-    for path in sorted(DATA_DIR.glob("scenario-*.elf")):
-        scenarios[path.stem] = [
-            check_entry("fact", f, sig, str(path), span)
-            for f, span in parse_file(path, sig).facts
-        ]
-    qpath = DATA_DIR / "queries.elf"
-    queries = parse_file(qpath, sig).queries
+    """The shipped knowledge base and query suite, read through
+    `kb.load_parts`. Only the bundle's own rules are checked here: core.elf
+    holds declarations only, each scenario-*.elf file is one scenario,
+    queries name known scenarios, and there are at least six of them."""
+    core, qpath = DATA_DIR / "core.elf", DATA_DIR / "queries.elf"
+    scenario_paths = sorted(DATA_DIR.glob("scenario-*.elf"))
+    (decls, extra), (axioms, _), (schemas, _), *parts, (_, queries) = load_parts(
+        [core, DATA_DIR / "axioms.elf", DATA_DIR / "schemas.elf", *scenario_paths, qpath]
+    )
+    if decls.axioms or decls.facts or decls.schemas or extra:
+        raise KbError("core.elf must contain declarations only", str(core))
+    scenarios = {path.stem: kb.facts for path, (kb, _) in zip(scenario_paths, parts)}
     for form in queries:
-        check_entry("query goal", form.goal, sig, str(qpath), form.span)
-        for name in form.scenarios:
-            if name not in scenarios:
-                raise KbError(
-                    f"query {form.name} references unknown scenario {name}",
-                    str(qpath),
-                    form.span,
-                )
+        if unknown := [name for name in form.scenarios if name not in scenarios]:
+            raise KbError(f"query {form.name} references unknown scenario {unknown[0]}",
+                          str(qpath), form.span)
     if len(queries) < 6:
-        raise KbError("query suite must hold at least six entries")
-    return Bundle(sig, DEFAULT_REGISTRY, axioms, schemas, scenarios, queries)
+        raise KbError("query suite must hold at least six entries", str(qpath))
+    return Bundle(decls.signature, DEFAULT_REGISTRY, axioms.axioms, schemas.schemas,
+                  scenarios, queries)
 
 
 # ---------------------------------------------------------------------------

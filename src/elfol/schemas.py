@@ -82,54 +82,6 @@ class Schema:
         return any(self.metavar_names() <= _mentioned(t) for _, t in _conclusions(self.body)[1])
 
 
-def validate_schema(s: Schema, sig: Signature) -> list:
-    """Structural problems with a schema over sig, as strings."""
-    problems = []
-    names = [n for n, _ in s.pred_metavars] + list(s.formula_metavars) + [
-        n for n, _ in s.quant_metavars
-    ]
-    if len(set(names)) != len(names):
-        problems.append("duplicate metavariable names")
-    clash = set(names) & sig.all_names()
-    if clash:
-        problems.append(f"metavariables shadow declared symbols: {sorted(clash)}")
-    preds = s.pred_arities
-    fvs = set(s.formula_metavars)
-
-    def walk(node):
-        kids = children(node)
-        if isinstance(node, Atom) and isinstance(node.pred, PredConst):
-            name = node.pred.name
-            if name in preds:
-                if len(node.args) != preds[name]:
-                    problems.append(
-                        f"body: metavariable {name} used at arity "
-                        f"{len(node.args)}, declared {preds[name]}"
-                    )
-                kids = node.args
-            elif name in fvs:
-                if node.args:
-                    problems.append(
-                        f"body: formula metavariable {name} takes no arguments"
-                    )
-                return
-        elif isinstance(node, PredConst) and node.name in fvs:
-            problems.append(
-                f"body: formula metavariable {node.name} in predicate position"
-            )
-        elif isinstance(node, RestrictedQuant) and (
-            node.quant.name in preds or node.quant.name in fvs
-        ):
-            problems.append(
-                f"body: {node.quant.name} is not a quantifier metavariable"
-            )
-        for child in kids:
-            walk(child)
-
-    walk(s.body)
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # Instantiation
 

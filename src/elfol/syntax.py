@@ -356,19 +356,6 @@ def parse_predexpr(text: str) -> PredExpr:
     return _parse_single(text, "predexpr")
 
 
-def parse_schema(text: str) -> "SchemaForm":
-    """Parse one standalone `(schema name decls... body)` form."""
-    p = Parser(text)
-    open_tok = p.expect("(")
-    head = p.expect_symbol("schema")
-    if head.text != "schema":
-        p.fail("expected a (schema ...) form", ("schema",), span=p.span(head))
-    form = _parse_schema_form(p, open_tok)
-    if not p.at_end():
-        p.fail("trailing input after schema")
-    return form
-
-
 # ---------------------------------------------------------------------------
 # Knowledge-base files
 

@@ -317,6 +317,46 @@ class TestUnknownQuantifier:
         assert err.strip() == f"error: {kb}:2:3: axiom: unknown quantifier 'bogus'"
 
 
+class TestBadKbEntry:
+    """Schema bodies and query goals get the entry check an axiom gets."""
+
+    @pytest.mark.parametrize("entry, message", [
+        ("(schema s (pred-vars (P 1)) (implies (quant bogus ?x (P ?x) (big ?x)) (big a1)))",
+         "1:1: schema s: unknown quantifier 'bogus'"),
+        ("(schema s (pred-vars (P 1)) (implies (P zz) (big a1)))",
+         "1:1: ill-formed schema s: left.args[0]: unknown constant 'zz'"),
+        ("(schema s (pred-vars (P 1)) (implies (P ?y) (big a1)))",
+         "1:1: schema s has free variables: y"),
+        ("(schema s (pred-vars (P 2)) (forall ?x (P ?x)))",
+         "1:1: ill-formed schema s: body: predicate of arity 2 applied to 1 args"),
+        ("(schema s (formula-vars PHI) (implies (PHI a1) (big a1)))",
+         "1:1: ill-formed schema s: left: predicate of arity 0 applied to 1 args"),
+        ("(schema s (formula-vars PHI) (implies ((mod sounds PHI)) (big a1)))",
+         "1:1: ill-formed schema s: formula metavariable PHI in predicate position"),
+        ("(schema s (pred-vars (P 1)) (implies (quant P ?x (P ?x) (big ?x)) (big a1)))",
+         "1:1: schema s: unknown quantifier 'P'"),
+        ("(schema s (quant-vars (Q right-up)) (implies (Q a1) (big a1)))",
+         "1:1: ill-formed schema s: left.pred: unknown predicate 'Q'"),
+        ("(schema s (pred-vars (P 1)) (formula-vars P) (implies (P a1) (big a1)))",
+         "1:1: ill-formed schema s: duplicate metavariable names"),
+        ("(schema s (pred-vars (city 1)) (forall ?x (city ?x)))",
+         "1:1: ill-formed schema s: metavariables shadow declared symbols: ['city']"),
+        ("(declare pred p 2)\n(declare const b)\n(query q (goal (p b ?x)))",
+         "3:1: query goal has free variables: x"),
+    ], ids=[
+        "unknown-quantifier", "undeclared-constant", "free-variable", "metavariable-arity",
+        "formula-metavariable-arguments", "formula-metavariable-modified",
+        "predicate-metavariable-as-quantifier", "quantifier-metavariable-as-predicate",
+        "duplicate-metavariables", "shadowing", "query-goal-free-variable",
+    ])
+    def test_check_exits_two_with_its_location(self, capsys, tmp_path, entry, message):
+        kb = tmp_path / "kb.elf"
+        kb.write_text(entry)
+        code, out, err = run(capsys, "check", CORE, str(kb))
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: {kb}:{message}"
+
+
 class TestCheckCommand:
     def test_clean_files(self, capsys):
         code, out, err = run(capsys, "check", CORE, AXIOMS, SCHEMAS, ENTER)

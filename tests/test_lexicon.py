@@ -59,6 +59,27 @@ class TestLoadBundle:
             lex.load_bundle()
         assert "axioms.elf" in str(e.value)
 
+    @pytest.mark.parametrize("name, keep, text, message", [
+        ("core.elf", True, "(fact (city b1))\n", "core.elf must contain declarations only"),
+        ("queries.elf", False, "(query q (goal (contained-in b1 f1)))\n",
+         "query suite must hold at least six entries"),
+    ])
+    def test_bundle_rules_name_their_file(
+        self, tmp_path, monkeypatch, name, keep, text, message
+    ):
+        import shutil
+
+        import elfol.lexicon as lex
+
+        broken = tmp_path / "data"
+        shutil.copytree(DATA_DIR, broken)
+        old = (broken / name).read_text() if keep else ""
+        (broken / name).write_text(old + text)
+        monkeypatch.setattr(lex, "DATA_DIR", broken)
+        with pytest.raises(KbError) as e:
+            lex.load_bundle()
+        assert str(e.value) == f"{broken / name}: {message}"
+
     def test_every_declared_symbol_is_used(self, bundle):
         used = {"pred": set(), "fn": set(), "const": set(), "mod": set(),
                 "op": set()}

@@ -512,7 +512,7 @@ class TestForwardChain:
         modified = parse_formula("((mod sounds reasonable) p1)")
         assert any(alpha_equivalent(f, modified) for f in result.derived)
         # and conversely, from the modified atom back to the analysis
-        kb2 = kb.with_facts([modified])
+        kb2 = replace(kb, facts=[modified])
         back = forward_chain(kb2)
         analysis = next(f for f in bundle.scenarios["scenario-sounds"])
         assert any(alpha_equivalent(f, analysis) for f in back.derived)
@@ -549,7 +549,7 @@ class TestForwardChain:
 
     def test_schema_over_the_ceiling_is_skipped_and_reported(self, bundle):
         facts = [f for name in sorted(bundle.scenarios) for f in bundle.scenarios[name]]
-        kb = bundle.full_kb().with_facts(facts[:8])
+        kb = replace(bundle.full_kb(), facts=facts[:8])
         result = forward_chain(kb)
         assert len(result.derived) == 5
         assert (result.exhausted, result.skipped_schemas) == (False, [])
@@ -628,7 +628,7 @@ class TestReplay:
         case = next(c for c in bundle.queries if c.name == "enter")
         kb = bundle.kb_for(case)
         r = prove(kb, case.goal)
-        empty = kb.with_facts([])
+        empty = replace(kb, facts=[])
         assert replay(r.trace, empty)
 
 

@@ -33,7 +33,6 @@ from elfol.schemas import (
     ground_atoms,
     instantiate,
     match_conclusion,
-    validate_schema,
 )
 from elfol.syntax import parse_formula, parse_predexpr, render
 
@@ -399,20 +398,3 @@ class TestEnumerateInstances:
         bounds = SearchBounds(max_domain=2, max_worlds=1)
         for inst in instances:
             assert find_counterexample(inst, bounds, REG) is None
-
-
-class TestValidateSchema:
-    def test_arity_misuse_detected(self):
-        s = Schema(
-            "bad", (("P", 2),), (), (),
-            parse_formula("(forall ?x (P ?x))"),
-        )
-        assert validate_schema(s, Signature())
-
-    def test_shadowing_detected(self):
-        s = Schema(
-            "bad", (("city", 1),), (), (),
-            parse_formula("(forall ?x (city ?x))"),
-        )
-        sig = Signature(predicates={"city": 1})
-        assert any("shadow" in p for p in validate_schema(s, sig))

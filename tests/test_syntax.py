@@ -140,13 +140,11 @@ class TestKbFiles:
         with pytest.raises(ParseError):
             parse_kb("(declare quantifier few 1)")
 
-    def test_parse_schema_entry_point(self):
-        from elfol.syntax import parse_schema
-
-        form = parse_schema(
+    def test_schema_form(self):
+        form = parse_kb(
             "(schema drop (pred-vars (P 1)) (quant-vars (Q right-up))"
             " (implies (quant Q ?x (P ?x) (P ?x)) (quant Q ?x (P ?x) (P ?x))))"
-        )
+        ).schemas[0]
         assert form.name == "drop"
         assert form.pred_vars == (("P", 1),)
         assert form.quant_vars == (("Q", "right-up"),)
