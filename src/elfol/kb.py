@@ -49,19 +49,22 @@ class KnowledgeBase:
     registry: QuantRegistry = field(default_factory=lambda: DEFAULT_REGISTRY)
 
 
-def check_entry(kind: str, f: Formula, sig: Signature, file=None, span=None,
-                quant_vars=frozenset()) -> Formula:
+def check_entry(kind: str, f: Formula, sig: Signature, file=None, span=None) -> Formula:
     """f, if it is a closed formula well-formed over sig whose quantifiers
-    all resolve, save those named in quant_vars; else a located KbError.
-    Every registry resolves the same quantifiers, so the default one answers
-    for all."""
+    all resolve; else a located KbError. Every registry resolves the same
+    quantifiers, so the default one answers for all."""
+    return _check(kind, f, sig, _nodes(f, []), (), file, span)
+
+
+def _check(kind, f, sig, nodes, quant_vars, file, span) -> Formula:
+    """check_entry over f's given nodes, leaving quant_vars unresolved."""
     if loose := ", ".join(sorted(free_vars(f))):
         raise KbError(f"{kind} has free variables: {loose}", file, span)
     diags = well_formed(f, sig)
     if diags:
         raise KbError(f"ill-formed {kind}: {diags[0]}", file, span)
     try:
-        for node in _nodes(f, []):
+        for node in nodes:
             if type(node) is RestrictedQuant and node.quant.name not in quant_vars:
                 DEFAULT_REGISTRY.resolve(node.quant)
     except UnknownQuantifierError as e:
@@ -87,7 +90,8 @@ def make_schema(form: syntax.SchemaForm, sig: Signature, file) -> Schema:
     names = [n for n, _ in form.pred_vars] + list(form.formula_vars) + quant_vars
     clash = set(names) & sig.all_names()
     phis = {PredConst(name) for name in form.formula_vars}
-    misplaced = [n.base for n in _nodes(form.body, []) if type(n) is Modified and n.base in phis]
+    nodes = _nodes(form.body, [])  # one walk for both checks
+    misplaced = [n.base for n in nodes if type(n) is Modified and n.base in phis]
     problem = None
     if len(set(names)) != len(names):
         problem = "duplicate metavariable names"
@@ -99,7 +103,7 @@ def make_schema(form: syntax.SchemaForm, sig: Signature, file) -> Schema:
         raise KbError(f"ill-formed schema {form.name}: {problem}", file, form.span)
     preds = {**sig.predicates, **dict(form.pred_vars), **dict.fromkeys(form.formula_vars, 0)}
     ext = replace(sig, predicates=preds)
-    check_entry(f"schema {form.name}", form.body, ext, file, form.span, set(quant_vars))
+    _check(f"schema {form.name}", form.body, ext, nodes, set(quant_vars), file, form.span)
     return Schema(form.name, form.pred_vars, form.formula_vars, form.quant_vars, form.body)
 
 

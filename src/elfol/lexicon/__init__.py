@@ -59,16 +59,18 @@ class Bundle:
 
 def load_bundle() -> Bundle:
     """The shipped knowledge base and query suite, read through
-    `kb.load_parts`. Only the bundle's own rules are checked here: core.elf
-    holds declarations only, each scenario-*.elf file is one scenario,
-    queries name known scenarios, and there are at least six of them."""
-    core, qpath = DATA_DIR / "core.elf", DATA_DIR / "queries.elf"
-    scenario_paths = sorted(DATA_DIR.glob("scenario-*.elf"))
-    (decls, extra), (axioms, _), (schemas, _), *parts, (_, queries) = load_parts(
-        [core, DATA_DIR / "axioms.elf", DATA_DIR / "schemas.elf", *scenario_paths, qpath]
-    )
-    if decls.axioms or decls.facts or decls.schemas or extra:
-        raise KbError("core.elf must contain declarations only", str(core))
+    `kb.load_parts`. Only the bundle's own rules are checked here: each file
+    holds only its own kind of entry, each scenario-*.elf file is one
+    scenario, queries name known scenarios, and there are at least six."""
+    qpath, scenario_paths = DATA_DIR / "queries.elf", sorted(DATA_DIR.glob("scenario-*.elf"))
+    paths = [DATA_DIR / "core.elf", DATA_DIR / "axioms.elf", DATA_DIR / "schemas.elf"]
+    paths += [*scenario_paths, qpath]
+    kinds = ["declarations", "axioms", "schemas"] + ["facts"] * len(scenario_paths) + ["queries"]
+    (decls, _), (axioms, _), (schemas, _), *parts, (_, queries) = loaded = load_parts(paths)
+    for kind, path, (kb, forms) in zip(kinds, paths, loaded):
+        held = {"axioms": kb.axioms, "facts": kb.facts, "schemas": kb.schemas, "queries": forms}
+        if any(entries for name, entries in held.items() if name != kind):
+            raise KbError(f"{path.name} must contain {kind} only", str(path))
     scenarios = {path.stem: kb.facts for path, (kb, _) in zip(scenario_paths, parts)}
     for form in queries:
         if unknown := [name for name in form.scenarios if name not in scenarios]:

@@ -18,7 +18,8 @@ each side once the consequent with the other as its one antecedent.
 facts by the same clauses read forward. It is semi-naive: each round
 matches an antecedent only against the facts of its head, and enumerates
 only the joins that use a fact added since the round before. Every other
-join was matched, to the same fact, in an earlier round.
+join was matched, to the same fact, in an earlier round. Schema instance
+clauses are built once per schema, signature, registry and bounds.
 
 Rules look entries up rather than scan them: a closed goal finds the
 facts, hypotheses and hypothesis conjuncts equal to it by `alpha_key`, and
@@ -55,6 +56,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from typing import Optional
 
@@ -73,6 +75,7 @@ from .core import (
     Or,
     PredConst,
     RestrictedQuant,
+    Signature,
     TERM_TYPES,
     That,
     TrueF,
@@ -92,6 +95,7 @@ from .kb import KnowledgeBase
 from .quantifiers import DOWN, UP, UnknownQuantifierError
 from .schemas import (
     EnumerationCeiling,
+    InstanceBounds,
     Schema,
     SchemaError,
     _Matcher,
@@ -907,6 +911,22 @@ def _match_new(ants, env, facts, new, fresh):
             yield from _match_new(ants[1:], e2, facts, new, fresh or i >= old)
 
 
+@lru_cache(maxsize=64)
+def _instance_clauses(schema, predicates, constants, registry, bounds) -> Optional[tuple]:
+    """forward_chain's clauses of schema's bounded instances, or None if
+    enumeration fails. Enumeration reads only these arguments, all but the
+    registry compared by value, so a cached tuple (never changed) is exact."""
+    from .schemas import enumerate_instances
+
+    sig = Signature(predicates=dict(predicates), constants=set(constants))
+    try:
+        instances = enumerate_instances(schema, sig, registry, bounds)
+    except (EnumerationCeiling, SchemaError):
+        return None
+    return tuple(c for k, inst in enumerate(instances)
+                 for c in reversed(_compile_axiom(inst, f"{schema.name}[{k}]")))
+
+
 def forward_chain(
     kb: KnowledgeBase, cfg: Optional[ProverConfig] = None, instance_bounds=None
 ) -> ForwardResult:
@@ -917,18 +937,15 @@ def forward_chain(
     `schemas.weakening_valid` schema, each (closed) fact an instance's
     premise unifies with is one the rule splits, in the same round. A schema
     whose enumeration fails at the bounds is named in `skipped_schemas`, and
-    the result is exhausted.
+    the result is exhausted. Instance clauses are compiled once per schema,
+    signature (read by value at each call), registry and bounds.
 
     Matching is head-indexed and semi-naive (`_match_new`), and the
     monotone rule reads only new facts. What is left out uses only facts of
     the round before, and no clause is renamed, so it gave the same fact
     there and `add` would reject it: the output is the naive loop's."""
-    from .schemas import InstanceBounds, enumerate_instances
-
     cfg = cfg if cfg is not None else ProverConfig()
-    bounds = instance_bounds if instance_bounds is not None else InstanceBounds(
-        max_quant_param=2, max_formula_instances=8
-    )
+    bounds = instance_bounds or InstanceBounds(max_quant_param=2, max_formula_instances=8)
     # read forward, an equivalence rewrites its left side first, by its
     # second clause, whose one antecedent is that side
     clauses = [
@@ -936,18 +953,15 @@ def forward_chain(
         for c in reversed(_compile_axiom(ax, f"axiom-{i + 1}"))
     ]
     skipped = []
+    sig = kb.signature
+    inputs = (tuple(sorted(sig.predicates.items())), frozenset(sig.constants), kb.registry, bounds)
     for schema in kb.schemas:
         if weakening_valid(schema, kb.registry):
             continue
-        try:
-            instances = enumerate_instances(schema, kb.signature, kb.registry, bounds)
-        except (EnumerationCeiling, SchemaError):
+        if (compiled := _instance_clauses(schema, *inputs)) is None:
             skipped.append(schema.name)
-            continue
-        clauses += [
-            c for k, inst in enumerate(instances)
-            for c in reversed(_compile_axiom(inst, f"{schema.name}[{k}]"))
-        ]
+        else:
+            clauses += compiled
     facts = list(kb.facts)
     keys = {alpha_key(f) for f in facts}
     steps = []

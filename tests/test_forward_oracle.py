@@ -11,6 +11,7 @@ is labelled `monotone-quant`, and keeps the fact's bound variable.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from elfol.core import (
 from elfol.kb import KnowledgeBase
 from elfol.lexicon import load_bundle
 from elfol.prover import ProverConfig, forward_chain
-from elfol.schemas import weakening_valid
+from elfol.schemas import InstanceBounds, weakening_valid
 from elfol.syntax import parse_formula, render
 
 import fuzz
@@ -51,13 +52,15 @@ def compare(kb, cfg=None) -> bool:
 @pytest.fixture()
 def shared_instances(monkeypatch):
     """The reference builds the same 24,565 conjunct-drop instances on every
-    call; build each schema's once per test. enumerate_instances is
-    deterministic and the reference only reads the list."""
+    call; build each schema's once per test and signature value.
+    enumerate_instances is deterministic and the reference only reads the
+    list."""
     built = {}
     enumerate_instances = elfol.schemas.enumerate_instances
 
     def shared(s, sig, registry, bounds=None, quant_candidates=None):
-        key = (s, id(sig), id(registry), bounds)
+        preds = tuple(sorted(sig.predicates.items()))
+        key = (s, preds, frozenset(sig.constants), id(registry), bounds)
         if key not in built:
             built[key] = enumerate_instances(s, sig, registry, bounds, quant_candidates)
         return built[key]
@@ -78,6 +81,36 @@ def test_bundle_splits(seed, shared_instances):
             # no bundle fact lets a conjunct-drop instance fire within
             # forward_chain's quantifier bound, so nothing is relabelled
             assert not compare(kb)
+
+
+def test_instances_follow_the_signature_and_bounds(shared_instances):
+    """forward_chain reuses a schema's instance clauses across calls; over
+    the same schema objects, each call must still read the signature it is
+    given, as it stands, and the bounds."""
+    b = BUNDLE
+    kb = b.full_kb()
+    compare(kb)
+    # one more one-place predicate gives do-reified-action one more
+    # instance; the subsumed conjunct-drop schema, which forward_chain never
+    # enumerates and the reference takes seconds over, is left out
+    sig = replace(b.signature, predicates={**b.signature.predicates, "shiny": 1})
+    facts = kb.facts + [parse_formula(f"((do (ka {p})) t1)") for p in ("shiny", "dull")]
+    schemas = [s for s in kb.schemas if not weakening_valid(s, kb.registry)]
+    kb2 = replace(kb, signature=sig, facts=facts, schemas=schemas)
+    compare(kb2)
+    derived = {render(f) for f in forward_chain(kb2).derived}
+    assert "(shiny t1)" in derived and "(dull t1)" not in derived
+    sig.predicates["dull"] = 1  # changed in place, after a call
+    compare(kb2)
+    assert "(dull t1)" in {render(f) for f in forward_chain(kb2).derived}
+    low = InstanceBounds(ceiling=10)
+    ref, new = oracle_forward.forward_chain(kb, None, low), forward_chain(kb, instance_bounds=low)
+    assert [render(f) for f in new.derived] == [render(f) for f in ref.derived]
+    assert new.steps == ref.steps
+    # the reference drops a failed schema without reporting it
+    assert (new.exhausted, new.skipped_schemas) == (
+        True, ["correct-iff-content", "sounds-as-considered", "do-reified-action"]
+    )
 
 
 def test_firing_instance_is_relabelled():

@@ -63,6 +63,13 @@ class TestLoadBundle:
         ("core.elf", True, "(fact (city b1))\n", "core.elf must contain declarations only"),
         ("queries.elf", False, "(query q (goal (contained-in b1 f1)))\n",
          "query suite must hold at least six entries"),
+        ("axioms.elf", True, "(fact (city b1))\n", "axioms.elf must contain axioms only"),
+        ("axioms.elf", True, "(query extra (goal (city b1)))\n",
+         "axioms.elf must contain axioms only"),
+        ("schemas.elf", True, "(axiom (city b1))\n", "schemas.elf must contain schemas only"),
+        ("scenario-cities.elf", True, "(axiom (city b1))\n",
+         "scenario-cities.elf must contain facts only"),
+        ("queries.elf", True, "(fact (city b1))\n", "queries.elf must contain queries only"),
     ])
     def test_bundle_rules_name_their_file(
         self, tmp_path, monkeypatch, name, keep, text, message
