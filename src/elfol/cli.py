@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import lexicon
-from .core import Atom, PredConst, Signature, children, free_vars
+from .core import Atom, PredConst, Signature, free_vars, nodes
 from .kb import KbError, check_entry, load_files
 from .models import (
     EnumerationError,
@@ -132,7 +132,7 @@ def _emit(args, record: dict, human: str) -> None:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
     except (ParseError, KbError, ReductionError, EnumerationError,
             EnumerationCeiling, EvalError, ValueError, UnknownQuantifierError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -143,26 +143,27 @@ def main(argv=None) -> int:
         return 2
 
 
-def _dispatch(args) -> int:
-    if args.command == "prove":
-        return _cmd_prove(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "reduce":
-        return _cmd_reduce(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "demo":
-        return _cmd_demo(args)
-    raise ValueError(f"unknown command {args.command}")
+def _parse_option(option: str, text: str):
+    """The formula an option's text holds; a parse error names the option."""
+    try:
+        return parse_formula(text)
+    except ParseError as e:
+        raise ValueError(f"{option}: {e}") from None
 
 
 def _read_goal(text: str, kb):
     """The goal text parsed, closed and well-formed over kb's signature,
     naming only quantifiers that resolve."""
-    return check_entry("goal", parse_formula(text), kb.signature)
+    return check_entry("goal", _parse_option("goal", text), kb.signature)
+
+
+def _read_model(path: str):
+    """The model a file holds; an error in its text names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_model(fh.read())
+    except (UnicodeDecodeError, ParseError, EnumerationError) as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _cmd_prove(args) -> int:
@@ -188,17 +189,15 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        model = parse_model(text)
-    except (ParseError, EnumerationError) as e:
-        raise ValueError(f"{args.model}: {e}") from None
-    f = parse_formula(args.formula)
+    model = _read_model(args.model)
+    f = _parse_option("formula", args.formula)
     if free_vars(f):
         raise ValueError("formula must be closed")
     lengths = {name: len(t) for (name, _), ext in model.predicates.items() for t in ext}
-    for name, n in _applications(f):
+    for atom in nodes(f):
+        if type(atom) is not Atom or type(atom.pred) is not PredConst:
+            continue
+        name, n = atom.pred.name, len(atom.args)
         if lengths.get(name, n) != n:
             raise ValueError(f"{args.model}: formula applies predicate {name} to "
                              f"{n} arguments, but its tuples have length {lengths[name]}")
@@ -208,14 +207,6 @@ def _cmd_eval(args) -> int:
         raise EvalError(f"{args.model}: formula {render(f)}: {e}") from None
     _emit(args, {"value": value}, "true" if value else "false")
     return 0
-
-
-def _applications(node):
-    """(name, argument count) of each predicate-constant atom in node."""
-    if isinstance(node, Atom) and isinstance(node.pred, PredConst):
-        yield node.pred.name, len(node.args)
-    for child in children(node):
-        yield from _applications(child)
 
 
 def _cmd_validate(args) -> int:
@@ -312,11 +303,9 @@ def _cmd_check(args) -> int:
     )
     failure = None
     if args.model is not None:
-        with open(args.model, encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            failure = first_failure(parse_model(text), kb)
-        except (ParseError, EnumerationError, EvalError) as e:
+            failure = first_failure(_read_model(args.model), kb)
+        except EvalError as e:
             raise ValueError(f"{args.model}: {e}") from None
         if failure is None:
             record["model"] = {"outcome": "satisfied"}
@@ -372,6 +361,10 @@ def _cmd_demo(args) -> int:
         n_ok = sum(1 for r in rows if r["ok"])
         print(f"{n_ok}/{len(rows)} queries as expected")
     return 0 if all_ok else 1
+
+
+_COMMANDS = {"prove": _cmd_prove, "eval": _cmd_eval, "validate": _cmd_validate,
+             "reduce": _cmd_reduce, "check": _cmd_check, "demo": _cmd_demo}
 
 
 if __name__ == "__main__":

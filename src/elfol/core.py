@@ -429,6 +429,18 @@ def same_shape(a: Expr, b: Expr) -> bool:
     return type(a) is type(b) and shape(a) == shape(b)
 
 
+def nodes(expr: Expr) -> list:
+    """expr and every node below it, in preorder (children in field order)."""
+    return _preorder(expr, [])
+
+
+def _preorder(node: Expr, out: list) -> list:
+    out.append(node)
+    for child in children(node):
+        _preorder(child, out)
+    return out
+
+
 def _cached(expr: Expr, attr: str, compute):
     """compute(expr), computed once per node object and kept in its instance
     ``__dict__`` under attr, which equality, hashing and ``repr`` ignore."""

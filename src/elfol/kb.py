@@ -17,8 +17,7 @@ from typing import Optional
 
 from . import syntax
 from .core import (
-    Formula, Modified, PredConst, RestrictedQuant, Signature, children, free_vars,
-    well_formed,
+    Formula, Modified, PredConst, RestrictedQuant, Signature, free_vars, nodes, well_formed,
 )
 from .quantifiers import DEFAULT_REGISTRY, QuantRegistry, UnknownQuantifierError
 from .schemas import Schema
@@ -53,10 +52,10 @@ def check_entry(kind: str, f: Formula, sig: Signature, file=None, span=None) -> 
     """f, if it is a closed formula well-formed over sig whose quantifiers
     all resolve; else a located KbError. Every registry resolves the same
     quantifiers, so the default one answers for all."""
-    return _check(kind, f, sig, _nodes(f, []), (), file, span)
+    return _check(kind, f, sig, nodes(f), (), file, span)
 
 
-def _check(kind, f, sig, nodes, quant_vars, file, span) -> Formula:
+def _check(kind, f, sig, walked, quant_vars, file, span) -> Formula:
     """check_entry over f's given nodes, leaving quant_vars unresolved."""
     if loose := ", ".join(sorted(free_vars(f))):
         raise KbError(f"{kind} has free variables: {loose}", file, span)
@@ -64,20 +63,12 @@ def _check(kind, f, sig, nodes, quant_vars, file, span) -> Formula:
     if diags:
         raise KbError(f"ill-formed {kind}: {diags[0]}", file, span)
     try:
-        for node in nodes:
+        for node in walked:
             if type(node) is RestrictedQuant and node.quant.name not in quant_vars:
                 DEFAULT_REGISTRY.resolve(node.quant)
     except UnknownQuantifierError as e:
         raise KbError(f"{kind}: {e}", file, span) from None
     return f
-
-
-def _nodes(node, out: list) -> list:
-    """out, extended by node and every node below it."""
-    out.append(node)
-    for child in children(node):
-        _nodes(child, out)
-    return out
 
 
 def make_schema(form: syntax.SchemaForm, sig: Signature, file) -> Schema:
@@ -90,8 +81,8 @@ def make_schema(form: syntax.SchemaForm, sig: Signature, file) -> Schema:
     names = [n for n, _ in form.pred_vars] + list(form.formula_vars) + quant_vars
     clash = set(names) & sig.all_names()
     phis = {PredConst(name) for name in form.formula_vars}
-    nodes = _nodes(form.body, [])  # one walk for both checks
-    misplaced = [n.base for n in nodes if type(n) is Modified and n.base in phis]
+    walked = nodes(form.body)  # one walk for both checks
+    misplaced = [n.base for n in walked if type(n) is Modified and n.base in phis]
     problem = None
     if len(set(names)) != len(names):
         problem = "duplicate metavariable names"
@@ -103,7 +94,7 @@ def make_schema(form: syntax.SchemaForm, sig: Signature, file) -> Schema:
         raise KbError(f"ill-formed schema {form.name}: {problem}", file, form.span)
     preds = {**sig.predicates, **dict(form.pred_vars), **dict.fromkeys(form.formula_vars, 0)}
     ext = replace(sig, predicates=preds)
-    _check(f"schema {form.name}", form.body, ext, nodes, set(quant_vars), file, form.span)
+    _check(f"schema {form.name}", form.body, ext, walked, set(quant_vars), file, form.span)
     return Schema(form.name, form.pred_vars, form.formula_vars, form.quant_vars, form.body)
 
 
@@ -119,6 +110,8 @@ def load_parts(paths) -> list:
             syntax.parse_kb(Path(path).read_text(encoding="utf-8"), into=src)
         except syntax.ParseError as e:
             raise KbError(e.message, file=str(path), span=e.span) from e
+        except UnicodeDecodeError as e:
+            raise KbError(str(e), file=str(path)) from None
         sources.append((str(path), src))
     axioms = [[check_entry("axiom", f, sig, file, span) for f, span in src.axioms]
               for file, src in sources]

@@ -104,11 +104,11 @@ from .core import (
     TrueF,
     Var,
     alpha_key,
-    children,
     conjuncts,
     free_vars,
     free_vars_ordered,
     map_children,
+    nodes,
 )
 from .quantifiers import (
     DEFAULT_REGISTRY,
@@ -120,7 +120,7 @@ from .quantifiers import (
 from .schemas import (
     InstanceBounds,
     Schema,
-    _bindings,
+    enumerate_bindings,
     instantiate,
     weakening_valid,
 )
@@ -493,27 +493,22 @@ def _truth(registry, ref):
 
 
 def first_failure(
-    m: IntensionalModel,
-    kb,
-    registry: Optional[QuantRegistry] = None,
-    bounds: Optional[InstanceBounds] = None,
+    m: IntensionalModel, kb, bounds: Optional[InstanceBounds] = None
 ) -> Optional[tuple]:
     """The first of kb's formulas that m falsifies, as (kind, formula,
     world) with kind "axiom", "schema-instance" or "fact"; None if m
-    satisfies kb. Axioms come first, then each schema's bounded instances,
-    then the facts; an axiom or instance is tried at every world in order,
-    a fact at the current world only. Each schema instance is built and
-    compiled in enumerate_bindings' order. A `weakening_valid` schema whose
-    instances cannot raise is only checked against the instance ceiling:
-    each of its instances holds at every world of every model.
+    satisfies kb, under kb's registry. Axioms come first, then each
+    schema's bounded instances, then the facts; an axiom or instance is
+    tried at every world in order, a fact at the current world only. Each
+    schema instance is built and compiled in enumerate_bindings' order. A
+    `weakening_valid` schema whose instances cannot raise is only checked
+    against the instance ceiling: each of its instances holds at every
+    world of every model.
 
     Raises EvalError, before anything is evaluated, if a predicate or
     function of kb's signature has a tuple or argument list in m whose
     length is not its declared arity."""
-    registry = registry if registry is not None else getattr(
-        kb, "registry", DEFAULT_REGISTRY
-    )
-    sig = kb.signature
+    registry, sig = kb.registry, kb.signature
     shapes = [
         (f"predicate {name} at world {w} has a tuple", sig.predicates.get(name), ext)
         for (name, w), ext in m.predicates.items()
@@ -531,7 +526,7 @@ def first_failure(
             if not holds(m, w, {}):
                 return "axiom", axiom, w
     for schema in kb.schemas:
-        bindings = _bindings(schema, kb.signature, registry, bounds, None)
+        bindings = enumerate_bindings(schema, sig, registry, bounds)
         if weakening_valid(schema, registry) and _total(schema.body, registry, schema):
             continue
         for binding in bindings:
@@ -547,7 +542,7 @@ def first_failure(
 
 
 # the nodes whose evaluation raises nothing of its own
-_TOTAL = (Var, TrueF, Equal, Not, And, Or, Implies, Equiv)
+_TOTAL = (Var, PredConst, TrueF, Atom, Equal, Not, And, Or, Implies, Equiv)
 
 
 def _total(node, registry, schema: Optional[Schema] = None) -> bool:
@@ -557,34 +552,27 @@ def _total(node, registry, schema: Optional[Schema] = None) -> bool:
     predicate metavariable to variables, each quantifier resolves or is a
     quantifier metavariable, and each modality is known; no constant,
     function, reified term or formula metavariable occurs."""
-    kind = type(node)
-    if kind is Atom:
-        return (
-            type(node.pred) is PredConst
-            and not (schema and node.pred.name in schema.formula_metavars)
-            and all(type(a) is Var for a in node.args)
-        )
-    if kind is RestrictedQuant:
-        metas = schema.quant_constraints if schema else ()
-        if not (node.quant.name in metas or registry.known(node.quant)):
+    formula_metas = schema.formula_metavars if schema else ()
+    quant_metas = schema.quant_constraints if schema else ()
+    for n in nodes(node):
+        kind = type(n)
+        if kind is RestrictedQuant:
+            if not (n.quant.name in quant_metas or registry.known(n.quant)):
+                return False
+        elif kind is Modal:
+            if n.flavor not in (POSSIBLY, NECESSARILY):
+                return False
+        elif kind not in _TOTAL or kind is PredConst and n.name in formula_metas:
             return False
-    elif kind is Modal:
-        if node.flavor not in (POSSIBLY, NECESSARILY):
-            return False
-    elif kind not in _TOTAL:
-        return False
-    return all(_total(c, registry, schema) for c in children(node))
+    return True
 
 
 def model_satisfies(
-    m: IntensionalModel,
-    kb,
-    registry: Optional[QuantRegistry] = None,
-    bounds: Optional[InstanceBounds] = None,
+    m: IntensionalModel, kb, bounds: Optional[InstanceBounds] = None
 ) -> bool:
     """True iff every axiom and every bounded schema instance holds at every
     world, and every fact holds at the current world."""
-    return first_failure(m, kb, registry, bounds) is None
+    return first_failure(m, kb, bounds) is None
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +783,8 @@ def _bit_images(targets: list) -> tuple:
     return tuple(table)
 
 
-# nodes formula_vocabulary passes through to their children
-_ENUMERABLE = (Var, TrueF, Equal, Not, And, Or, Implies, Equiv, RestrictedQuant, Modal)
+# the nodes formula_vocabulary passes over
+_ENUMERABLE = (Var, PredConst, TrueF, Equal, Not, And, Or, Implies, Equiv, RestrictedQuant, Modal)
 
 
 def formula_vocabulary(f: Formula):
@@ -804,8 +792,7 @@ def formula_vocabulary(f: Formula):
     uses constructs outside the enumerable fragment."""
     preds: dict = {}
     consts: list = []
-
-    def walk(node):
+    for node in nodes(f):
         if isinstance(node, Atom):
             if not isinstance(node.pred, PredConst):
                 raise EnumerationError(
@@ -815,8 +802,6 @@ def formula_vocabulary(f: Formula):
             if preds.get(name, arity) != arity:
                 raise EnumerationError(f"predicate {name} used at mixed arities")
             preds[name] = arity
-            for a in node.args:
-                walk(a)
         elif isinstance(node, Const):
             if node.name not in consts:
                 consts.append(node.name)
@@ -824,13 +809,8 @@ def formula_vocabulary(f: Formula):
             raise EnumerationError(
                 "model enumeration covers function-free formulas only"
             )
-        elif isinstance(node, _ENUMERABLE):
-            for child in children(node):
-                walk(child)
-        else:
+        elif not isinstance(node, _ENUMERABLE):
             raise EnumerationError(f"unsupported node {node!r}")
-
-    walk(f)
     return tuple(sorted(preds.items())), tuple(consts)
 
 

@@ -653,9 +653,7 @@ class _Search:
         ):
             # stmt_trace proves (quant q x R C); rewrite C until the goal body
             # relates to it by conjunct weakening in the right direction
-            yield from self._monotone_close(
-                goal, qdef, stmt_trace, e1, lex, depth
-            )
+            yield from self._monotone_close(goal, qdef, stmt_trace, e1, lex)
 
     def _quant_statements(self, goal, env, depth, visited, extra, lex_budget, split_done):
         """Provable statements (quant q x R C) sharing the goal's quantifier,
@@ -697,7 +695,7 @@ class _Search:
                 stmt = RestrictedQuant(q, x, restr, body)
                 yield e3, TraceNode("axiom-match", stmt, traces, c.label), 1 + lex
 
-    def _monotone_close(self, goal, qdef, stmt_trace, env, lex, depth):
+    def _monotone_close(self, goal, qdef, stmt_trace, env, lex):
         """Search bounded equivalence rewrites of the proved statement's body
         for one the goal body follows from by conjunct weakening."""
 

@@ -209,10 +209,5 @@ class QuantRegistry:
                 out.append(self.resolve(QuantRef(name, n)))
         return out
 
-    def right_up(self, max_param: int = 3) -> list:
-        return [
-            q for q in self.entries(max_param) if q.right == UP
-        ]
-
 
 DEFAULT_REGISTRY = QuantRegistry()

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from math import prod
 from typing import Optional
 
 from .core import (
@@ -40,6 +41,7 @@ from .core import (
     conjuncts,
     free_vars,
     map_children,
+    nodes,
     same_shape,
     strip_universals,
     subst_map,
@@ -398,14 +400,10 @@ def _conclusions(body: Formula) -> tuple:
     return universals, [("body", matrix)]
 
 
-def _mentioned(node) -> set:
-    """The predicate and quantifier names that node mentions."""
-    names = set().union(*map(_mentioned, children(node)))
-    if type(node) is PredConst:
-        names.add(node.name)
-    elif type(node) is RestrictedQuant:
-        names.add(node.quant.name)
-    return names
+def _mentioned(expr) -> set:
+    """The predicate and quantifier names that expr mentions."""
+    return {n.quant.name if type(n) is RestrictedQuant else n.name
+            for n in nodes(expr) if type(n) in (PredConst, RestrictedQuant)}
 
 
 def match_conclusion(
@@ -423,32 +421,16 @@ def match_conclusion(
     seen = set()
     for label, template in sides:
         for st in matcher.match(template, goal, _MatchState()):
-            binding = dict(st.metas)
-            binding["_universals"] = dict(st.fo)
-            binding["_position"] = label
-            key = _binding_key(binding)
+            key = (
+                label,
+                tuple(sorted((k, v if type(v) is QuantRef else alpha_key(v))
+                             for k, v in st.metas.items())),
+                tuple(sorted((x, alpha_key(t)) for x, t in st.fo.items())),
+            )
             if key not in seen:
                 seen.add(key)
-                out.append(binding)
+                out.append({**st.metas, "_universals": dict(st.fo), "_position": label})
     return out
-
-
-def _binding_key(binding: dict) -> str:
-    parts = []
-    for k in sorted(binding):
-        v = binding[k]
-        if k == "_universals":
-            inner = ",".join(
-                f"{n}={alpha_key(t)}" for n, t in sorted(v.items())
-            )
-            parts.append(f"_u:{inner}")
-        elif k == "_position":
-            parts.append(f"_p:{v}")
-        elif isinstance(v, QuantRef):
-            parts.append(f"{k}=q:{v.name}:{v.param}")
-        else:
-            parts.append(f"{k}={alpha_key(v)}")
-    return "|".join(parts)
 
 
 def binding_total(s: Schema, binding: dict) -> bool:
@@ -497,50 +479,30 @@ def enumerate_bindings(
     sig: Signature,
     registry: QuantRegistry,
     bounds: Optional[InstanceBounds] = None,
-    quant_candidates: Optional[list] = None,
-) -> list:
+):
     """Every binding of s's metavariables to predicate constants,
     registered quantifiers satisfying constraints, and bounded ground
-    atoms, as dicts in a deterministic order; raises EnumerationCeiling,
-    before building any, when there would be too many."""
-    return list(_bindings(s, sig, registry, bounds, quant_candidates))
-
-
-def _bindings(s, sig, registry, bounds, quant_candidates):
-    """enumerate_bindings' bindings one at a time, so that
-    enumerate_instances holds its instances but not every binding; the
-    ceiling is checked on the call, not on the first step."""
+    atoms, as dicts in a deterministic order. They come one at a time, so
+    a caller holds its instances but not every binding; EnumerationCeiling
+    is raised on the call, before any is built, when there would be too
+    many."""
     bounds = bounds if bounds is not None else InstanceBounds()
-    axes = []
-    counts = []
-    for name, arity in s.pred_metavars:
-        cands = [
-            PredConst(p) for p in sorted(sig.predicates) if sig.predicates[p] == arity
-        ]
-        axes.append((name, cands))
-        counts.append(len(cands))
+    axes = [
+        (name, [PredConst(p) for p in sorted(sig.predicates) if sig.predicates[p] == arity])
+        for name, arity in s.pred_metavars
+    ]
     if s.formula_metavars:
         atoms = ground_atoms(sig, bounds.max_formula_instances)
-        for name in s.formula_metavars:
-            axes.append((name, atoms))
-            counts.append(len(atoms))
+        axes += [(name, atoms) for name in s.formula_metavars]
     for name, constraint in s.quant_metavars:
-        if quant_candidates is not None:
-            pool = quant_candidates
-        else:
-            pool = [q.ref for q in registry.entries(bounds.max_quant_param)]
-        cands = [r for r in pool if _quant_ok(constraint, r, registry)]
-        axes.append((name, cands))
-        counts.append(len(cands))
-    total = 1
-    for c in counts:
-        total *= c
-    if total > bounds.ceiling:
-        formula = " * ".join(str(c) for c in counts) or "1"
-        raise EnumerationCeiling(formula, total, bounds.ceiling)
+        pool = [q.ref for q in registry.entries(bounds.max_quant_param)]
+        axes.append((name, [r for r in pool if _quant_ok(constraint, r, registry)]))
+    counts = [len(cands) for _, cands in axes]
+    if prod(counts) > bounds.ceiling:
+        formula = " * ".join(map(str, counts)) or "1"
+        raise EnumerationCeiling(formula, prod(counts), bounds.ceiling)
     names = [name for name, _ in axes]
-    pools = [cands for _, cands in axes]
-    return (dict(zip(names, combo)) for combo in product(*pools))
+    return (dict(zip(names, combo)) for combo in product(*(cands for _, cands in axes)))
 
 
 def enumerate_instances(
@@ -548,11 +510,7 @@ def enumerate_instances(
     sig: Signature,
     registry: QuantRegistry,
     bounds: Optional[InstanceBounds] = None,
-    quant_candidates: Optional[list] = None,
 ) -> list:
     """The instance of s under each binding enumerate_bindings gives, in
     its order."""
-    return [
-        instantiate(s, b, registry)
-        for b in _bindings(s, sig, registry, bounds, quant_candidates)
-    ]
+    return [instantiate(s, b, registry) for b in enumerate_bindings(s, sig, registry, bounds)]

@@ -45,6 +45,11 @@ class TestProveCommand:
         assert code == 2
         assert "error" in err
 
+    def test_goal_parse_error_names_the_option(self, capsys):
+        code, out, err = run(capsys, "prove", CORE, "--goal", "(city b1")
+        assert (code, out) == (2, "")
+        assert err == "error: goal: 1:9: unexpected end of input (expected ))\n"
+
     def test_bad_file_reports_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.elf"
         bad.write_text("(fact (undeclared x))")
@@ -202,6 +207,13 @@ class TestEvalCommand:
         code, out, err = run(capsys, "eval", "--model", str(model), "--formula", "(P a)")
         assert (code, out) == (2, "")
         assert err == f"error: {model}: 1:19: found '(' (expected ))\n"
+
+    def test_formula_parse_error_names_the_option(self, capsys, tmp_path):
+        model = tmp_path / "m.elf"
+        model.write_text("(model (worlds w0) (acc) (domain d0) (pred P (w0 (d0))))\n")
+        code, out, err = run(capsys, "eval", "--model", str(model), "--formula", "(P a")
+        assert (code, out) == (2, "")
+        assert err == "error: formula: 1:5: unexpected end of input (expected ))\n"
 
     def test_model_without_worlds_names_the_model_file(self, capsys, tmp_path):
         model = tmp_path / "empty.elf"
@@ -482,3 +494,18 @@ class TestUnreadableInput:
         code, out, err = run(capsys, "check", CORE, str(missing))
         assert code == 2
         assert err.strip() == f"error: {missing}: No such file or directory"
+
+    @pytest.mark.parametrize("command", ["check", "prove", "eval --model", "check --model"])
+    def test_a_file_that_is_not_utf8_exits_two_naming_it(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.elf"
+        bad.write_bytes(b"(fact (p \xff))\n")
+        argv = {
+            "check": ["check", CORE, str(bad)],
+            "prove": ["prove", CORE, str(bad), "--goal", "(city b1)"],
+            "eval --model": ["eval", "--model", str(bad), "--formula", "true"],
+            "check --model": ["check", CORE, "--model", str(bad)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: ")
+        assert "can't decode byte 0xff in position 9" in err

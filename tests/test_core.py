@@ -317,6 +317,32 @@ def _nodes(expr):
         yield from _nodes(child)
 
 
+def _preorder(expr) -> list:
+    """expr and the nodes below it, read off the dataclass fields in order:
+    every field value that is a node, or a tuple of them, except the
+    quantifier reference of a restricted quantifier."""
+    out = [expr]
+    for field in dataclasses.fields(expr):
+        value = getattr(expr, field.name)
+        for part in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(part) and type(part) is not core.QuantRef:
+                out += _preorder(part)
+    return out
+
+
+def test_nodes_is_the_preorder_walk(rng):
+    g = AstGen(rng)
+    kinds = set()
+    for _ in range(300):
+        f = g.closed_formula(depth=4)
+        got, want = core.nodes(f), _preorder(f)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+        kinds |= {type(n) for n in got}
+    # reified terms, lambdas and modified and derived predicates are walked
+    assert {core.Ka, core.That, core.Lambda, core.Modified, core.TermDerived} <= kinds
+
+
 def _walked_free_vars(expr) -> set:
     """Free variables by a walk that reads no cache."""
     if type(expr) is Var:

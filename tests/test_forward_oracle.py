@@ -58,11 +58,11 @@ def shared_instances(monkeypatch):
     built = {}
     enumerate_instances = elfol.schemas.enumerate_instances
 
-    def shared(s, sig, registry, bounds=None, quant_candidates=None):
+    def shared(s, sig, registry, bounds=None):
         preds = tuple(sorted(sig.predicates.items()))
         key = (s, preds, frozenset(sig.constants), id(registry), bounds)
         if key not in built:
-            built[key] = enumerate_instances(s, sig, registry, bounds, quant_candidates)
+            built[key] = enumerate_instances(s, sig, registry, bounds)
         return built[key]
 
     monkeypatch.setattr(elfol.schemas, "enumerate_instances", shared)

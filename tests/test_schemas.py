@@ -348,7 +348,7 @@ class TestEnumerateBindings:
         sig, bounds = TestMatchRoundTrip.SIG, TestMatchRoundTrip.BOUNDS
         assert len(bundle.schemas) == 4
         for schema in bundle.schemas:
-            bindings = enumerate_bindings(schema, sig, REG, bounds)
+            bindings = list(enumerate_bindings(schema, sig, REG, bounds))
             assert bindings == _enumerating_bindings(schema, sig, bounds)
             assert enumerate_instances(schema, sig, REG, bounds) == [
                 instantiate(schema, b, REG) for b in bindings
@@ -370,12 +370,9 @@ class TestEnumerateInstances:
 
     def test_conj_drop_count_with_small_registry(self):
         sig = Signature(predicates={"A": 1, "B": 1, "C": 1})
-        quants = [
-            QuantRef("all"), QuantRef("some"), QuantRef("most"),
-            QuantRef("at-least", 2),
-        ]
+        # four right-up quantifiers: all, some, most and at-least 1
         instances = enumerate_instances(
-            conj_drop(), sig, REG, quant_candidates=quants
+            conj_drop(), sig, REG, InstanceBounds(max_quant_param=1)
         )
         assert len(instances) == 4 * 3 * 3 * 3
 
