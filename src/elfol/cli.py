@@ -160,7 +160,7 @@ def _read_goal(text: str, kb):
 def _read_model(path: str):
     """The model a file holds; an error in its text names the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_model(fh.read())
     except (UnicodeDecodeError, ParseError, EnumerationError) as e:
         raise ValueError(f"{path}: {e}") from None

@@ -107,7 +107,7 @@ def load_parts(paths) -> list:
     for path in paths:
         src = syntax.KbSource(signature=sig)
         try:
-            syntax.parse_kb(Path(path).read_text(encoding="utf-8"), into=src)
+            syntax.parse_kb(Path(path).read_text(encoding="utf-8-sig"), into=src)
         except syntax.ParseError as e:
             raise KbError(e.message, file=str(path), span=e.span) from e
         except UnicodeDecodeError as e:

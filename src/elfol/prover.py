@@ -45,10 +45,18 @@ A closed subgoal whose search proved nothing is tabled for the rest of the
 search, and a later call that repeats it at no larger a budget is skipped
 (`_Search.solve`). A failure that an ancestor check (a subgoal repeating
 one on its own path) cut is not tabled, since it depends on the path.
-Outcomes and proofs are those of an untabled search. Only `explored`
-can differ, and so can the number in a fresh variable's name (v<N>) when
-the variable is renamed after a skip, which a trace shows only where it
-leaves such a variable unbound.
+Outcomes and proofs are those of an untabled search, and only `explored`
+can differ: the fresh variables (v<N>) that a proof leaves unbound are
+renamed in order (`_resolve_trace`), so no skip shows in their names.
+
+A schema clause whose subgoal has a dead head is skipped
+(`_Search._live_heads`): no fact, fact conjunct, clause, rule or schema
+clause that could prove its own subgoals concludes it, except the other
+side of the same equivalence, which gives the subgoal's parent goal back
+and is cut by the ancestor check. Such a subgoal has no proof, so the
+search order and every proof are kept; only a bound hit in its search is
+lost, and the outcome reads `failed` where that bound made it `exhausted`.
+Under hypotheses, or with a disjunctive fact, nothing is skipped.
 """
 
 from __future__ import annotations
@@ -87,7 +95,9 @@ from .core import (
     conjuncts,
     disjuncts,
     free_vars,
+    free_vars_ordered,
     same_shape,
+    shape,
     strip_universals,
     subst_map,
 )
@@ -288,11 +298,12 @@ class _Budget(Exception):
 
 
 def _head(f: Formula):
-    """What unification needs to agree on first: (name, arity) of an atom
-    over a predicate constant, else the node type. Formulas whose heads
-    differ never unify."""
-    if type(f) is Atom and type(f.pred) is PredConst:
-        return f.pred.name, len(f.args)
+    """What unification needs to agree on first: an atom's arity and its
+    predicate's name, or else its predicate's `shape` (say a modifier or an
+    operator), else the node type. Formulas whose heads differ never unify."""
+    if type(f) is Atom:
+        p = f.pred
+        return (p.name if type(p) is PredConst else shape(p)), len(f.args)
     return type(f)
 
 
@@ -403,6 +414,10 @@ def _compile_axiom(axiom: Formula, label: str) -> tuple:
     return (_Clause(vs, (), matrix, label),)
 
 
+# the heads that the structural, monotone and reflexivity rules prove
+_RULE_HEADS = frozenset((And, Or, Implies, RestrictedQuant, Equal, TrueF))
+
+
 class _Search:
     def __init__(self, kb: KnowledgeBase, cfg: ProverConfig):
         self.kb = kb
@@ -426,11 +441,42 @@ class _Search:
         self.spines = {}  # (table, spine key) -> entries; see _same_head
         self.fact_keys = {}  # alpha_key -> the facts with it, each built when first read
         self.fact_splits = _splits(kb.facts, disjuncts)
+        self.live = None  # see _live_heads, built when a schema is first tried
         # (visited key, split_done) -> (lex_budget, depth, hit a bound) of a
         # closed call that proved nothing; see solve
         self.failures = {}
         self.cuts = 0  # ancestor-check cuts so far
         self.hits = 0  # depth and lexical bound cuts so far
+        self.dead = 0  # schema clauses skipped for a subgoal with no live head
+
+    def _live_heads(self) -> dict:
+        """(schema, clause) -> the heads that the subgoals of that clause of
+        the schema's body can have and be proved without hypotheses, where
+        that is not every head. A head is live if a fact, fact conjunct,
+        clause or rule (_RULE_HEADS) has it, or a live schema clause, one
+        whose subgoals have heads live for it, concludes it: a least
+        fixpoint. A rewrite clause does not count its other side's clause
+        where that side `rematches`: matched against its instance, the side
+        gives back the clause's own goal, an ancestor the ancestor check
+        cuts. Or-elim on a disjunctive fact proves a goal of any head."""
+        sides = {}  # (schema, clause) -> (head, subgoal heads, clause not counted)
+        for k, s in enumerate(() if self.fact_splits else self.kb.schemas):
+            if s.binds_backward:
+                metas = {PredConst(name) for name in s.metavar_names()}
+                for i, c in enumerate(_compile_axiom(s.body, s.name)):
+                    heads = [None if type(f) is Atom and f.pred in metas else _head(f)
+                             for f in (c.consequent, *c.antecedents)]
+                    loop = c.rewrite and s.rematches(c.antecedents[0])
+                    sides[k, i] = heads[0], set(heads[1:]) - {None}, (k, 1 - i) if loop else None
+        base = {*self.heads["facts"], *self.heads["conjuncts"], *(c.head for c in self.clauses),
+                *_RULE_HEADS}
+        live, fired = {}, set()
+        for _ in range(len(sides) + 1):  # fired grows until it is the fixpoint
+            live = {key: base | {sides[j][0] for j in fired if j != out}
+                    for key, (_, _, out) in sides.items()}
+            fired = {key for key, (_, needs, _) in sides.items()
+                     if None in live[key] or needs <= live[key]}
+        return {key: heads for key, heads in live.items() if None not in heads}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -616,7 +662,10 @@ class _Search:
             if self.kb.schemas:
                 self._bound_hit()
             return
-        for schema in self.kb.schemas:
+        if self.live is None:
+            self.live = self._live_heads()
+        live = {} if extra.formulas else self.live
+        for index, schema in enumerate(self.kb.schemas):
             if not schema.binds_backward:
                 continue
             self.tick()
@@ -631,7 +680,11 @@ class _Search:
                     continue
                 clauses = _compile_axiom(inst, schema.name)
                 ren = self.renaming(clauses[0].vars)  # one set for both directions
-                for c in clauses:
+                for i, c in enumerate(clauses):
+                    heads = live.get((index, i))
+                    if heads and any(_head(a) not in heads for a in c.antecedents):
+                        self.dead += 1
+                        continue
                     yield from self._apply(
                         "schema-apply", c.renamed(ren), goal, env, depth, visited,
                         extra, lex_budget, split_done,
@@ -849,13 +902,17 @@ class _Search:
                 yield (t1,) + ts, l1 + l2
 
 
-def _resolve_trace(node: TraceNode, env: dict) -> TraceNode:
-    return TraceNode(
-        node.rule,
-        resolve_formula(node.formula, env),
-        tuple(_resolve_trace(c, env) for c in node.children),
-        node.detail,
-    )
+def _resolve_trace(node: TraceNode, env: dict, names=None) -> TraceNode:
+    """node resolved through env, with the fresh variables it leaves free
+    renamed v1, v2, ... in preorder: a proof's names do not depend on how
+    many the search handed out before it."""
+    f, names = resolve_formula(node.formula, env), {} if names is None else names
+    if free_vars(f):
+        for v in free_vars_ordered(f):
+            names.setdefault(v, Var(f"v{len(names) + 1}"))
+        f = subst_map(f, names)
+    children = tuple(_resolve_trace(c, env, names) for c in node.children)
+    return TraceNode(node.rule, f, children, node.detail)
 
 
 def prove(kb: KnowledgeBase, goal: Formula, cfg: Optional[ProverConfig] = None) -> ProveResult:

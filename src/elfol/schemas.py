@@ -83,6 +83,14 @@ class Schema:
         and backward search skips the schema."""
         return any(self.metavar_names() <= _mentioned(t) for _, t in _conclusions(self.body)[1])
 
+    def rematches(self, side) -> bool:
+        """Whether matching side, a part of the body, against an instance
+        of it gives back only that instance's binding: side mentions every
+        metavariable and applies none, so each is read off as it stands."""
+        preds = [n.pred.name for n in nodes(side) if type(n) is Atom and type(n.pred) is PredConst]
+        applied = any(name in self.pred_arities for name in preds)
+        return self.metavar_names() <= _mentioned(side) and not applied
+
 
 # ---------------------------------------------------------------------------
 # Instantiation

@@ -14,9 +14,15 @@ repeats an earlier complete failure at no larger a budget. It also keeps
 through `_Hyps`; and it tries every clause of the goal's head and ticks
 every schema, where the search skips the ground clauses whose spine key
 differs from a closed goal's and the schemas that can never bind backward.
-On every input both must give the same outcome and a byte-identical
-`trace.to_json()`, and `elfol.prover.prove` must explore no more entries
-than this one.
+And it applies every schema clause, where the search skips one with a
+subgoal whose head is dead (`elfol.prover._Search._live_heads`): one that
+no fact, clause, rule or hypothesis has, and that no schema clause but the
+other side of the same equivalence, which leads back to the parent goal,
+concludes. Such a subgoal has no proof, so on every input both must give a
+byte-identical `trace.to_json()`, and `elfol.prover.prove` must explore no
+more entries than this one. They must give the same outcome too, except
+that a bound this search hits only under a skipped subgoal makes it read
+`exhausted` where `prove` reads `failed`.
 """
 
 from __future__ import annotations

@@ -509,3 +509,18 @@ class TestUnreadableInput:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {bad}: ")
         assert "can't decode byte 0xff in position 9" in err
+
+    @pytest.mark.parametrize("kind", ["kb", "model"])
+    def test_a_file_that_starts_with_a_byte_order_mark_loads(self, capsys, tmp_path, kind):
+        path = tmp_path / f"bom-{kind}.elf"
+        text, argv = {
+            "kb": ("(fact (city b1))\n", ["prove", CORE, str(path), "--goal", "(city b1)"]),
+            "model": (
+                "(model (worlds w0) (acc) (domain d0) (const a d0) (pred P (w0 (d0))))\n",
+                ["eval", "--model", str(path), "--formula", "(P a)"],
+            ),
+        }[kind]
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.strip() == "true" if kind == "model" else out.startswith("fact-match")

@@ -28,12 +28,12 @@ DEEP_CFG = ProverConfig(
 
 # n -> ((outcome, proof length, explored) extended, the same reduced)
 CURVE = {
-    3: (("proved", 1, 54), ("proved", 7, 16)),
-    4: (("proved", 1, 54), ("proved", 33, 148)),
-    5: (("proved", 1, 54), ("proved", 81, 531)),
-    6: (("proved", 1, 54), ("proved", 161, 1_606)),
-    7: (("proved", 1, 54), ("proved", 281, 4_233)),
-    8: (("proved", 1, 54), ("proved", 449, 9_933)),
+    3: (("proved", 1, 6), ("proved", 7, 16)),
+    4: (("proved", 1, 6), ("proved", 33, 148)),
+    5: (("proved", 1, 6), ("proved", 81, 531)),
+    6: (("proved", 1, 6), ("proved", 161, 1_606)),
+    7: (("proved", 1, 6), ("proved", 281, 4_233)),
+    8: (("proved", 1, 6), ("proved", 449, 9_933)),
 }
 
 

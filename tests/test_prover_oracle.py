@@ -6,23 +6,27 @@ input here both must give the same outcome and a byte-identical
 `trace.to_json()`, and the tabled search must explore no more entries.
 It also skips the ground clauses whose spine key differs from a closed
 goal's, which only the reduced kbs and the ground connective axioms added
-to fuzz kbs here give it the chance to do.
+to fuzz kbs here give it the chance to do, and the schema clauses whose
+subgoal has a dead head, which the bundle's schemas added to fuzz kbs here
+give it many chances to do. There the one outcome allowed to differ is the
+oracle's exhausted against the search's failed (see compare).
 Each bound is set high enough that the oracle never reaches the explored or
 time bound, since the tabled search, exploring less, could go past where
 the oracle stopped.
 """
 
 import random
-import re
+from dataclasses import replace
 
 import pytest
 
 from elfol import prover
-from elfol.core import And, Equiv, Implies, Or, Signature
+from elfol.core import And, Atom, Const, Equiv, Implies, Modified, Or, PredConst, Signature, That
 from elfol.kb import KnowledgeBase
 from elfol.lexicon import load_bundle
 from elfol.prover import EXHAUSTED, FAILED, PROVED, ProverConfig, _Hyps, _Search, prove, replay
 from elfol.reduction import ReductionContext, reduce_formula, reduce_kb
+from elfol.schemas import Schema
 from elfol.syntax import parse_formula
 
 import fuzz
@@ -33,14 +37,31 @@ from test_effort_curve import DEEP_CFG
 BUNDLE = load_bundle()
 
 
+# goals that the oracle reads exhausted and prove failed; see compare
+DEAD_FAILED = []
+
+
 def compare(kb, goal, cfg: ProverConfig):
     """Check prove against the oracle on goal; the entries the table saved,
-    or None where the oracle stopped at the explored bound."""
+    or None where the oracle stopped at the explored bound.
+
+    Where the oracle is exhausted, prove may read failed: a bound the
+    oracle hit under a schema subgoal that prove skips as dead cut nothing
+    provable. Then prove explores less, and the oracle with two more
+    lexical steps and four more levels still proves nothing."""
     want = oracle_prover.prove(kb, goal, cfg)
     if want.explored > cfg.max_explored:
         return None
     got = prove(kb, goal, cfg)
-    assert got.outcome == want.outcome
+    if (want.outcome, got.outcome) == (EXHAUSTED, FAILED):
+        assert got.explored < want.explored
+        wider = replace(
+            cfg, max_lexical_steps=cfg.max_lexical_steps + 2, max_depth=cfg.max_depth + 4
+        )
+        assert not oracle_prover.prove(kb, goal, wider).proved
+        DEAD_FAILED.append(goal)
+    else:
+        assert got.outcome == want.outcome
     assert (got.trace and got.trace.to_json()) == (want.trace and want.trace.to_json())
     assert got.explored <= want.explored
     return want.explored - got.explored
@@ -295,10 +316,11 @@ def test_a_failure_that_hit_no_bound_is_repeated_only_at_its_own_budgets():
     assert prove(kb, goal, cfg).outcome == oracle_prover.prove(kb, goal, cfg).outcome == EXHAUSTED
 
 
-def test_a_skip_renumbers_only_the_fresh_variables_named_after_it():
+def test_a_skip_leaves_the_names_of_a_proofs_fresh_variables_alone():
     # the second (g c) under the inner or is skipped, and with it the
     # renaming its search would take, so the fresh variable that (R c ?w)
-    # leaves unbound in the trace is ?v3 here and ?v4 in the untabled search
+    # leaves unbound is the search's v3 and the untabled search's v4; the
+    # proof names it ?v1 in both
     kb = KnowledgeBase(
         Signature(predicates={"P": 1, "R": 2, "g": 1, "k": 1}, constants={"c"}),
         [],
@@ -313,8 +335,112 @@ def test_a_skip_renumbers_only_the_fresh_variables_named_after_it():
     want, got = oracle_prover.prove(kb, goal), prove(kb, goal)
     assert got.outcome == want.outcome == PROVED
     assert replay(got.trace, kb) == []
+    assert "(R c ?v1)" in got.trace.to_json()
+    assert got.trace.to_json() == want.trace.to_json()
 
-    def numbers_dropped(trace):
-        return re.sub(r"\?v\d+", "?v", trace.to_json())
 
-    assert numbers_dropped(got.trace) == numbers_dropped(want.trace)
+# ---------------------------------------------------------------------------
+# The dead-subgoal skip: a schema clause whose subgoal has a head that no
+# entry, hypothesis or other schema clause can prove is skipped
+
+
+BACKWARD = [
+    next(s for s in BUNDLE.schemas if s.name == name)
+    for name in ("correct-iff-content", "do-reified-action", "sounds-as-considered")
+]
+
+
+def _dead(kb, goal, cfg=ProverConfig()) -> int:
+    """How many schema clauses prove's search skips as dead on goal."""
+    search = _Search(kb, cfg)
+    proofs = search.solve(goal, {}, 0, frozenset(), _Hyps(), cfg.max_lexical_steps, frozenset())
+    try:
+        next(proofs, None)
+    except prover._Budget:
+        pass
+    return search.dead
+
+
+def _correct(f):
+    return Atom(PredConst("correct"), (That(f),))
+
+
+def test_fuzz_kbs_with_the_bundled_backward_schemas():
+    """tests/fuzz.py kbs with the bundle's three schemas that bind backward
+    added, some with a disjunctive fact, under the fuzz goals, goals that
+    add hypotheses, and goals that the schemas prove or loop on."""
+    runs = dead = 0
+    relaxed = len(DEAD_FAILED)
+    for seed in range(80):
+        rng = random.Random(seed)
+        kb = fuzz.read_off_kb(rng, fuzz.random_model(rng))
+        gen = AstGen(rng, reified=False, functions=False, modifiers=False)
+        facts = list(kb.facts)
+        if facts and rng.random() < 0.3:
+            facts.append(Or(rng.choice(facts), gen.closed_formula(depth=1)))
+        kb = KnowledgeBase(kb.signature, facts, kb.axioms, kb.schemas + BACKWARD, kb.registry)
+        cfg = ProverConfig(
+            max_depth=rng.randint(3, 5), max_lexical_steps=rng.randint(1, 2),
+            timeout_ms=120_000, max_explored=50_000,
+        )
+        goals = fuzz.sample_goals(rng, kb, gen) + _hypothesis_goals(rng, kb, gen)
+        goals += [_correct(goals[0]), _correct(rng.choice(facts or goals)),
+                  Atom(Modified("sounds", PredConst("P")), (Const("a"),))]
+        for goal in goals:
+            if compare(kb, goal, cfg) is not None:
+                runs += 1
+                dead += _dead(kb, goal, cfg)
+    # the skip fires, and turns some exhausted searches into failed ones
+    assert runs > 700 and dead > 2000 and len(DEAD_FAILED) - relaxed > 100, (
+        runs, dead, len(DEAD_FAILED) - relaxed,
+    )
+
+
+SCHEMA_SIG = Signature(predicates={"P": 1, "Q": 1, "R": 2, "correct": 1}, constants={"a", "b"})
+
+# correct-iff-content's (PHI) side proves (P a) if (correct (that (P a)))
+# holds, a head no fact or clause has; here a hypothesis or an or-elim case
+# gives it, or a case gives (P a) itself under the subgoal's other side
+NOTHING_DEAD = {
+    "impl-intro": ([], [], "(implies (correct (that (P a))) (P a))"),
+    "or-elim on a hypothesis": ([], [], "(implies (or (correct (that (P a))) (P a)) (P a))"),
+    "or-elim on a fact": (
+        ["(or (Q a) (R a b))"],
+        ["(implies (Q a) (P a))", "(implies (R a b) (P a))"],
+        "(P a)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NOTHING_DEAD))
+def test_a_hypothesis_or_a_case_of_a_dead_head_skips_nothing(name):
+    facts, axioms, goal = NOTHING_DEAD[name]
+    kb = KnowledgeBase(
+        SCHEMA_SIG, [parse_formula(f) for f in facts], [parse_formula(a) for a in axioms],
+        BACKWARD[:1],
+    )
+    goal, cfg = parse_formula(goal), ProverConfig(max_lexical_steps=6)
+    result = prove(kb, goal, cfg)
+    assert result.proved and "schema-apply" in result.trace.to_json()
+    assert compare(kb, goal, cfg) is not None
+    # without the hypothesis or the case, the skip fires
+    assert _dead(KnowledgeBase(SCHEMA_SIG, [], [], BACKWARD[:1]), parse_formula("(P a)")) > 0
+
+
+def test_a_side_that_binds_its_metavariable_anew_keeps_its_other_side():
+    # (R c c), the subgoal of the (fine (ka P) ?x) side on the goal, matched
+    # by the (P ?x) side abstracts both c's: its subgoal is not the goal but
+    # the fact, so (P ?x) counts for the head R
+    schema = Schema(
+        "wrapped", (("P", 1),), (), (),
+        parse_formula("(forall ?x (equiv (fine (ka P) ?x) (P ?x)))"),
+    )
+    kb = KnowledgeBase(
+        Signature(predicates={"R": 2, "fine": 2}, constants={"c"}),
+        [parse_formula("(fine (ka (lambda (?u) (R ?u ?u))) c)")], [], [schema],
+    )
+    goal = parse_formula("(fine (ka (lambda (?u) (R ?u c))) c)")
+    result = prove(kb, goal, ProverConfig())
+    assert result.proved and result.trace.lexical_steps() == 2
+    assert compare(kb, goal, ProverConfig()) is not None
+    assert _dead(kb, goal) == 0

@@ -33,6 +33,7 @@ from elfol.schemas import (
     ground_atoms,
     instantiate,
     match_conclusion,
+    substitute,
 )
 from elfol.syntax import parse_formula, parse_predexpr, render
 
@@ -341,6 +342,55 @@ class TestBindsBackward:
                         meta = {k: v for k, v in b.items() if not k.startswith("_")}
                         assert not binding_total(schema, meta)
             assert matched > 0, schema.name
+
+
+class TestRematches:
+    """A conclusion side that mentions every metavariable and applies none
+    gives back, matched against an instance of itself, only the binding of
+    that instance; the prover's dead-subgoal skip relies on it."""
+
+    # (P ?x) is an applied metavariable: (R c c) is the instance under P =
+    # (lambda (?u) (R ?u c)) and ?x = c, and matching abstracts both c's
+    WRAPPED = Schema("wrapped", (("P", 1),), (), (),
+                     parse_formula("(forall ?x (equiv (fine (ka P) ?x) (P ?x)))"))
+
+    def test_which_sides_rematch(self, bundle):
+        got = {
+            (s.name, position): s.rematches(side)
+            for s in bundle.schemas + [self.WRAPPED] for position, side in _conclusions(s.body)
+        }
+        assert got == {
+            ("monotone-conj-drop", "consequent"): False,  # P3 is in the premise only
+            ("correct-iff-content", "left"): True,
+            ("correct-iff-content", "right"): True,
+            ("sounds-as-considered", "left"): True,
+            ("sounds-as-considered", "right"): False,
+            ("do-reified-action", "consequent"): False,
+            ("wrapped", "left"): True,
+            ("wrapped", "right"): False,
+        }
+
+    def test_a_side_that_rematches_gives_back_only_its_binding(self, bundle):
+        sig, bounds = TestMatchRoundTrip.SIG, TestMatchRoundTrip.BOUNDS
+        checked = 0
+        for schema in bundle.schemas + [self.WRAPPED]:
+            ground = {v: Const("b") for v in strip_universals(schema.body)[0]}
+            for position, side in _conclusions(schema.body):
+                if not schema.rematches(side):
+                    continue
+                for binding in _enumerating_bindings(schema, sig, bounds):
+                    goal = subst_map(substitute(schema, side, binding), ground)
+                    found = [b for b in match_conclusion(schema, goal, REG)
+                             if b["_position"] == position]
+                    assert len(found) == 1, (schema.name, position, render(goal))
+                    assert all(alpha_equivalent(found[0][m], v) for m, v in binding.items())
+                    checked += 1
+        assert checked == 12  # 6 for correct-iff-content, 3 each for the two left sides
+
+    def test_a_side_that_applies_its_metavariable_can_bind_it_anew(self):
+        found = [b for b in match_conclusion(self.WRAPPED, parse_formula("(R c c)"), REG)
+                 if b["_position"] == "right"]
+        assert [render(b["P"]) for b in found] == ["(lambda (?u0) (R ?u0 ?u0))"]
 
 
 class TestEnumerateBindings:
